@@ -435,21 +435,48 @@ void InferPlan::run_gap(const Step& s, const float* in, float* out) const {
 
 void InferPlan::run_linear(const Step& s, const float* in, float* out) const {
   // Double accumulation in ascending k, exactly the reference interpreter's
-  // order, so fast and reference logits agree bitwise here.
+  // order, so fast and reference logits agree bitwise here. Four output
+  // rows share each pass over the input row: their chains are independent,
+  // so the adds overlap instead of each waiting on the last, while every
+  // row still sums its own products in the same order.
   const int64_t features = s.cin;
-  const int64_t total = stats_.batch * s.cout;
-  parallel_for(total, 16, [&](int64_t r0, int64_t r1) {
-    for (int64_t idx = r0; idx < r1; ++idx) {
-      const int64_t i = idx / s.cout;
-      const int64_t o = idx % s.cout;
-      const float* wrow = s.wf + o * features;
+  const int64_t quads = (s.cout + 3) / 4;
+  const auto store = [&](int64_t i, int64_t o, double acc) {
+    const float b = s.bias == nullptr ? 0.0f : s.bias[o];
+    out[i * s.cout + o] = static_cast<float>(acc) * s.scales[o] + b;
+  };
+  parallel_for(stats_.batch * quads, 4, [&](int64_t g0, int64_t g1) {
+    for (int64_t g = g0; g < g1; ++g) {
+      const int64_t i = g / quads;
+      const int64_t o0 = (g % quads) * 4;
       const float* xrow = in + i * features;
-      double acc = 0.0;
-      for (int64_t t = 0; t < features; ++t) {
-        acc += static_cast<double>(wrow[t]) * xrow[t];
+      if (o0 + 4 <= s.cout) {
+        const float* w0 = s.wf + o0 * features;
+        const float* w1 = w0 + features;
+        const float* w2 = w1 + features;
+        const float* w3 = w2 + features;
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+        for (int64_t t = 0; t < features; ++t) {
+          const double x = xrow[t];
+          a0 += static_cast<double>(w0[t]) * x;
+          a1 += static_cast<double>(w1[t]) * x;
+          a2 += static_cast<double>(w2[t]) * x;
+          a3 += static_cast<double>(w3[t]) * x;
+        }
+        store(i, o0, a0);
+        store(i, o0 + 1, a1);
+        store(i, o0 + 2, a2);
+        store(i, o0 + 3, a3);
+        continue;
       }
-      const float b = s.bias == nullptr ? 0.0f : s.bias[o];
-      out[idx] = static_cast<float>(acc) * s.scales[o] + b;
+      for (int64_t o = o0; o < s.cout; ++o) {  // the last cout % 4 rows
+        const float* wrow = s.wf + o * features;
+        double acc = 0.0;
+        for (int64_t t = 0; t < features; ++t) {
+          acc += static_cast<double>(wrow[t]) * xrow[t];
+        }
+        store(i, o, acc);
+      }
     }
   });
 }

@@ -5,11 +5,21 @@
 
 namespace nb::quant {
 
-#if defined(NB_QUANT_U8_AVX2)
+#if defined(NB_QUANT_AVX2)
 namespace detail {
-void quantize_levels_u8_avx2(const float* src, uint8_t* dst, int64_t n,
-                             float scale, float q);
+// Each quantizes the leading whole vector blocks and returns how many
+// elements that was; the caller's scalar loop does the rest.
+int64_t fake_quant_avx2(float* data, int64_t n, float scale, float q);
+int64_t quantize_levels_u8_avx2(const float* src, uint8_t* dst, int64_t n,
+                                float scale, float q);
 }  // namespace detail
+
+namespace {
+bool use_avx2() {
+  static const bool supported = __builtin_cpu_supports("avx2");
+  return supported;
+}
+}  // namespace
 #endif
 
 int64_t qmax_for_bits(int bits) {
@@ -32,7 +42,15 @@ void fake_quant_(Tensor& t, float scale, int bits) {
 void fake_quant_buffer(float* data, int64_t n, float scale, int bits) {
   NB_CHECK(scale > 0.0f, "quant: non-positive scale");
   const float q = static_cast<float>(qmax_for_bits(bits));
-  for (int64_t i = 0; i < n; ++i) {
+  // Every activation of the float plan, the reference interpreter and
+  // QuantConv2d passes through here; the AVX2 instance reproduces the
+  // scalar expression below bit for bit, -0.0 and NaN included (see
+  // quantize_avx2.cpp).
+  int64_t i = 0;
+#if defined(NB_QUANT_AVX2)
+  if (use_avx2()) i = detail::fake_quant_avx2(data, n, scale, q);
+#endif
+  for (; i < n; ++i) {
     const float level = std::clamp(std::round(data[i] / scale), -q, q);
     data[i] = level * scale;
   }
@@ -46,15 +64,12 @@ void quantize_levels_u8(const float* src, uint8_t* dst, int64_t n, float scale,
   // This pass runs once per conv/linear input on the int8 backend, so it is
   // bandwidth-critical; the AVX2 instance reproduces the scalar expression
   // below bit for bit (vdivps + exact half-away tie repair — see
-  // quantize_u8_avx2.cpp).
-#if defined(NB_QUANT_U8_AVX2)
-  static const bool use_avx2 = __builtin_cpu_supports("avx2");
-  if (use_avx2) {
-    detail::quantize_levels_u8_avx2(src, dst, n, scale, q);
-    return;
-  }
+  // quantize_avx2.cpp).
+  int64_t i = 0;
+#if defined(NB_QUANT_AVX2)
+  if (use_avx2()) i = detail::quantize_levels_u8_avx2(src, dst, n, scale, q);
 #endif
-  for (int64_t i = 0; i < n; ++i) {
+  for (; i < n; ++i) {
     const float level = std::clamp(std::round(src[i] / scale), -q, q);
     dst[i] = static_cast<uint8_t>(static_cast<int32_t>(level) + 128);
   }
@@ -90,16 +105,12 @@ void fake_quant_per_channel_(Tensor& weight, const std::vector<float>& scales,
   const int64_t cout = weight.size(0);
   NB_CHECK(static_cast<int64_t>(scales.size()) == cout,
            "fake_quant_per_channel_: scale count != out channels");
-  const float q = static_cast<float>(qmax_for_bits(bits));
   const int64_t stride = weight.numel() / cout;
   float* p = weight.data();
   for (int64_t o = 0; o < cout; ++o) {
     const float s = scales[static_cast<size_t>(o)];
     NB_CHECK(s > 0.0f, "fake_quant_per_channel_: non-positive scale");
-    float* row = p + o * stride;
-    for (int64_t i = 0; i < stride; ++i) {
-      row[i] = std::clamp(std::round(row[i] / s), -q, q) * s;
-    }
+    fake_quant_buffer(p + o * stride, stride, s, bits);
   }
 }
 

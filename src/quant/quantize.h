@@ -27,6 +27,10 @@ void fake_quant_(Tensor& t, float scale, int bits);
 
 /// Raw-buffer core of fake_quant_, for runtimes that keep activations in a
 /// planned arena rather than in Tensors (see src/export/infer_plan.h).
+/// Defined for every float, bit for bit as the scalar expression (the AVX2
+/// instance included): NaN propagates unchanged (payload kept), +-inf
+/// becomes +-q*scale, and -0.0 is kept (any x in (-scale/2, 0) becomes
+/// -0.0 too).
 void fake_quant_buffer(float* data, int64_t n, float scale, int bits);
 
 /// Quantizes float activations to offset-u8 levels for the true int8 path:

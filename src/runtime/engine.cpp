@@ -245,9 +245,10 @@ std::future<Tensor> Engine::submit(const std::string& name,
         }
       }
     }
-  }
-  {
-    MutexLock lock(stats_mu_);
+    // Counted before mu_ is released: once it is, a worker can pop and
+    // complete the request, and stats() must never see it completed before
+    // it was accepted. Lock order mu_ -> stats_mu_, as in pop_next.
+    MutexLock slock(stats_mu_);
     ++submitted_;
     if (!rejected) {
       ++accepted_;

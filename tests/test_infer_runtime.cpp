@@ -60,6 +60,12 @@ Tensor random_input(Rng& rng, std::vector<int64_t> shape) {
   return x;
 }
 
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
 // Sets the nb::parallel_for pool for the lifetime of one scope.
 class PoolOverride {
  public:
@@ -229,16 +235,29 @@ TEST(InferPlan, ForwardCachesPlanAcrossShapeChanges) {
   }
 }
 
+TEST(InferPlan, LinearHeadMatchesReferenceBitwiseForEveryRowRemainder) {
+  // The float head accumulates four output rows per pass over an input row
+  // and finishes the last cout % 4 rows one at a time. Every row keeps the
+  // reference interpreter's ascending-k double chain, so at batch > 1 the
+  // logits must agree to the bit for each remainder 0..3.
+  for (int64_t classes = 5; classes <= 8; ++classes) {
+    Rng rng(700 + static_cast<uint64_t>(classes), 7);
+    FlatModel m;
+    m.set_input(9, 3);
+    m.push(make_conv(rng, 3, 37, 3, 2, 1, FlatAct::relu6, true));
+    m.push(make_marker(OpKind::gap));
+    m.push(make_linear(rng, 37, classes));
+    const Tensor x = random_input(rng, {3, 3, 9, 9});
+    EXPECT_TRUE(bitwise_equal(m.forward(x, Backend::fast),
+                              m.forward(x, Backend::reference)))
+        << "classes=" << classes;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // True int8 backend: the contract is memcmp equality against the QModel
 // integer oracle — exact int32 accumulation makes bitwise the natural unit
 // of agreement, not a tolerance.
-
-bool bitwise_equal(const Tensor& a, const Tensor& b) {
-  return a.same_shape(b) &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
-}
 
 TEST(Int8Plan, MatchesQModelBitwiseOnResidualGraph) {
   for (uint64_t seed : {11u, 12u, 13u}) {

@@ -167,6 +167,13 @@ struct ContractSweepCase {
   bool preserve;
 };
 
+// Without a printer GoogleTest names each case by its raw bytes, padding
+// included, so the ctest name changed from run to run.
+void PrintTo(const ContractSweepCase& tc, std::ostream* os) {
+  *os << core::to_string(tc.type) << " cin" << tc.cin << " cout" << tc.cout
+      << " r" << tc.ratio << (tc.preserve ? " preserve" : " no-preserve");
+}
+
 class ContractionSweep : public ::testing::TestWithParam<ContractSweepCase> {};
 
 TEST_P(ContractionSweep, ExactForEveryConfiguration) {

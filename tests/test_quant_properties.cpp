@@ -2,7 +2,12 @@
 // orderings that must hold for any tensor, bit width, and channel layout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "quant/quantize.h"
 #include "tensor/rng.h"
@@ -104,32 +109,62 @@ TEST(QuantProperties, ObserverScaleInvariantToBatching) {
   EXPECT_EQ(one.samples(), chunked.samples());
 }
 
+// Inputs that stress the shared rounding core of the two quantizers at one
+// (bits, scale): every grid point k * scale and exact tie (k + 0.5) * scale
+// across twice the clamp range (strided beyond 8 bits; pow2 scales make
+// x / scale reproduce k + 0.5 exactly), values in (-scale/2, 0) that round
+// to a -0.0 level, signed zeros, saturating and denormal magnitudes, then
+// seeded uniform values. All finite: quantize_levels_u8 requires it.
+std::vector<float> rounding_sweep_inputs(int bits, float scale) {
+  const int64_t q = qmax_for_bits(bits);
+  std::vector<float> src;
+  const auto grid_and_tie = [&](int64_t k) {
+    src.push_back((static_cast<float>(k) + 0.5f) * scale);
+    src.push_back(static_cast<float>(k) * scale);
+  };
+  const int64_t step = std::max<int64_t>(1, q / 128);
+  for (int64_t k = -2 * q; k <= 2 * q; k += step) grid_and_tie(k);
+  for (const int64_t k : {-q - 1, -q, q - 1, q}) grid_and_tie(k);
+  for (const float f : {0.25f, 1e-3f, 1e-7f}) src.push_back(-f * scale);
+  src.push_back(-std::nextafter(0.5f * scale, 0.0f));
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (const float v : {0.0f, -0.0f, 1e30f, -1e30f, denorm, -denorm, 1e-40f,
+                        -1e-40f}) {
+    src.push_back(v);
+  }
+  Rng rng(1234 + bits, 7);
+  for (int64_t i = 0; i < 97; ++i) {
+    src.push_back((rng.uniform() * 2.0f - 1.0f) * 4.0f *
+                  static_cast<float>(q) * scale);
+  }
+  return src;
+}
+
+constexpr float kSweepScales[] = {0.25f, 1.0f / 64.0f, 0.0375f, 3.1f};
+
+float from_bits(uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+uint32_t to_bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
 TEST(QuantProperties, OffsetU8LevelsMatchPortableExpressionBitwise) {
   // quantize_levels_u8 dispatches to an AVX2 instance on x86 that MUST be
   // byte-identical to the portable expression
   //   clamp(round(x / scale), -q, q) + 128
   // including round's half-away-from-zero ties (the SIMD round instruction
   // ties to even and is repaired) and the clamp on saturating magnitudes.
-  // The sweep stresses exact tie points (k + 0.5) * scale with pow2 scales
-  // (where x/scale reproduces k + 0.5 exactly), denormal-scale products,
-  // signed zeros, and buffer lengths around the 16-wide vector step.
+  // Buffer lengths run around the 16-wide vector step.
   for (const int bits : {2, 4, 8}) {
-    const int64_t q = (int64_t{1} << (bits - 1)) - 1;
-    for (const float scale : {0.25f, 1.0f / 64.0f, 0.0375f, 3.1f}) {
-      std::vector<float> src;
-      for (int64_t k = -2 * q; k <= 2 * q; ++k) {
-        src.push_back((static_cast<float>(k) + 0.5f) * scale);
-        src.push_back(static_cast<float>(k) * scale);
-      }
-      src.push_back(0.0f);
-      src.push_back(-0.0f);
-      src.push_back(1e30f);
-      src.push_back(-1e30f);
-      Rng rng(1234 + bits, 7);
-      for (int64_t i = 0; i < 97; ++i) {
-        src.push_back((rng.uniform() * 2.0f - 1.0f) * 4.0f *
-                      static_cast<float>(q) * scale);
-      }
+    const int64_t q = qmax_for_bits(bits);
+    for (const float scale : kSweepScales) {
+      const std::vector<float> src = rounding_sweep_inputs(bits, scale);
       // Lengths around the vector width: full 16-blocks plus every tail.
       for (size_t n = src.size() - 19; n <= src.size(); ++n) {
         std::vector<uint8_t> got(n, 0xAA);
@@ -144,6 +179,49 @@ TEST(QuantProperties, OffsetU8LevelsMatchPortableExpressionBitwise) {
           ASSERT_EQ(got[i], want)
               << "x=" << src[i] << " scale=" << scale << " bits=" << bits
               << " i=" << i << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantProperties, FakeQuantMatchesPortableExpressionBitwise) {
+  // fake_quant_buffer dispatches to an AVX2 instance on x86 that shares
+  // quantize_levels_u8's rounding core but, unlike it, hands -0.0, NaN and
+  // +-inf results back to the caller. It must reproduce
+  //   clamp(round(x / scale), -q, q) * scale
+  // to the bit for every float: the tie repair must not turn a -0.0 level
+  // into +0.0, and the clamp must pass a NaN through with its payload.
+  // The float plan and the reference interpreter both run this function,
+  // so their agreement cannot catch a divergence here — this sweep does.
+  const std::vector<float> specials = {
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      from_bits(0x7fc12345u),  // quiet NaN with a payload
+      from_bits(0xffc0abcdu),  // negative quiet NaN with a payload
+      from_bits(0x7f812345u),  // signaling NaN (quieted by the division)
+  };
+  for (const int bits : {2, 4, 8, 12, 16}) {
+    const float q = static_cast<float>(qmax_for_bits(bits));
+    for (const float scale : kSweepScales) {
+      // The non-finite values go first, so they run through the vector
+      // body at every length below, not only through the scalar tail.
+      std::vector<float> src = specials;
+      const std::vector<float> sweep = rounding_sweep_inputs(bits, scale);
+      src.insert(src.end(), sweep.begin(), sweep.end());
+      // Lengths around the vector width: full 8-blocks plus every tail.
+      for (size_t n = src.size() - 19; n <= src.size(); ++n) {
+        std::vector<float> got(src.begin(),
+                               src.begin() + static_cast<int64_t>(n));
+        fake_quant_buffer(got.data(), static_cast<int64_t>(n), scale, bits);
+        for (size_t i = 0; i < n; ++i) {
+          const float want = std::clamp(std::round(src[i] / scale), -q, q) *
+                             scale;
+          ASSERT_EQ(to_bits(got[i]), to_bits(want))
+              << "x=" << src[i] << " (0x" << std::hex << to_bits(src[i])
+              << std::dec << ") scale=" << scale << " bits=" << bits
+              << " i=" << i << " n=" << n << " got=" << got[i]
+              << " want=" << want;
         }
       }
     }

@@ -918,7 +918,9 @@ TEST(EngineConcurrency, StartupTrafficShutdownHammer) {
   // throw traffic + stats readers at it immediately, so the construction
   // window overlaps worker activity — under TSan this is the schedule that
   // caught the original bug, and it also drives every branch of the
-  // restructured worker_loop (wait, batch, drain-return).
+  // restructured worker_loop (wait, batch, drain-return). The reader also
+  // pins the counting order: submit() counts a request before a worker can
+  // pop it, so stats() never shows more completions than admissions.
   const auto model = CompiledModel::compile(small_graph(116));
   for (int round = 0; round < 6; ++round) {
     EngineOptions opts;
@@ -932,6 +934,8 @@ TEST(EngineConcurrency, StartupTrafficShutdownHammer) {
       while (!stop.load(std::memory_order_acquire)) {
         const Engine::Stats st = engine.stats();
         EXPECT_GE(st.submitted, st.completed);
+        EXPECT_GE(st.accepted, st.completed + st.failed + st.dropped_deadline +
+                                   st.dropped_shutdown);
         (void)engine.model_names();
       }
     });
