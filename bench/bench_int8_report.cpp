@@ -8,8 +8,9 @@
 //   * throughput: int8_ms vs fast_ms and their ratio (speedup_int8_vs_fast)
 //   * exactness:  the int8 output is memcmp-identical to the QModel integer
 //     oracle (reported as "exact_vs_qmodel") — not a tolerance check.
-// The selected GEMM micro-kernel (s8-vnni / s8-avx2 / s8-generic) is
-// reported so regressions can be attributed to dispatch changes.
+// The selected GEMM micro-kernel (s8-vnni / s8-avx2 / s8-generic) and
+// depthwise instance (dw-s8-vnni / dw-s8-avx2 / dw-s8-generic) are reported
+// so regressions can be attributed to dispatch changes.
 //
 // Usage: bench_int8_report [--quick] [--out <path>]
 //   --quick  small graphs, fewer batches, short windows (the CI setting)
@@ -28,6 +29,7 @@
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
 #include "export/qmodel.h"
+#include "tensor/depthwise.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -173,6 +175,7 @@ void write_json(const std::string& path, bool quick,
   std::fprintf(f, "  \"bench\": \"int8\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(f, "  \"kernel\": \"%s\",\n", gemm_s8_kernel_name());
+  std::fprintf(f, "  \"dw_kernel\": \"%s\",\n", depthwise_s8_kernel_name());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   if (headline != nullptr) {
@@ -243,7 +246,8 @@ int main(int argc, char** argv) {
   // sides report their genuine best window.
   const Budget budget = quick ? Budget{0.05, 2} : Budget{0.25, 10};
 
-  std::fprintf(stderr, "int8 GEMM kernel: %s\n", gemm_s8_kernel_name());
+  std::fprintf(stderr, "int8 GEMM kernel: %s, depthwise kernel: %s\n",
+               gemm_s8_kernel_name(), depthwise_s8_kernel_name());
   PoolSet pools;
   std::vector<Result> results;
   Rng rng(20260730);

@@ -46,6 +46,9 @@ class ByteReader {
 
   void raw(void* dst, size_t n) {
     NB_CHECK(n <= size_ - off_, "flat model: truncated file");
+    // An empty vector's data() may be null, and memcpy's pointers must not
+    // be, even for a zero-byte copy.
+    if (n == 0) return;
     std::memcpy(dst, data_ + off_, n);
     off_ += n;
   }

@@ -1,16 +1,11 @@
 #include "tensor/depthwise.h"
 
 #include <algorithm>
+#include <vector>
+
+#include "tensor/depthwise_s8_kernel.h"
 
 namespace nb {
-
-#if defined(NB_DW_S8_AVX2)
-namespace detail {
-void depthwise_plane_s8_avx2(const uint8_t* img, const int8_t* ker,
-                             int32_t* out, int64_t h, int64_t w, int64_t oh,
-                             int64_t ow, int64_t k, int64_t pad);
-}  // namespace detail
-#endif
 
 namespace {
 
@@ -128,19 +123,12 @@ void depthwise_plane(const float* img, const float* ker, float* out,
   }
 }
 
-void depthwise_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
-                        int64_t h, int64_t w, int64_t oh, int64_t ow,
-                        int64_t k, int64_t s, int64_t pad) {
-#if defined(NB_DW_S8_AVX2)
-  // Stride-1 planes (the bulk of depthwise work) take the 8-wide AVX2
-  // instance; the integer arithmetic is exact either way, so routing is a
-  // pure performance decision.
-  static const bool use_avx2 = __builtin_cpu_supports("avx2");
-  if (use_avx2 && s == 1) {
-    detail::depthwise_plane_s8_avx2(img, ker, out, h, w, oh, ow, k, pad);
-    return;
-  }
-#endif
+namespace detail {
+
+void depthwise_plane_s8_generic(const uint8_t* img, const int8_t* ker,
+                                int32_t* out, int64_t h, int64_t w,
+                                int64_t oh, int64_t ow, int64_t k, int64_t s,
+                                int64_t pad) {
   switch (k) {
     case 3:
       dw_plane_s8<3>(img, ker, out, h, w, oh, ow, k, s, pad);
@@ -152,6 +140,72 @@ void depthwise_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
       dw_plane_s8<0>(img, ker, out, h, w, oh, ow, k, s, pad);
       break;
   }
+}
+
+}  // namespace detail
+
+namespace {
+
+using DwS8Fn = void (*)(const uint8_t*, const int8_t*, int32_t*, int64_t,
+                        int64_t, int64_t, int64_t, int64_t, int64_t, int64_t);
+
+struct DwS8Instance {
+  const char* name;
+  DwS8Fn fn;
+};
+
+// Every compiled instance this CPU can execute, generic first; the last
+// entry is the fastest and is the one depthwise_plane_s8 dispatches to.
+// The integer arithmetic is exact on every instance, so routing is a pure
+// performance decision.
+const std::vector<DwS8Instance>& dw_s8_instances() {
+  static const std::vector<DwS8Instance> list = [] {
+    std::vector<DwS8Instance> v;
+    v.push_back({"dw-s8-generic", &detail::depthwise_plane_s8_generic});
+#if defined(NB_DW_S8_AVX2)
+    if (__builtin_cpu_supports("avx2")) {
+      v.push_back({"dw-s8-avx2", &detail::depthwise_plane_s8_avx2});
+    }
+#endif
+#if defined(NB_DW_S8_VNNI)
+    if (__builtin_cpu_supports("avx512vnni") &&
+        __builtin_cpu_supports("avx512vl")) {
+      v.push_back({"dw-s8-vnni", &detail::depthwise_plane_s8_vnni});
+    }
+#endif
+    return v;
+  }();
+  return list;
+}
+
+const DwS8Instance& dw_s8_active() {
+  static const DwS8Instance& active = dw_s8_instances().back();
+  return active;
+}
+
+}  // namespace
+
+void depthwise_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
+                        int64_t h, int64_t w, int64_t oh, int64_t ow,
+                        int64_t k, int64_t s, int64_t pad) {
+  dw_s8_active().fn(img, ker, out, h, w, oh, ow, k, s, pad);
+}
+
+const char* depthwise_s8_kernel_name() { return dw_s8_active().name; }
+
+int depthwise_s8_instance_count() {
+  return static_cast<int>(dw_s8_instances().size());
+}
+
+const char* depthwise_s8_instance_name(int i) {
+  return dw_s8_instances()[static_cast<size_t>(i)].name;
+}
+
+void depthwise_s8_run_instance(int i, const uint8_t* img, const int8_t* ker,
+                               int32_t* out, int64_t h, int64_t w, int64_t oh,
+                               int64_t ow, int64_t k, int64_t s, int64_t pad) {
+  dw_s8_instances()[static_cast<size_t>(i)].fn(img, ker, out, h, w, oh, ow, k,
+                                               s, pad);
 }
 
 }  // namespace nb

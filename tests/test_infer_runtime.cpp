@@ -273,10 +273,12 @@ TEST(Int8Plan, MatchesQModelBitwiseOnResidualGraph) {
 TEST(Int8Plan, MatchesQModelOnRandomizedGraphsAtOddSizes) {
   // Randomized grouped/depthwise/residual graphs over odd, non-square
   // inputs and batches 1..8: every lowering shape (fringe tiles, K % 4,
-  // group slices, residual joins) must still land memcmp-equal.
+  // group slices, residual joins) must still land memcmp-equal. Depthwise
+  // steps draw k in {3, 5, 7} at stride 1 or 2 (residual ones at stride
+  // 1); the twelve trials draw all six (k, s) pairs.
   Rng graph_rng(271, 3);
   const int64_t batches[] = {1, 2, 5, 8};
-  for (int trial = 0; trial < 6; ++trial) {
+  for (int trial = 0; trial < 12; ++trial) {
     FlatModel m;
     m.set_input(0, 4);
     int64_t c = 4;
@@ -290,14 +292,16 @@ TEST(Int8Plan, MatchesQModelOnRandomizedGraphsAtOddSizes) {
         m.push(make_conv(graph_rng, c, cout, 1, 1, 1, act, bias));
         c = cout;
       } else if (pick == 1) {
-        m.push(make_conv(graph_rng, c, c, 3, 1 + graph_rng.randint(2), c, act,
+        const int64_t k = 3 + 2 * graph_rng.randint(3);
+        m.push(make_conv(graph_rng, c, c, k, 1 + graph_rng.randint(2), c, act,
                          bias));
       } else if (pick == 2) {
         m.push(make_conv(graph_rng, c, c * 2, 3, 1, 2, act, bias));
         c *= 2;
       } else {
         m.push(make_marker(OpKind::save));
-        m.push(make_conv(graph_rng, c, c, 3, 1, c, act, bias));
+        const int64_t k = 3 + 2 * graph_rng.randint(3);
+        m.push(make_conv(graph_rng, c, c, k, 1, c, act, bias));
         m.push(make_marker(OpKind::add_saved));
       }
     }

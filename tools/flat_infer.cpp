@@ -18,7 +18,8 @@
 //              path: quantized activations + packed s8 GEMM with fused
 //              requantization; requires a calibrated artifact), or the
 //              reference interpreter. int8 works in both plan and
-//              --sessions modes and prints the dispatched s8 kernel.
+//              --sessions modes and prints the dispatched s8 GEMM and
+//              depthwise kernels.
 //   --batch    plans the batched one-GEMM-per-conv lowering at this size;
 //              for N > 1 the fast backend also times the N images run one
 //              at a time through a batch-1 plan and prints per-image vs
@@ -44,6 +45,7 @@
 #include "runtime/compiled_model.h"
 #include "runtime/percentile.h"
 #include "runtime/session.h"
+#include "tensor/depthwise.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -160,9 +162,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(st.weight_cache_floats * 4));
   if (plan_backend == Backend::int8) {
     std::printf("int8 arena:   %lld B (quantized activations + byte im2col; "
-                "kernel %s)\n",
+                "kernel %s, depthwise %s)\n",
                 static_cast<long long>(st.arena_int8_bytes),
-                gemm_s8_kernel_name());
+                gemm_s8_kernel_name(), depthwise_s8_kernel_name());
   }
 
   if (verify) {
