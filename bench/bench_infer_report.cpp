@@ -4,7 +4,9 @@
 // exports without needing the training stack), then times the planned fast
 // backend against the reference scalar interpreter across batch sizes and
 // writes machine-readable BENCH_infer.json: fast-vs-reference speedup,
-// output agreement, and the memory planner's arena accounting.
+// output agreement, and the memory planner's arena accounting. The header
+// records the float GEMM kernel and depthwise instance the fast backend
+// dispatched to ("kernel", "dw_kernel").
 //
 // Usage: bench_infer_report [--quick] [--out <path>]
 //   --quick  small graphs, fewer batches, short windows (the CI setting)
@@ -21,6 +23,8 @@
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
+#include "tensor/depthwise.h"
+#include "tensor/gemm.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -168,6 +172,8 @@ void write_json(const std::string& path, bool quick,
   std::fprintf(f, "  \"schema\": \"nb-bench-infer-v1\",\n");
   std::fprintf(f, "  \"bench\": \"infer\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
+  std::fprintf(f, "  \"kernel\": \"%s\",\n", gemm_kernel_name());
+  std::fprintf(f, "  \"dw_kernel\": \"%s\",\n", depthwise_kernel_name());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   if (headline != nullptr) {

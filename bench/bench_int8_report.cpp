@@ -8,9 +8,11 @@
 //   * throughput: int8_ms vs fast_ms and their ratio (speedup_int8_vs_fast)
 //   * exactness:  the int8 output is memcmp-identical to the QModel integer
 //     oracle (reported as "exact_vs_qmodel") — not a tolerance check.
-// The selected GEMM micro-kernel (s8-vnni / s8-avx2 / s8-generic) and
-// depthwise instance (dw-s8-vnni / dw-s8-avx2 / dw-s8-generic) are reported
-// so regressions can be attributed to dispatch changes.
+// The int8 and fast sides of each row are timed in alternating windows of
+// the same length and count, so both see the same host state. The selected
+// GEMM micro-kernel (s8-vnni / s8-avx2 / s8-generic) and depthwise instance
+// (dw-s8-vnni / dw-s8-avx2 / dw-s8-generic) are reported so regressions can
+// be attributed to dispatch changes.
 //
 // Usage: bench_int8_report [--quick] [--out <path>]
 //   --quick  small graphs, fewer batches, short windows (the CI setting)
@@ -23,6 +25,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "export/flat_model.h"
@@ -49,23 +52,38 @@ struct Budget {
   int repeats;
 };
 
-double bench_seconds(const Budget& budget, const std::function<void()>& fn) {
-  fn();  // warmup / first-touch
-  double best = 1e100;
+// One timing window: runs fn until the window fills and returns the
+// per-iteration seconds.
+double window_seconds(const Budget& budget, const std::function<void()>& fn) {
+  int64_t iters = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  double elapsed = 0.0;
+  do {
+    fn();
+    ++iters;
+    elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  } while (elapsed < budget.window_s);
+  return elapsed / static_cast<double>(iters);
+}
+
+// Times a and b in alternating windows of the same length and count, so
+// both sides see the same host state (a slow spell lands on both, not on
+// whichever side happened to be timing); returns each side's best
+// per-iteration seconds.
+std::pair<double, double> bench_pair_seconds(const Budget& budget,
+                                             const std::function<void()>& a,
+                                             const std::function<void()>& b) {
+  a();  // warmup / first-touch
+  b();
+  double best_a = 1e100;
+  double best_b = 1e100;
   for (int r = 0; r < budget.repeats; ++r) {
-    int64_t iters = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-      fn();
-      ++iters;
-      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-    } while (elapsed < budget.window_s);
-    best = std::min(best, elapsed / static_cast<double>(iters));
+    best_a = std::min(best_a, window_seconds(budget, a));
+    best_b = std::min(best_b, window_seconds(budget, b));
   }
-  return best;
+  return {best_a, best_b};
 }
 
 struct PoolSet {
@@ -124,9 +142,9 @@ void bench_graph(const std::string& name, const FlatModel& model, int64_t res,
 
     for (const int64_t threads : pools.counts()) {
       ThreadPool::set_global_override(&pools.get(threads));
-      const double i8_s = bench_seconds(budget, [&] { (void)plan_i8.run(x); });
-      const double f32_s =
-          bench_seconds(budget, [&] { (void)plan_f32.run(x); });
+      const auto [i8_s, f32_s] =
+          bench_pair_seconds(budget, [&] { (void)plan_i8.run(x); },
+                             [&] { (void)plan_f32.run(x); });
       ThreadPool::set_global_override(nullptr);
       Result r;
       r.graph = name;

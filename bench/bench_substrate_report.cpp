@@ -5,6 +5,14 @@
 // writes machine-readable BENCH_substrate.json — the seed of the perf
 // trajectory the ROADMAP tracks. No Google Benchmark dependency.
 //
+// Its depthwise routing table times the float depthwise scalar template
+// against the vector instance on every depthwise geometry of the graphs
+// the repo runs — mbv2_w100_r160 and mcunet_r176 at batch 1, the
+// mbv2_w035_r32 serving rung at batch 8, and the expanded r20 mbv2-tiny
+// training giant at its batch of 32 — and records the instance
+// depthwise_plane routes each geometry to. The routing rule in
+// tensor/depthwise.cpp is read off this table.
+//
 // Usage: bench_substrate_report [--quick] [--out <path>]
 //   --quick  shorter timing windows and fewer shapes (the CI setting)
 //   --out    output path (default: BENCH_substrate.json in the cwd)
@@ -17,9 +25,17 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/netbooster.h"
+#include "export/flat_synth.h"
+#include "export/infer_plan.h"
+#include "export/plan_verify.h"
+#include "models/profiler.h"
+#include "models/registry.h"
 #include "nn/conv2d.h"
+#include "tensor/depthwise.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/rng.h"
@@ -97,23 +113,46 @@ struct Budget {
   int repeats;
 };
 
+// One timing window: runs fn until the window fills and returns the
+// per-iteration seconds.
+double window_seconds(const Budget& budget, const std::function<void()>& fn) {
+  int64_t iters = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  double elapsed = 0.0;
+  do {
+    fn();
+    ++iters;
+    elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  } while (elapsed < budget.window_s);
+  return elapsed / static_cast<double>(iters);
+}
+
 double bench_seconds(const Budget& budget, const std::function<void()>& fn) {
   fn();  // warmup / first-touch
   double best = 1e100;
   for (int r = 0; r < budget.repeats; ++r) {
-    int64_t iters = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-      fn();
-      ++iters;
-      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-    } while (elapsed < budget.window_s);
-    best = std::min(best, elapsed / static_cast<double>(iters));
+    best = std::min(best, window_seconds(budget, fn));
   }
   return best;
+}
+
+// Times a and b in alternating windows of the same length and count, so
+// both see the same host state; returns each side's best per-iteration
+// seconds.
+std::pair<double, double> bench_pair_seconds(const Budget& budget,
+                                             const std::function<void()>& a,
+                                             const std::function<void()>& b) {
+  a();  // warmup / first-touch
+  b();
+  double best_a = 1e100;
+  double best_b = 1e100;
+  for (int r = 0; r < budget.repeats; ++r) {
+    best_a = std::min(best_a, window_seconds(budget, a));
+    best_b = std::min(best_b, window_seconds(budget, b));
+  }
+  return {best_a, best_b};
 }
 
 struct Result {
@@ -298,10 +337,133 @@ void bench_elementwise(PoolSet& pools, const Budget& budget,
 }
 
 // ----------------------------------------------------------------------
+// Depthwise routing table.
+
+// One depthwise geometry of one graph: every layer with this plane shape,
+// kernel, stride and pad, over all of its channels and batch images.
+struct DwGeometry {
+  std::string graph;
+  int64_t h = 0, w = 0, k = 0, s = 0, pad = 0;
+  int64_t planes = 0;  // channel planes per pass (channels x batch)
+  double scalar_ms = 0.0;
+  double vector_ms = 0.0;
+  std::string route;
+};
+
+void add_geometry(std::vector<DwGeometry>& out, const std::string& graph,
+                  int64_t h, int64_t w, int64_t k, int64_t s, int64_t pad,
+                  int64_t planes) {
+  for (DwGeometry& g : out) {
+    if (g.graph == graph && g.h == h && g.w == w && g.k == k && g.s == s &&
+        g.pad == pad) {
+      g.planes += planes;
+      return;
+    }
+  }
+  DwGeometry g;
+  g.graph = graph;
+  g.h = h;
+  g.w = w;
+  g.k = k;
+  g.s = s;
+  g.pad = pad;
+  g.planes = planes;
+  out.push_back(g);
+}
+
+// The depthwise steps of a fast plan, read from its own tables.
+void add_plan_geometries(std::vector<DwGeometry>& out,
+                         const std::string& graph,
+                         const exporter::FlatModel& model, int64_t batch,
+                         int64_t res) {
+  const exporter::InferPlan plan(model, batch, 3, res, res,
+                                 exporter::Backend::fast);
+  for (const exporter::StepTable& st : exporter::plan_tables(plan).steps) {
+    if (!st.depthwise) continue;
+    add_geometry(out, graph, st.in_h, st.in_w, st.kernel, st.stride, st.pad,
+                 st.cout * batch);
+  }
+}
+
+// Every depthwise geometry the routing rule has to serve.
+std::vector<DwGeometry> depthwise_geometries() {
+  std::vector<DwGeometry> out;
+  Rng rng(20261017);
+  add_plan_geometries(out, "mbv2_w100_r160",
+                      exporter::synth::make_mbv2_flat(rng, 1.0f, 160, 1000),
+                      1, 160);
+  add_plan_geometries(out, "mcunet_r176",
+                      exporter::synth::make_mcunet_flat(rng, 176, 1000), 1,
+                      176);
+  add_plan_geometries(out, "mbv2_w035_r32_b8",
+                      exporter::synth::make_mbv2_flat(rng, 0.35f, 32, 100), 8,
+                      32);
+  // The training giant: mbv2-tiny expanded by the default NetBooster
+  // recipe, at the r20 resolution and batch 32 of the training workload.
+  // Conv2d::forward_depthwise runs one depthwise_plane per (image,
+  // channel); the profiler's dummy forward records each layer's input size.
+  constexpr int64_t kTrainBatch = 32;
+  constexpr int64_t kTrainRes = 20;
+  auto giant = models::make_model("mbv2-tiny", 100, 7);
+  const core::NetBooster booster(giant, core::NetBoosterConfig{});
+  (void)models::profile_model(*giant, kTrainRes);
+  giant->apply([&](nn::Module& m) {
+    const auto* conv = dynamic_cast<const nn::Conv2d*>(&m);
+    if (conv == nullptr || !conv->is_depthwise()) return;
+    const nn::Conv2dOptions& o = conv->options();
+    add_geometry(out, "mbv2_tiny_giant_r20_b32", conv->last_input_h(),
+                 conv->last_input_w(), o.kernel, o.stride, o.padding,
+                 o.out_channels * kTrainBatch);
+  });
+  return out;
+}
+
+// Times the scalar template (instance 0) and the dispatched vector instance
+// over every plane of each geometry, in alternating windows on the calling
+// thread.
+void bench_depthwise_routes(const Budget& budget,
+                            std::vector<DwGeometry>& rows) {
+  const int vec = depthwise_instance_count() - 1;
+  Rng rng(404);
+  for (DwGeometry& g : rows) {
+    const int64_t oh = conv_out_size(g.h, g.k, g.s, g.pad);
+    const int64_t ow = conv_out_size(g.w, g.k, g.s, g.pad);
+    std::vector<float> in(static_cast<size_t>(g.planes * g.h * g.w));
+    std::vector<float> ker(static_cast<size_t>(g.planes * g.k * g.k));
+    std::vector<float> out(static_cast<size_t>(g.planes * oh * ow));
+    for (float& v : in) v = rng.normal();
+    for (float& v : ker) v = rng.normal() * 0.3f;
+    const auto pass = [&](int instance) {
+      for (int64_t p = 0; p < g.planes; ++p) {
+        depthwise_run_instance(instance, in.data() + p * g.h * g.w,
+                               ker.data() + p * g.k * g.k,
+                               out.data() + p * oh * ow, g.h, g.w, oh, ow,
+                               g.k, g.s, g.pad, 0.0f);
+      }
+    };
+    const auto [scalar_s, vector_s] =
+        bench_pair_seconds(budget, [&] { pass(0); }, [&] { pass(vec); });
+    g.scalar_ms = scalar_s * 1e3;
+    g.vector_ms = vector_s * 1e3;
+    g.route = depthwise_instance_name(depthwise_route(oh, ow));
+    std::fprintf(stderr,
+                 "  dw %-24s %3lldx%-3lld k%lld s%lld p%lld x%-5lld scalar "
+                 "%8.4f ms  %s %8.4f ms  %5.2fx  -> %s\n",
+                 g.graph.c_str(), static_cast<long long>(g.h),
+                 static_cast<long long>(g.w), static_cast<long long>(g.k),
+                 static_cast<long long>(g.s), static_cast<long long>(g.pad),
+                 static_cast<long long>(g.planes), g.scalar_ms,
+                 depthwise_instance_name(vec), g.vector_ms,
+                 g.scalar_ms / g.vector_ms, g.route.c_str());
+  }
+}
+
+// ----------------------------------------------------------------------
 
 void write_json(const std::string& path, bool quick,
                 const std::vector<int64_t>& threads_tested,
-                const std::vector<Result>& results) {
+                const std::vector<Result>& results,
+                const std::vector<DwGeometry>& routes) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -322,6 +484,7 @@ void write_json(const std::string& path, bool quick,
   std::fprintf(f, "  \"bench\": \"substrate\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(f, "  \"gemm_kernel\": \"%s\",\n", gemm_kernel_name());
+  std::fprintf(f, "  \"dw_kernel\": \"%s\",\n", depthwise_kernel_name());
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"threads_tested\": [");
@@ -334,6 +497,52 @@ void write_json(const std::string& path, bool quick,
   std::fprintf(f, "    \"gflops_1t\": %.4f,\n", sgemm256_gflops);
   std::fprintf(f, "    \"legacy_gflops_1t\": %.4f,\n", sgemm256_legacy_gflops);
   std::fprintf(f, "    \"speedup_vs_legacy\": %.4f\n", sgemm256_speedup);
+  std::fprintf(f, "  },\n");
+  // Per-graph totals: what each instance alone would cost, and what the
+  // routed depthwise_plane costs (each geometry at its route's time).
+  std::vector<std::string> graphs;
+  for (const DwGeometry& g : routes) {
+    if (std::find(graphs.begin(), graphs.end(), g.graph) == graphs.end()) {
+      graphs.push_back(g.graph);
+    }
+  }
+  std::fprintf(f, "  \"depthwise_routing\": {\n");
+  std::fprintf(f, "    \"threads\": 1,\n");
+  std::fprintf(f, "    \"totals\": [\n");
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    double scalar = 0.0, vector = 0.0, routed = 0.0;
+    for (const DwGeometry& g : routes) {
+      if (g.graph != graphs[gi]) continue;
+      scalar += g.scalar_ms;
+      vector += g.vector_ms;
+      routed += g.route == depthwise_instance_name(0) ? g.scalar_ms
+                                                      : g.vector_ms;
+    }
+    std::fprintf(f,
+                 "      {\"graph\": \"%s\", \"scalar_ms\": %.4f, "
+                 "\"vector_ms\": %.4f, \"routed_ms\": %.4f, "
+                 "\"speedup_routed_vs_scalar\": %.4f}%s\n",
+                 graphs[gi].c_str(), scalar, vector, routed, scalar / routed,
+                 gi + 1 < graphs.size() ? "," : "");
+  }
+  std::fprintf(f, "    ],\n");
+  std::fprintf(f, "    \"rows\": [\n");
+  for (size_t i = 0; i < routes.size(); ++i) {
+    const DwGeometry& g = routes[i];
+    std::fprintf(f,
+                 "      {\"graph\": \"%s\", \"h\": %lld, \"w\": %lld, "
+                 "\"k\": %lld, \"s\": %lld, \"pad\": %lld, "
+                 "\"planes\": %lld, \"scalar_ms\": %.5f, "
+                 "\"vector_ms\": %.5f, \"speedup\": %.3f, "
+                 "\"route\": \"%s\"}%s\n",
+                 g.graph.c_str(), static_cast<long long>(g.h),
+                 static_cast<long long>(g.w), static_cast<long long>(g.k),
+                 static_cast<long long>(g.s), static_cast<long long>(g.pad),
+                 static_cast<long long>(g.planes), g.scalar_ms, g.vector_ms,
+                 g.scalar_ms / g.vector_ms, g.route.c_str(),
+                 i + 1 < routes.size() ? "," : "");
+  }
+  std::fprintf(f, "    ]\n");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
@@ -412,7 +621,10 @@ int main(int argc, char** argv) {
   bench_elementwise(pools, budget, results);
   std::fprintf(stderr, "  elementwise done\n");
 
-  write_json(out_path, quick, pools.counts(), results);
+  std::vector<DwGeometry> routes = depthwise_geometries();
+  bench_depthwise_routes(budget, routes);
+
+  write_json(out_path, quick, pools.counts(), results, routes);
   std::fprintf(stderr, "wrote %s (%zu results, kernel=%s)\n", out_path.c_str(),
                results.size(), gemm_kernel_name());
   return 0;

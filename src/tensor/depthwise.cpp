@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "tensor/depthwise_s8_kernel.h"
+#include "tensor/depthwise_kernel.h"
 
 namespace nb {
 
@@ -107,9 +107,11 @@ void dw_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
 
 }  // namespace
 
-void depthwise_plane(const float* img, const float* ker, float* out,
-                     int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t k,
-                     int64_t s, int64_t pad, float bias) {
+namespace detail {
+
+void depthwise_plane_generic(const float* img, const float* ker, float* out,
+                             int64_t h, int64_t w, int64_t oh, int64_t ow,
+                             int64_t k, int64_t s, int64_t pad, float bias) {
   switch (k) {
     case 3:
       dw_plane<3>(img, ker, out, h, w, oh, ow, k, s, pad, bias);
@@ -122,8 +124,6 @@ void depthwise_plane(const float* img, const float* ker, float* out,
       break;
   }
 }
-
-namespace detail {
 
 void depthwise_plane_s8_generic(const uint8_t* img, const int8_t* ker,
                                 int32_t* out, int64_t h, int64_t w,
@@ -146,23 +146,40 @@ void depthwise_plane_s8_generic(const uint8_t* img, const int8_t* ker,
 
 namespace {
 
+using DwFn = void (*)(const float*, const float*, float*, int64_t, int64_t,
+                      int64_t, int64_t, int64_t, int64_t, int64_t, float);
 using DwS8Fn = void (*)(const uint8_t*, const int8_t*, int32_t*, int64_t,
                         int64_t, int64_t, int64_t, int64_t, int64_t, int64_t);
 
-struct DwS8Instance {
+template <typename Fn>
+struct Instance {
   const char* name;
-  DwS8Fn fn;
+  Fn fn;
 };
 
 // Every compiled instance this CPU can execute, generic first; the last
-// entry is the fastest and is the one depthwise_plane_s8 dispatches to.
-// The integer arithmetic is exact on every instance, so routing is a pure
-// performance decision.
-const std::vector<DwS8Instance>& dw_s8_instances() {
-  static const std::vector<DwS8Instance> list = [] {
-    std::vector<DwS8Instance> v;
+// entry is the fastest and is the one the public kernel dispatches to.
+// All instances of one element type return the same bits, so routing is a
+// pure performance decision.
+const std::vector<Instance<DwFn>>& dw_instances() {
+  static const std::vector<Instance<DwFn>> list = [] {
+    std::vector<Instance<DwFn>> v;
+    v.push_back({"dw-f32-generic", &detail::depthwise_plane_generic});
+#if defined(NB_DW_AVX2)
+    if (__builtin_cpu_supports("avx2")) {
+      v.push_back({"dw-f32-avx2", &detail::depthwise_plane_avx2});
+    }
+#endif
+    return v;
+  }();
+  return list;
+}
+
+const std::vector<Instance<DwS8Fn>>& dw_s8_instances() {
+  static const std::vector<Instance<DwS8Fn>> list = [] {
+    std::vector<Instance<DwS8Fn>> v;
     v.push_back({"dw-s8-generic", &detail::depthwise_plane_s8_generic});
-#if defined(NB_DW_S8_AVX2)
+#if defined(NB_DW_AVX2)
     if (__builtin_cpu_supports("avx2")) {
       v.push_back({"dw-s8-avx2", &detail::depthwise_plane_s8_avx2});
     }
@@ -178,12 +195,57 @@ const std::vector<DwS8Instance>& dw_s8_instances() {
   return list;
 }
 
-const DwS8Instance& dw_s8_active() {
-  static const DwS8Instance& active = dw_s8_instances().back();
+int dw_active() {
+  static const int active = static_cast<int>(dw_instances().size()) - 1;
   return active;
 }
 
+const Instance<DwS8Fn>& dw_s8_active() {
+  static const Instance<DwS8Fn>& active = dw_s8_instances().back();
+  return active;
+}
+
+// The float vector instance pays a fixed per-plane setup (tap table, phase
+// fill, row placement, compaction) and computes whole vectors of eight
+// flat outputs, so on the smallest output planes the scalar template wins.
+// bench_substrate_report's depthwise routing table (BENCH_substrate.json)
+// times both on every depthwise geometry of the graphs: every plane with
+// more than one vector of outputs ran faster on the vector instance, and
+// every smaller one ran no faster. The figures are in src/tensor/README.md.
+constexpr int64_t kScalarMaxOutputs = 8;
+
 }  // namespace
+
+void depthwise_plane(const float* img, const float* ker, float* out,
+                     int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t k,
+                     int64_t s, int64_t pad, float bias) {
+  dw_instances()[static_cast<size_t>(depthwise_route(oh, ow))].fn(
+      img, ker, out, h, w, oh, ow, k, s, pad, bias);
+}
+
+const char* depthwise_kernel_name() {
+  return dw_instances()[static_cast<size_t>(dw_active())].name;
+}
+
+int depthwise_instance_count() {
+  return static_cast<int>(dw_instances().size());
+}
+
+const char* depthwise_instance_name(int i) {
+  return dw_instances()[static_cast<size_t>(i)].name;
+}
+
+void depthwise_run_instance(int i, const float* img, const float* ker,
+                            float* out, int64_t h, int64_t w, int64_t oh,
+                            int64_t ow, int64_t k, int64_t s, int64_t pad,
+                            float bias) {
+  dw_instances()[static_cast<size_t>(i)].fn(img, ker, out, h, w, oh, ow, k, s,
+                                            pad, bias);
+}
+
+int depthwise_route(int64_t oh, int64_t ow) {
+  return oh * ow > kScalarMaxOutputs ? dw_active() : 0;
+}
 
 void depthwise_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
                         int64_t h, int64_t w, int64_t oh, int64_t ow,

@@ -1,8 +1,9 @@
 // Direct depthwise convolution of one (H,W) plane — no im2col, no GEMM.
 // Shared by Conv2d's depthwise fast path and the FlatModel inference
-// runtime. Taps accumulate in ascending (ki, kj) order after the bias, the
-// same order for border and interior outputs, so splitting a plane changes
-// nothing numerically and results are bitwise identical to the naive loop.
+// runtime, in float (depthwise_plane) and offset-u8 -> int32
+// (depthwise_plane_s8). Both dispatch once to the fastest instance this CPU
+// runs; every instance of one element type returns the same bits, so the
+// choice never shows in results.
 #pragma once
 
 #include <cstdint>
@@ -10,11 +11,47 @@
 namespace nb {
 
 /// out[oh, ow] = bias + sum_{ki,kj} ker[ki,kj] * img[oy*s+ki-pad, ox*s+kj-pad]
-/// with zero padding. `ker` is a k*k row-major kernel. Kernel sizes 3 and 5
-/// dispatch to fully unrolled tap loops.
+/// with zero padding. `ker` is a k*k row-major kernel.
+///
+/// Contract: every output is one rounding chain. It starts at `bias` and
+/// adds the product of each in-bounds tap in ascending (ki, kj) order, each
+/// product rounded to float before its add (the library builds every float
+/// depthwise instance with -ffp-contract=off, so no FMA fuses them). The
+/// result is therefore bitwise identical to that naive loop — and to every
+/// other instance, thread count and plane split — for any float input,
+/// NaN, inf, -0.0 and denormals included, except that when two NaNs meet
+/// in one add, which payload survives is unspecified. Reads exactly the
+/// h*w inputs and writes exactly the oh*ow outputs; temporaries live in the
+/// calling thread's scratch arena.
+///
+/// Dispatch: the AVX2 instance runs the zero-bordered phase-plane layout
+/// and takes every plane shape on which it beats the scalar template
+/// (depthwise_route); the scalar template, with 3x3 and 5x5 kernels fully
+/// unrolled, runs the rest and every plane on a CPU without AVX2.
 void depthwise_plane(const float* img, const float* ker, float* out,
                      int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t k,
                      int64_t s, int64_t pad, float bias);
+
+/// Name of the depthwise_plane vector instance chosen at runtime
+/// ("dw-f32-avx2", or "dw-f32-generic" without one); surfaced by the float
+/// bench reports and flat_infer.
+const char* depthwise_kernel_name();
+
+/// Test hooks, shaped like the int8 ones below: every compiled float
+/// instance this CPU can execute, generic (the scalar template) first, each
+/// with depthwise_plane's contract.
+int depthwise_instance_count();
+const char* depthwise_instance_name(int i);
+void depthwise_run_instance(int i, const float* img, const float* ker,
+                            float* out, int64_t h, int64_t w, int64_t oh,
+                            int64_t ow, int64_t k, int64_t s, int64_t pad,
+                            float bias);
+
+/// Index of the instance depthwise_plane runs for an oh x ow output plane:
+/// the dispatched one above 8 outputs (one vector), the scalar template up
+/// to that (a function of the plane shape and the CPU only; see
+/// depthwise.cpp).
+int depthwise_route(int64_t oh, int64_t ow);
 
 /// Integer twin for the int8 inference path: `img` holds offset-u8 levels
 /// (level + 128), `ker` int8 weight levels, and every output is the EXACT

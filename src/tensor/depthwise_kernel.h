@@ -1,0 +1,57 @@
+// Internal declarations for the depthwise plane instances, float and int8.
+// The vector instances all run on the zero-bordered phase-plane layout of
+// depthwise_phase.h; every instance of one element type returns the same
+// bits (the float ones by keeping each output's rounding chain, the int8
+// ones by computing exact integers), and depthwise.cpp picks the fastest
+// one the CPU supports. Not part of the public surface — include
+// "tensor/depthwise.h".
+#pragma once
+
+#include <cstdint>
+
+namespace nb::detail {
+
+/// Portable scalar float instance (the dw_plane template), always
+/// available; the reference chain every float instance reproduces.
+void depthwise_plane_generic(const float* img, const float* ker, float* out,
+                             int64_t h, int64_t w, int64_t oh, int64_t ow,
+                             int64_t k, int64_t s, int64_t pad, float bias);
+
+/// Portable scalar int8 instance (the dw_plane_s8 template), always
+/// available. The vector instances also fall back to it for geometries
+/// outside their run table (more than 64 runs: k > 21 at stride 1).
+void depthwise_plane_s8_generic(const uint8_t* img, const int8_t* ker,
+                                int32_t* out, int64_t h, int64_t w,
+                                int64_t oh, int64_t ow, int64_t k, int64_t s,
+                                int64_t pad);
+
+#if defined(NB_DW_AVX2)
+/// AVX2 float instance (depthwise_f32_kernel_avx2.cpp, built with -mavx2
+/// -ffp-contract=off): eight flat outputs per ymm, one vmulps + vaddps per
+/// tap in ascending (ki, kj) order. Calls the generic instance itself when
+/// the bias is -0.0 or a tap is non-finite, the two cases in which a zero
+/// border tap is not an exact no-op. Only called after
+/// __builtin_cpu_supports("avx2").
+void depthwise_plane_avx2(const float* img, const float* ker, float* out,
+                          int64_t h, int64_t w, int64_t oh, int64_t ow,
+                          int64_t k, int64_t s, int64_t pad, float bias);
+
+/// AVX2 int8 instance (depthwise_s8_kernel_avx2.cpp, built with -mavx2):
+/// taps in pairs, u8 windows zero-extended to i16 by vpshufb, vpmaddwd into
+/// int32. Only called after __builtin_cpu_supports("avx2").
+void depthwise_plane_s8_avx2(const uint8_t* img, const int8_t* ker,
+                             int32_t* out, int64_t h, int64_t w, int64_t oh,
+                             int64_t ow, int64_t k, int64_t s, int64_t pad);
+#endif
+
+#if defined(NB_DW_S8_VNNI)
+/// AVX512-VNNI instance (depthwise_s8_kernel_vnni.cpp, built with
+/// -mavx512vnni -mavx512vl): taps in fours, one 256-bit vpdpbusd per
+/// four-tap u8 window. Only called after __builtin_cpu_supports confirms
+/// avx512vnni and avx512vl.
+void depthwise_plane_s8_vnni(const uint8_t* img, const int8_t* ker,
+                             int32_t* out, int64_t h, int64_t w, int64_t oh,
+                             int64_t ow, int64_t k, int64_t s, int64_t pad);
+#endif
+
+}  // namespace nb::detail

@@ -19,8 +19,8 @@ enum class ScratchSlot : int {
   kGemmOpB,        // materialized op(B) for the transposed paths
   kConvCols,       // im2col column matrix (forward and dW)
   kConvGradCols,   // column-space gradient scattered by col2im (dX)
-  kDwPhase,        // int8 depthwise: zero-bordered phase planes of one input
-  kDwAcc,          // int8 depthwise: flat int32 accumulator before compaction
+  kDwPhase,        // vector depthwise: zero-bordered phase planes of one input
+  kDwAcc,          // vector depthwise: flat accumulator before compaction
   kSlotCount,
 };
 

@@ -1,0 +1,425 @@
+// Kernel sweep for the depthwise planes, both element types. Every
+// instance this CPU runs — the int8 generic scalar, AVX2 and VNNI
+// phase-plane kernels, and the float scalar template and AVX2 phase-plane
+// kernel — is checked over every kernel size, stride, padding, width and
+// height class the inference plans can produce: each int8 instance must be
+// memcmp-equal to a naive bounds-checked loop, and each float instance,
+// like the routed depthwise_plane, memcmp-equal to the scalar template
+// (whose rounding chain depthwise.h specifies). Each input plane sits in
+// an exactly sized heap buffer and each output in an exactly sized one, so
+// a sanitizer build turns any over-read or over-write of the caller's
+// memory into a failure; in plain builds, sentinel words after the outputs
+// catch stray writes.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "tensor/depthwise.h"
+#include "tensor/im2col.h"
+#include "tensor/rng.h"
+
+namespace nb {
+namespace {
+
+void naive_depthwise_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
+                        int64_t h, int64_t w, int64_t oh, int64_t ow,
+                        int64_t k, int64_t s, int64_t pad) {
+  for (int64_t oy = 0; oy < oh; ++oy) {
+    for (int64_t ox = 0; ox < ow; ++ox) {
+      int32_t acc = 0;
+      for (int64_t ki = 0; ki < k; ++ki) {
+        for (int64_t kj = 0; kj < k; ++kj) {
+          const int64_t iy = oy * s + ki - pad;
+          const int64_t ix = ox * s + kj - pad;
+          if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+          acc += ker[ki * k + kj] * (img[iy * w + ix] - 128);
+        }
+      }
+      out[oy * ow + ox] = acc;
+    }
+  }
+}
+
+constexpr size_t kGuard = 8;  // sentinel words after every output
+
+enum class Fill { kRandom, kZeroBytes, kFullBytes, kAlternating };
+
+const char* fill_name(Fill f) {
+  switch (f) {
+    case Fill::kRandom:
+      return "random";
+    case Fill::kZeroBytes:
+      return "all-0 x +127";
+    case Fill::kFullBytes:
+      return "all-255 x -127";
+    case Fill::kAlternating:
+      return "0/255 x +-127";
+  }
+  return "?";
+}
+
+// Runs every instance on one geometry and data pattern; returns the number
+// of instances that disagreed with the naive loop (each is also reported).
+int check_geometry(Rng& rng, int64_t h, int64_t w, int64_t k, int64_t s,
+                   int64_t pad, Fill fill) {
+  const int64_t oh = conv_out_size(h, k, s, pad);
+  const int64_t ow = conv_out_size(w, k, s, pad);
+  if (oh <= 0 || ow <= 0) return 0;
+  const auto n_in = static_cast<size_t>(h * w);
+  const auto n_ker = static_cast<size_t>(k * k);
+  const auto n_out = static_cast<size_t>(oh * ow);
+  // new[] of exactly n elements: no slack for an over-read to hide in.
+  std::unique_ptr<uint8_t[]> img(new uint8_t[n_in]);
+  std::unique_ptr<int8_t[]> ker(new int8_t[n_ker]);
+  for (size_t i = 0; i < n_in; ++i) {
+    switch (fill) {
+      case Fill::kRandom:
+        img[i] = static_cast<uint8_t>(rng.randint(256));
+        break;
+      case Fill::kZeroBytes:
+        img[i] = 0;
+        break;
+      case Fill::kFullBytes:
+        img[i] = 255;
+        break;
+      case Fill::kAlternating:
+        img[i] = (i % 3 == 0) ? 0 : 255;
+        break;
+    }
+  }
+  for (size_t i = 0; i < n_ker; ++i) {
+    switch (fill) {
+      case Fill::kRandom:
+        ker[i] = static_cast<int8_t>(static_cast<int>(rng.randint(256)) - 128);
+        break;
+      case Fill::kZeroBytes:
+        ker[i] = 127;
+        break;
+      case Fill::kFullBytes:
+        ker[i] = -127;
+        break;
+      case Fill::kAlternating:
+        ker[i] = (i % 2 == 0) ? 127 : -127;
+        break;
+    }
+  }
+  std::vector<int32_t> want(n_out);
+  naive_depthwise_s8(img.get(), ker.get(), want.data(), h, w, oh, ow, k, s,
+                     pad);
+
+  constexpr int32_t kSentinel = 0x5a5a5a5a;
+  int bad = 0;
+  for (int i = 0; i < depthwise_s8_instance_count(); ++i) {
+    std::unique_ptr<int32_t[]> got(new int32_t[n_out + kGuard]);
+    for (size_t j = 0; j < n_out + kGuard; ++j) got[j] = kSentinel;
+    depthwise_s8_run_instance(i, img.get(), ker.get(), got.get(), h, w, oh,
+                              ow, k, s, pad);
+    const bool equal =
+        std::memcmp(got.get(), want.data(), n_out * sizeof(int32_t)) == 0;
+    bool guard_ok = true;
+    for (size_t j = n_out; j < n_out + kGuard; ++j) {
+      guard_ok = guard_ok && got[j] == kSentinel;
+    }
+    if (!equal || !guard_ok) {
+      ++bad;
+      ADD_FAILURE() << depthwise_s8_instance_name(i) << " h=" << h
+                    << " w=" << w << " k=" << k << " s=" << s
+                    << " pad=" << pad << " data=" << fill_name(fill)
+                    << (equal ? "" : " (values differ)")
+                    << (guard_ok ? "" : " (wrote past the output)");
+    }
+  }
+  return bad;
+}
+
+// The geometry sweep both element types run: k in {1,3,5,7} x s in {1,2}
+// x pad in {0, (k-1)/2, k-1} x widths 1..40 at heights {1, k, 40} —
+// stride-2 parity splits of odd and even widths, planes narrower than one
+// vector, and kernels wider than the plane. Stops early once more than 20
+// checks have failed; returns the failure count.
+template <typename Fn>
+int for_each_sweep_geometry(Fn fn) {
+  int bad = 0;
+  for (int64_t k : {1, 3, 5, 7}) {
+    std::vector<int64_t> pads = {0};
+    if ((k - 1) / 2 > 0) pads.push_back((k - 1) / 2);
+    if (k - 1 > (k - 1) / 2) pads.push_back(k - 1);
+    for (int64_t s : {1, 2}) {
+      for (int64_t pad : pads) {
+        for (int64_t h : {int64_t{1}, k, int64_t{40}}) {
+          for (int64_t w = 1; w <= 40; ++w) {
+            bad += fn(h, w, k, s, pad);
+            if (bad > 20) return bad;
+          }
+        }
+      }
+    }
+  }
+  return bad;
+}
+
+TEST(DepthwiseS8, EveryInstanceMatchesNaiveOverTheGeometrySweep) {
+  ASSERT_GE(depthwise_s8_instance_count(), 1);
+  Rng rng(20261017);
+  EXPECT_EQ(for_each_sweep_geometry([&](int64_t h, int64_t w, int64_t k,
+                                        int64_t s, int64_t pad) {
+              return check_geometry(rng, h, w, k, s, pad, Fill::kRandom);
+            }),
+            0);
+}
+
+TEST(DepthwiseS8, SaturatingDataMatchesNaiveOnEveryInstance) {
+  // Extremes of the exact-int32 contract: every activation at level -128
+  // or +127 against +-127 kernels, over the same geometry classes as the
+  // graphs (square planes from 1x1 to 40x40 at every (k, s, pad)).
+  Rng rng(7);
+  int bad = 0;
+  for (Fill fill : {Fill::kZeroBytes, Fill::kFullBytes, Fill::kAlternating}) {
+    for (int64_t k : {1, 3, 5, 7}) {
+      for (int64_t s : {1, 2}) {
+        for (int64_t pad : {int64_t{0}, (k - 1) / 2, k - 1}) {
+          for (int64_t hw = 1; hw <= 40; ++hw) {
+            bad += check_geometry(rng, hw, hw, k, s, pad, fill);
+            if (bad > 20) FAIL() << "too many mismatches, stopping";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DepthwiseS8, KernelWiderThanPaddedPlaneStillYieldsItsOneOutput) {
+  // conv_out_size truncates toward zero, so a 5x5 kernel at stride 2 over
+  // an unpadded 4x4 plane has one output whose taps run past the plane;
+  // the phase planes must be sized for the kernel, not just the image.
+  ASSERT_EQ(conv_out_size(4, 5, 2, 0), 1);
+  Rng rng(3);
+  for (Fill fill : {Fill::kRandom, Fill::kZeroBytes, Fill::kFullBytes}) {
+    EXPECT_EQ(check_geometry(rng, 4, 4, 5, 2, 0, fill), 0);
+    EXPECT_EQ(check_geometry(rng, 2, 3, 7, 2, 0, fill), 0);
+    EXPECT_EQ(check_geometry(rng, 6, 6, 7, 2, 1, fill), 0);
+  }
+}
+
+TEST(DepthwiseS8, StridesAndKernelsBeyondTheGraphsStayExact) {
+  // The plans only run k in {3,5,7} at s in {1,2}; a loaded model may ask
+  // for more. Stride 3 takes the scalar phase copy and k = 9 splits each
+  // phase row into two runs; k = 25 exceeds the vector run table and must
+  // fall back to the scalar instance.
+  Rng rng(5);
+  int bad = 0;
+  for (int64_t w : {1, 7, 16, 33}) {
+    bad += check_geometry(rng, 19, w, 3, 3, 1, Fill::kRandom);
+    bad += check_geometry(rng, 19, w, 9, 1, 4, Fill::kRandom);
+    bad += check_geometry(rng, 19, w, 9, 2, 4, Fill::kRandom);
+    bad += check_geometry(rng, 30, w, 25, 1, 12, Fill::kRandom);
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(DepthwiseS8, DispatchedKernelIsTheLastListedInstance) {
+  ASSERT_GE(depthwise_s8_instance_count(), 1);
+  EXPECT_EQ(std::string(depthwise_s8_instance_name(0)), "dw-s8-generic");
+  EXPECT_EQ(std::string(depthwise_s8_kernel_name()),
+            std::string(depthwise_s8_instance_name(
+                depthwise_s8_instance_count() - 1)));
+}
+
+// ---------------------------------------------------------------- float
+
+// Bitwise equality, except that any NaN matches any NaN: which payload
+// survives an add of two NaNs is the compiler's operand order, on every
+// instance alike (depthwise.h).
+bool same_bits(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+// Runs every float instance and the routed depthwise_plane on one plane
+// and compares each against the scalar template (instance 0); returns how
+// many disagreed (each is also reported).
+int check_f32(const float* img, const float* ker, float bias, int64_t h,
+              int64_t w, int64_t k, int64_t s, int64_t pad,
+              const char* data) {
+  const int64_t oh = conv_out_size(h, k, s, pad);
+  const int64_t ow = conv_out_size(w, k, s, pad);
+  if (oh <= 0 || ow <= 0) return 0;
+  const auto n_out = static_cast<size_t>(oh * ow);
+  const float sentinel = std::numeric_limits<float>::max();
+  const auto run = [&](int instance) {
+    std::unique_ptr<float[]> out(new float[n_out + kGuard]);
+    for (size_t j = 0; j < n_out + kGuard; ++j) out[j] = sentinel;
+    if (instance < 0) {
+      depthwise_plane(img, ker, out.get(), h, w, oh, ow, k, s, pad, bias);
+    } else {
+      depthwise_run_instance(instance, img, ker, out.get(), h, w, oh, ow, k,
+                             s, pad, bias);
+    }
+    return out;
+  };
+  const std::unique_ptr<float[]> want = run(0);
+  int bad = 0;
+  for (int i = -1; i < depthwise_instance_count(); ++i) {
+    const std::unique_ptr<float[]> got = run(i);
+    bool equal = true;
+    for (size_t j = 0; j < n_out; ++j) {
+      equal = equal && same_bits(got[j], want[j]);
+    }
+    bool guard_ok = true;
+    for (size_t j = n_out; j < n_out + kGuard; ++j) {
+      guard_ok = guard_ok && got[j] == sentinel;
+    }
+    if (!equal || !guard_ok) {
+      ++bad;
+      ADD_FAILURE() << (i < 0 ? "depthwise_plane" : depthwise_instance_name(i))
+                    << " h=" << h << " w=" << w << " k=" << k << " s=" << s
+                    << " pad=" << pad << " bias=" << bias << " data=" << data
+                    << (equal ? "" : " (values differ)")
+                    << (guard_ok ? "" : " (wrote past the output)");
+    }
+  }
+  return bad;
+}
+
+// Random non-power-of-two inputs, kernel and a nonzero bias, so every
+// product and partial sum rounds.
+int check_f32_random(Rng& rng, int64_t h, int64_t w, int64_t k, int64_t s,
+                     int64_t pad) {
+  std::unique_ptr<float[]> img(new float[static_cast<size_t>(h * w)]);
+  std::unique_ptr<float[]> ker(new float[static_cast<size_t>(k * k)]);
+  for (int64_t i = 0; i < h * w; ++i) img[i] = rng.normal() * 1.7f;
+  for (int64_t i = 0; i < k * k; ++i) ker[i] = rng.normal() * 0.3f;
+  const float bias = rng.normal() + 0.1f;
+  return check_f32(img.get(), ker.get(), bias, h, w, k, s, pad, "random");
+}
+
+TEST(Depthwise, EveryInstanceMatchesScalarTemplateOverTheGeometrySweep) {
+  ASSERT_GE(depthwise_instance_count(), 1);
+  Rng rng(20261017);
+  EXPECT_EQ(for_each_sweep_geometry([&](int64_t h, int64_t w, int64_t k,
+                                        int64_t s, int64_t pad) {
+              return check_f32_random(rng, h, w, k, s, pad);
+            }),
+            0);
+}
+
+TEST(Depthwise, SpecialValuesMatchScalarTemplateBitwise) {
+  // NaN, +-inf, -0.0 and denormals in every pixel within k of a border, so
+  // each one meets the border taps the scalar template skips and the phase
+  // layout adds as ker * +0.0. Three chains per plane: a +0.0 bias (the
+  // plan's), a -0.0 bias, and a kernel with one inf or NaN tap — the last
+  // two are the chains a zero border tap would change, which the vector
+  // instance must hand to the scalar template.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {nan,    -nan,          inf,   -inf,  -0.0f,
+                            0.0f,   denorm * 3.0f, -denorm, 1e-39f, -3e-39f,
+                            -1.25f, 0.7f};
+  constexpr size_t kSpecials = sizeof(specials) / sizeof(specials[0]);
+  Rng rng(99);
+  size_t cursor = 0;
+  EXPECT_EQ(
+      for_each_sweep_geometry([&](int64_t h, int64_t w, int64_t k, int64_t s,
+                                  int64_t pad) {
+        std::unique_ptr<float[]> img(new float[static_cast<size_t>(h * w)]);
+        for (int64_t y = 0; y < h; ++y) {
+          for (int64_t x = 0; x < w; ++x) {
+            const bool near_border = std::min({y, x, h - 1 - y, w - 1 - x}) < k;
+            img[y * w + x] = near_border ? specials[cursor++ % kSpecials]
+                                         : rng.normal() * 0.9f;
+          }
+        }
+        std::unique_ptr<float[]> ker(new float[static_cast<size_t>(k * k)]);
+        for (int64_t i = 0; i < k * k; ++i) ker[i] = rng.normal() * 0.4f;
+        int bad = check_f32(img.get(), ker.get(), 0.0f, h, w, k, s, pad,
+                            "specials");
+        bad += check_f32(img.get(), ker.get(), -0.0f, h, w, k, s, pad,
+                         "specials");
+        ker[static_cast<size_t>(rng.randint(static_cast<uint64_t>(k * k)))] =
+            (cursor % 2 == 0) ? inf : nan;
+        bad += check_f32(img.get(), ker.get(), 0.5f, h, w, k, s, pad,
+                         "specials, non-finite tap");
+        return bad;
+      }),
+      0);
+}
+
+TEST(Depthwise, NegativeZeroChainsKeepTheirSign) {
+  // An all -0.0 plane against a positive kernel: every product is -0.0, so
+  // a -0.0 bias keeps every output at -0.0 in the scalar template, and a
+  // +0.0 border tap would flip the edge outputs to +0.0. The +0.0-bias
+  // plane must stay +0.0 throughout.
+  for (int64_t k : {3, 5, 7}) {
+    for (int64_t s : {1, 2}) {
+      for (int64_t hw : {int64_t{4}, int64_t{9}, int64_t{23}}) {
+        std::vector<float> img(static_cast<size_t>(hw * hw), -0.0f);
+        std::vector<float> ker(static_cast<size_t>(k * k), 0.75f);
+        const int64_t pad = (k - 1) / 2;
+        const int64_t o = conv_out_size(hw, k, s, pad);
+        for (float bias : {-0.0f, 0.0f}) {
+          EXPECT_EQ(check_f32(img.data(), ker.data(), bias, hw, hw, k, s, pad,
+                              "all -0.0"),
+                    0);
+          std::vector<float> out(static_cast<size_t>(o * o));
+          depthwise_plane(img.data(), ker.data(), out.data(), hw, hw, o, o, k,
+                          s, pad, bias);
+          for (float v : out) {
+            ASSERT_EQ(v, 0.0f);
+            ASSERT_EQ(std::signbit(v), std::signbit(bias));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Depthwise, KernelsWiderThanThePlaneAndBeyondTheGraphsMatch) {
+  // One output whose taps run past an unpadded plane, stride 3 (the scalar
+  // phase scatter), k = 9 and k = 15 (long tap tables) and k = 17, whose
+  // 289 taps exceed the vector tap table and must take the scalar instance.
+  Rng rng(5);
+  int bad = 0;
+  bad += check_f32_random(rng, 4, 4, 5, 2, 0);
+  bad += check_f32_random(rng, 2, 3, 7, 2, 0);
+  bad += check_f32_random(rng, 6, 6, 7, 2, 1);
+  for (int64_t w : {1, 7, 16, 33}) {
+    bad += check_f32_random(rng, 19, w, 3, 3, 1);
+    bad += check_f32_random(rng, 19, w, 9, 1, 4);
+    bad += check_f32_random(rng, 19, w, 9, 2, 4);
+    bad += check_f32_random(rng, 30, w, 15, 1, 7);
+    bad += check_f32_random(rng, 30, w, 17, 1, 8);
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(Depthwise, DispatchedKernelIsTheLastListedInstance) {
+  ASSERT_GE(depthwise_instance_count(), 1);
+  const int last = depthwise_instance_count() - 1;
+  EXPECT_EQ(std::string(depthwise_instance_name(0)), "dw-f32-generic");
+  EXPECT_EQ(std::string(depthwise_kernel_name()),
+            std::string(depthwise_instance_name(last)));
+  // Routing picks the scalar template or the dispatched instance, nothing
+  // else, by output plane size: planes of more than one vector of outputs
+  // take the dispatched one, smaller ones the scalar template.
+  for (int64_t oh = 1; oh <= 40; ++oh) {
+    for (int64_t ow = 1; ow <= 40; ++ow) {
+      const int r = depthwise_route(oh, ow);
+      EXPECT_TRUE(r == 0 || r == last) << r;
+    }
+  }
+  EXPECT_EQ(depthwise_route(40, 40), last);
+  EXPECT_EQ(depthwise_route(3, 3), last);
+  EXPECT_EQ(depthwise_route(1, 9), last);
+  EXPECT_EQ(depthwise_route(2, 4), 0);
+  EXPECT_EQ(depthwise_route(1, 1), 0);
+}
+
+}  // namespace
+}  // namespace nb

@@ -18,8 +18,8 @@
 //              path: quantized activations + packed s8 GEMM with fused
 //              requantization; requires a calibrated artifact), or the
 //              reference interpreter. int8 works in both plan and
-//              --sessions modes and prints the dispatched s8 GEMM and
-//              depthwise kernels.
+//              --sessions modes. fast and int8 print the GEMM and
+//              depthwise kernels they dispatch to.
 //   --batch    plans the batched one-GEMM-per-conv lowering at this size;
 //              for N > 1 the fast backend also times the N images run one
 //              at a time through a batch-1 plan and prints per-image vs
@@ -46,6 +46,7 @@
 #include "runtime/percentile.h"
 #include "runtime/session.h"
 #include "tensor/depthwise.h"
+#include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -165,6 +166,9 @@ int main(int argc, char** argv) {
                 "kernel %s, depthwise %s)\n",
                 static_cast<long long>(st.arena_int8_bytes),
                 gemm_s8_kernel_name(), depthwise_s8_kernel_name());
+  } else if (backend == Backend::fast) {
+    std::printf("kernels:      gemm %s, depthwise %s\n", gemm_kernel_name(),
+                depthwise_kernel_name());
   }
 
   if (verify) {
