@@ -13,6 +13,12 @@
 // depthwise_plane routes each geometry to. The routing rule in
 // tensor/depthwise.cpp is read off this table.
 //
+// Its train_step table times the training passes of that same giant on its
+// own units, at batch 32: forward and backward of every BatchNorm2d,
+// Activation, PltActivation and Conv2d (pointwise, kxk, depthwise), each
+// fed the geometry it sees in training, summed per pass kind with each
+// kind's share of the step's layer time.
+//
 // Usage: bench_substrate_report [--quick] [--out <path>]
 //   --quick  shorter timing windows and fewer shapes (the CI setting)
 //   --out    output path (default: BENCH_substrate.json in the cwd)
@@ -23,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +41,8 @@
 #include "export/plan_verify.h"
 #include "models/profiler.h"
 #include "models/registry.h"
+#include "nn/activations.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "tensor/depthwise.h"
 #include "tensor/gemm.h"
@@ -385,6 +394,19 @@ void add_plan_geometries(std::vector<DwGeometry>& out,
   }
 }
 
+// The training giant: mbv2-tiny expanded by the default NetBooster recipe,
+// at the r20 resolution and batch 32 of the training workload, after the
+// profiler's dummy forward has recorded each conv's input size.
+constexpr int64_t kTrainBatch = 32;
+constexpr int64_t kTrainRes = 20;
+
+std::shared_ptr<nn::Module> training_giant() {
+  auto giant = models::make_model("mbv2-tiny", 100, 7);
+  const core::NetBooster booster(giant, core::NetBoosterConfig{});
+  (void)models::profile_model(*giant, kTrainRes);
+  return giant;
+}
+
 // Every depthwise geometry the routing rule has to serve.
 std::vector<DwGeometry> depthwise_geometries() {
   std::vector<DwGeometry> out;
@@ -398,15 +420,9 @@ std::vector<DwGeometry> depthwise_geometries() {
   add_plan_geometries(out, "mbv2_w035_r32_b8",
                       exporter::synth::make_mbv2_flat(rng, 0.35f, 32, 100), 8,
                       32);
-  // The training giant: mbv2-tiny expanded by the default NetBooster
-  // recipe, at the r20 resolution and batch 32 of the training workload.
-  // Conv2d::forward_depthwise runs one depthwise_plane per (image,
-  // channel); the profiler's dummy forward records each layer's input size.
-  constexpr int64_t kTrainBatch = 32;
-  constexpr int64_t kTrainRes = 20;
-  auto giant = models::make_model("mbv2-tiny", 100, 7);
-  const core::NetBooster booster(giant, core::NetBoosterConfig{});
-  (void)models::profile_model(*giant, kTrainRes);
+  // The training giant: Conv2d::forward_depthwise runs one depthwise_plane
+  // per (image, channel).
+  auto giant = training_giant();
   giant->apply([&](nn::Module& m) {
     const auto* conv = dynamic_cast<const nn::Conv2d*>(&m);
     if (conv == nullptr || !conv->is_depthwise()) return;
@@ -459,11 +475,107 @@ void bench_depthwise_routes(const Budget& budget,
 }
 
 // ----------------------------------------------------------------------
+// Training layer table.
+
+// One unit of the giant with an input and an output gradient of the shape
+// it sees in training.
+struct TrainUnit {
+  nn::Module* module = nullptr;
+  Tensor x;
+  Tensor grad;
+};
+
+// One pass kind: its units and their summed forward and backward times.
+struct TrainRow {
+  std::string pass;
+  std::vector<TrainUnit> units;
+  double forward_ms = 0.0;
+  double backward_ms = 0.0;
+};
+
+// The table's rows, in order.
+enum TrainPass { kBatchNorm, kActivation, kPlt, kPointwise, kKxk, kDepthwise };
+
+// Reads the geometry of every trained unit off the giant. The pre-order
+// walk visits each BatchNorm2d and activation right after the conv that
+// feeds it (ConvBnAct's conv -> bn -> act), so they take that conv's output
+// shape.
+std::vector<TrainRow> train_step_rows(nn::Module& giant) {
+  std::vector<TrainRow> rows;
+  for (const char* pass : {"BatchNorm2d", "Activation", "PltActivation",
+                           "Conv2d pointwise", "Conv2d kxk",
+                           "Conv2d depthwise"}) {
+    rows.push_back({pass, {}});
+  }
+  Rng rng(505);
+  const auto add = [&](TrainPass row, nn::Module& m, std::vector<int64_t> in,
+                       std::vector<int64_t> out) {
+    TrainUnit u;
+    u.module = &m;
+    u.x = Tensor(std::move(in));
+    u.grad = Tensor(std::move(out));
+    fill_normal(u.x, rng, 0.0f, 1.0f);
+    fill_normal(u.grad, rng, 0.0f, 1.0f);
+    rows[row].units.push_back(std::move(u));
+  };
+  std::vector<int64_t> produced;  // the last conv's output shape
+  giant.apply([&](nn::Module& m) {
+    if (auto* conv = dynamic_cast<nn::Conv2d*>(&m)) {
+      const nn::Conv2dOptions& o = conv->options();
+      const int64_t h = conv->last_input_h(), w = conv->last_input_w();
+      produced = {kTrainBatch, o.out_channels,
+                  conv_out_size(h, o.kernel, o.stride, o.padding),
+                  conv_out_size(w, o.kernel, o.stride, o.padding)};
+      const TrainPass row = conv->is_depthwise()   ? kDepthwise
+                            : conv->is_pointwise() ? kPointwise
+                                                   : kKxk;
+      add(row, m, {kTrainBatch, o.in_channels, h, w}, produced);
+    } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&m)) {
+      NB_CHECK(produced.size() == 4 && produced[1] == bn->channels(),
+               "train_step: a BatchNorm2d does not follow its conv");
+      add(kBatchNorm, m, produced, produced);
+    } else if (dynamic_cast<nn::Activation*>(&m) != nullptr) {
+      NB_CHECK(produced.size() == 4, "train_step: an activation before any conv");
+      add(kActivation, m, produced, produced);
+    } else if (dynamic_cast<nn::PltActivation*>(&m) != nullptr) {
+      NB_CHECK(produced.size() == 4, "train_step: an activation before any conv");
+      add(kPlt, m, produced, produced);
+    }
+  });
+  return rows;
+}
+
+// Times every row's forward pass (each unit on its input, in training mode)
+// and backward pass (each unit on its gradient after that forward) on the
+// calling thread.
+std::vector<TrainRow> bench_train_step(const Budget& budget) {
+  auto giant = training_giant();
+  giant->set_training(true);
+  std::vector<TrainRow> rows = train_step_rows(*giant);
+  for (TrainRow& row : rows) {
+    const auto forward = [&] {
+      for (TrainUnit& u : row.units) (void)u.module->forward(u.x);
+    };
+    const auto backward = [&] {
+      for (TrainUnit& u : row.units) (void)u.module->backward(u.grad);
+    };
+    row.forward_ms = bench_seconds(budget, forward) * 1e3;
+    forward();  // leaves every unit's cache on its own input
+    row.backward_ms = bench_seconds(budget, backward) * 1e3;
+    std::fprintf(stderr, "  train %-17s x%-3zu forward %8.3f ms  backward %8.3f ms\n",
+                 row.pass.c_str(), row.units.size(), row.forward_ms,
+                 row.backward_ms);
+  }
+  return rows;
+}
+
+// ----------------------------------------------------------------------
 
 void write_json(const std::string& path, bool quick,
                 const std::vector<int64_t>& threads_tested,
                 const std::vector<Result>& results,
-                const std::vector<DwGeometry>& routes) {
+                const std::vector<DwGeometry>& routes,
+                const std::vector<TrainRow>& train) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -541,6 +653,27 @@ void write_json(const std::string& path, bool quick,
                  static_cast<long long>(g.planes), g.scalar_ms, g.vector_ms,
                  g.scalar_ms / g.vector_ms, g.route.c_str(),
                  i + 1 < routes.size() ? "," : "");
+  }
+  std::fprintf(f, "    ]\n");
+  std::fprintf(f, "  },\n");
+  double train_total = 0.0;
+  for (const TrainRow& r : train) train_total += r.forward_ms + r.backward_ms;
+  std::fprintf(f, "  \"train_step\": {\n");
+  std::fprintf(f, "    \"graph\": \"mbv2_tiny_giant_r%lld_b%lld\",\n",
+               static_cast<long long>(kTrainRes),
+               static_cast<long long>(kTrainBatch));
+  std::fprintf(f, "    \"threads\": 1,\n");
+  std::fprintf(f, "    \"total_ms\": %.4f,\n", train_total);
+  std::fprintf(f, "    \"rows\": [\n");
+  for (size_t i = 0; i < train.size(); ++i) {
+    const TrainRow& r = train[i];
+    std::fprintf(f,
+                 "      {\"pass\": \"%s\", \"units\": %zu, "
+                 "\"forward_ms\": %.4f, \"backward_ms\": %.4f, "
+                 "\"share\": %.4f}%s\n",
+                 r.pass.c_str(), r.units.size(), r.forward_ms, r.backward_ms,
+                 (r.forward_ms + r.backward_ms) / train_total,
+                 i + 1 < train.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n");
   std::fprintf(f, "  },\n");
@@ -624,7 +757,11 @@ int main(int argc, char** argv) {
   std::vector<DwGeometry> routes = depthwise_geometries();
   bench_depthwise_routes(budget, routes);
 
-  write_json(out_path, quick, pools.counts(), results, routes);
+  ThreadPool::set_global_override(&pools.get(1));
+  const std::vector<TrainRow> train = bench_train_step(budget);
+  ThreadPool::set_global_override(nullptr);
+
+  write_json(out_path, quick, pools.counts(), results, routes, train);
   std::fprintf(stderr, "wrote %s (%zu results, kernel=%s)\n", out_path.c_str(),
                results.size(), gemm_kernel_name());
   return 0;

@@ -2,6 +2,17 @@
 
 namespace nb::nn {
 
+// Every pass below is one select per element: the candidate values are
+// computed for every element and the predicate only picks one, so no FP
+// operation is conditional. A conditional multiply (`if (x < 0) y *= a`)
+// stays a branchy scalar loop under GCC's default -ftrapping-math, since
+// running it on every lane could raise an FP exception flag the branch
+// would not. This file is built with -fno-trapping-math (CMakeLists.txt) so
+// the multiply-then-select loops vectorize too; values are unchanged, only
+// exception flags may differ. Predicates are kept exactly, so NaN behaves
+// as before: Activation maps a NaN input to 0, PltActivation passes it
+// through, and a NaN input leaves the gradient unchanged.
+
 const char* to_string(ActKind kind) {
   switch (kind) {
     case ActKind::relu: return "relu";
@@ -14,14 +25,16 @@ const char* to_string(ActKind kind) {
 Tensor Activation::forward(const Tensor& x) {
   input_ = x;
   if (kind_ == ActKind::identity) return x;
-  Tensor y = x.clone();
-  float* p = y.data();
+  Tensor y(x.shape());
+  const float* xp = x.data();
+  float* yp = y.data();
   const int64_t n = y.numel();
   if (kind_ == ActKind::relu) {
-    for (int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+    for (int64_t i = 0; i < n; ++i) yp[i] = xp[i] > 0.0f ? xp[i] : 0.0f;
   } else {  // relu6
     for (int64_t i = 0; i < n; ++i) {
-      p[i] = p[i] > 0.0f ? (p[i] < 6.0f ? p[i] : 6.0f) : 0.0f;
+      const float v = xp[i];
+      yp[i] = v > 0.0f ? (v < 6.0f ? v : 6.0f) : 0.0f;
     }
   }
   return y;
@@ -30,20 +43,24 @@ Tensor Activation::forward(const Tensor& x) {
 Tensor Activation::backward(const Tensor& grad_out) {
   NB_CHECK(input_.defined(), "Activation::backward before forward");
   if (kind_ == ActKind::identity) return grad_out;
-  Tensor g = grad_out.clone();
-  float* gp = g.data();
+  Tensor grad_in(grad_out.shape());
+  const float* go = grad_out.data();
   const float* xp = input_.data();
-  const int64_t n = g.numel();
+  float* gp = grad_in.data();
+  const int64_t n = grad_in.numel();
   if (kind_ == ActKind::relu) {
     for (int64_t i = 0; i < n; ++i) {
-      if (xp[i] <= 0.0f) gp[i] = 0.0f;
+      const float g = go[i];
+      gp[i] = xp[i] <= 0.0f ? 0.0f : g;
     }
   } else {
     for (int64_t i = 0; i < n; ++i) {
-      if (xp[i] <= 0.0f || xp[i] >= 6.0f) gp[i] = 0.0f;
+      const float g = go[i];
+      const bool off = (xp[i] <= 0.0f) | (xp[i] >= 6.0f);
+      gp[i] = off ? 0.0f : g;
     }
   }
-  return g;
+  return grad_in;
 }
 
 PltActivation::PltActivation(ActKind kind, float alpha)
@@ -64,21 +81,23 @@ void PltActivation::set_alpha(float a) {
 Tensor PltActivation::forward(const Tensor& x) {
   input_ = x;
   const float a = alpha();
-  Tensor y = x.clone();
-  float* p = y.data();
+  Tensor y(x.shape());
+  const float* xp = x.data();
+  float* yp = y.data();
   const int64_t n = y.numel();
   if (kind_ == ActKind::relu) {
     // y = max(a*x, x): for x < 0 this is a*x (since a <= 1), else x.
     for (int64_t i = 0; i < n; ++i) {
-      if (p[i] < 0.0f) p[i] *= a;
+      const float v = xp[i];
+      const float low = v * a;
+      yp[i] = v < 0.0f ? low : v;
     }
   } else {  // relu6 with linearized upper clamp
     for (int64_t i = 0; i < n; ++i) {
-      if (p[i] < 0.0f) {
-        p[i] *= a;
-      } else if (p[i] > 6.0f) {
-        p[i] = 6.0f + a * (p[i] - 6.0f);
-      }
+      const float v = xp[i];
+      const float low = v * a;
+      const float high = 6.0f + a * (v - 6.0f);
+      yp[i] = v < 0.0f ? low : (v > 6.0f ? high : v);
     }
   }
   return y;
@@ -87,20 +106,26 @@ Tensor PltActivation::forward(const Tensor& x) {
 Tensor PltActivation::backward(const Tensor& grad_out) {
   NB_CHECK(input_.defined(), "PltActivation::backward before forward");
   const float a = alpha();
-  Tensor g = grad_out.clone();
-  float* gp = g.data();
+  Tensor grad_in(grad_out.shape());
+  const float* go = grad_out.data();
   const float* xp = input_.data();
-  const int64_t n = g.numel();
+  float* gp = grad_in.data();
+  const int64_t n = grad_in.numel();
   if (kind_ == ActKind::relu) {
     for (int64_t i = 0; i < n; ++i) {
-      if (xp[i] < 0.0f) gp[i] *= a;
+      const float g = go[i];
+      const float scaled = g * a;
+      gp[i] = xp[i] < 0.0f ? scaled : g;
     }
   } else {
     for (int64_t i = 0; i < n; ++i) {
-      if (xp[i] < 0.0f || xp[i] > 6.0f) gp[i] *= a;
+      const float g = go[i];
+      const float scaled = g * a;
+      const bool linear = (xp[i] < 0.0f) | (xp[i] > 6.0f);
+      gp[i] = linear ? scaled : g;
     }
   }
-  return g;
+  return grad_in;
 }
 
 }  // namespace nb::nn

@@ -39,8 +39,11 @@ class BatchNorm2d : public Module {
   Tensor running_mean_;
   Tensor running_var_;
 
-  // caches for backward (training mode)
-  Tensor xhat_;
+  // caches for backward (training mode): the input (shared, not copied)
+  // and the per-channel batch statistics; backward recomputes the
+  // normalized input from them bit for bit.
+  Tensor input_;
+  Tensor mean_;
   Tensor inv_std_;
   int64_t count_ = 0;
   bool forward_was_training_ = false;

@@ -10,6 +10,43 @@
 
 namespace nb::nn {
 
+namespace {
+
+// Eight channels side by side, one per lane, read and written in place in
+// float buffers (may_alias, aligned(4): any float address).
+typedef float f32x8 __attribute__((vector_size(32), aligned(4), may_alias));
+constexpr int64_t kLanes = 8;
+
+// Element e of a [element][lane] buffer, as one vector.
+inline f32x8& lane(float* buf, int64_t e) {
+  return *reinterpret_cast<f32x8*>(buf + e * kLanes);
+}
+
+// dst[e * kLanes + l] = src[l * stride + e] for the `lanes` live channels;
+// the remaining lanes are zero, so they compute on zeros and never store.
+void to_lanes(const float* src, int64_t stride, int64_t lanes, int64_t count,
+              float* dst) {
+  for (int64_t l = 0; l < kLanes; ++l) {
+    if (l < lanes) {
+      const float* s = src + l * stride;
+      for (int64_t e = 0; e < count; ++e) dst[e * kLanes + l] = s[e];
+    } else {
+      for (int64_t e = 0; e < count; ++e) dst[e * kLanes + l] = 0.0f;
+    }
+  }
+}
+
+// The inverse of to_lanes for the live lanes.
+void from_lanes(const float* src, int64_t lanes, int64_t count, float* dst,
+                int64_t stride) {
+  for (int64_t l = 0; l < lanes; ++l) {
+    float* d = dst + l * stride;
+    for (int64_t e = 0; e < count; ++e) d[e] = src[e * kLanes + l];
+  }
+}
+
+}  // namespace
+
 Conv2d::Conv2d(const Conv2dOptions& opts) : opts_(opts) {
   NB_CHECK(opts.in_channels > 0 && opts.out_channels > 0, "conv channels");
   NB_CHECK(opts.kernel > 0 && opts.stride > 0 && opts.padding >= 0,
@@ -57,18 +94,24 @@ Tensor Conv2d::forward_generic(const Tensor& x) {
   const int64_t col_rows = cin_g * k * k;
   const int64_t plane = oh * ow;
   // The column matrix lives in the thread-local arena: one allocation per
-  // thread for the whole training run instead of one per forward call.
-  float* cols = scratch_acquire(ScratchSlot::kConvCols,
-                                static_cast<size_t>(col_rows * plane));
+  // thread for the whole training run instead of one per forward call. A
+  // direct conv needs none: its columns are the group's channel planes.
+  const bool direct = is_direct();
+  float* cols = direct ? nullptr
+                       : scratch_acquire(ScratchSlot::kConvCols,
+                                         static_cast<size_t>(col_rows * plane));
 
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t gi = 0; gi < g; ++gi) {
       const float* img = x.data() + (i * opts_.in_channels + gi * cin_g) * h * w;
-      im2col(img, cin_g, h, w, k, k, opts_.stride, opts_.stride, opts_.padding,
-             opts_.padding, cols);
+      if (!direct) {
+        im2col(img, cin_g, h, w, k, k, opts_.stride, opts_.stride,
+               opts_.padding, opts_.padding, cols);
+      }
       float* out = y.data() + (i * opts_.out_channels + gi * cout_g) * plane;
       const float* wgt = weight_.value.data() + gi * cout_g * col_rows;
-      gemm(false, false, cout_g, plane, col_rows, 1.0f, wgt, cols, 0.0f, out);
+      gemm(false, false, cout_g, plane, col_rows, 1.0f, wgt,
+           direct ? img : cols, 0.0f, out);
     }
     if (opts_.bias) {
       for (int64_t c = 0; c < opts_.out_channels; ++c) {
@@ -124,10 +167,15 @@ Tensor Conv2d::backward_generic(const Tensor& grad_out) {
   const int64_t col_rows = cin_g * k * k;
 
   Tensor grad_in(x.shape());
-  float* cols = scratch_acquire(ScratchSlot::kConvCols,
-                                static_cast<size_t>(col_rows * plane));
-  float* gcols = scratch_acquire(ScratchSlot::kConvGradCols,
-                                 static_cast<size_t>(col_rows * plane));
+  const bool direct = is_direct();
+  float* cols = nullptr;
+  float* gcols = nullptr;
+  if (!direct) {
+    cols = scratch_acquire(ScratchSlot::kConvCols,
+                           static_cast<size_t>(col_rows * plane));
+    gcols = scratch_acquire(ScratchSlot::kConvGradCols,
+                            static_cast<size_t>(col_rows * plane));
+  }
 
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t gi = 0; gi < g; ++gi) {
@@ -136,18 +184,30 @@ Tensor Conv2d::backward_generic(const Tensor& grad_out) {
           grad_out.data() + (i * opts_.out_channels + gi * cout_g) * plane;
       float* wgrad = weight_.grad.data() + gi * cout_g * col_rows;
       const float* wgt = weight_.value.data() + gi * cout_g * col_rows;
-
-      // dW += dY * cols^T  (recompute im2col; trades FLOPs for memory)
-      im2col(img, cin_g, h, w, k, k, opts_.stride, opts_.stride, opts_.padding,
-             opts_.padding, cols);
-      gemm(false, true, cout_g, col_rows, plane, 1.0f, gout, cols, 1.0f,
-           wgrad);
-
-      // dX = col2im(W^T * dY)
-      gemm(true, false, col_rows, plane, cout_g, 1.0f, wgt, gout, 0.0f, gcols);
       float* gin = grad_in.data() + (i * opts_.in_channels + gi * cin_g) * h * w;
-      col2im(gcols, cin_g, h, w, k, k, opts_.stride, opts_.stride,
-             opts_.padding, opts_.padding, gin);
+
+      if (direct) {
+        // The group's planes are its columns and its dX is its column
+        // gradient: no im2col, no col2im. col2im's one `+=` into the zeroed
+        // grad_in turns a -0.0 sum into +0.0; the pass after the GEMM does
+        // the same, so dX keeps col2im's bits for any cout (a beta = 1 GEMM
+        // would apply that +0.0 before the K blocks after the first).
+        gemm(false, true, cout_g, col_rows, plane, 1.0f, gout, img, 1.0f,
+             wgrad);
+        gemm(true, false, col_rows, plane, cout_g, 1.0f, wgt, gout, 0.0f, gin);
+        for (int64_t e = 0; e < col_rows * plane; ++e) gin[e] = 0.0f + gin[e];
+      } else {
+        // dW += dY * cols^T  (recompute im2col; trades FLOPs for memory)
+        im2col(img, cin_g, h, w, k, k, opts_.stride, opts_.stride,
+               opts_.padding, opts_.padding, cols);
+        gemm(false, true, cout_g, col_rows, plane, 1.0f, gout, cols, 1.0f,
+             wgrad);
+        // dX = col2im(W^T * dY)
+        gemm(true, false, col_rows, plane, cout_g, 1.0f, wgt, gout, 0.0f,
+             gcols);
+        col2im(gcols, cin_g, h, w, k, k, opts_.stride, opts_.stride,
+               opts_.padding, opts_.padding, gin);
+      }
     }
     if (opts_.bias) {
       for (int64_t c = 0; c < opts_.out_channels; ++c) {
@@ -164,43 +224,66 @@ Tensor Conv2d::backward_generic(const Tensor& grad_out) {
 Tensor Conv2d::backward_depthwise(const Tensor& grad_out) {
   const Tensor& x = input_;
   const int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-  const int64_t k = opts_.kernel;
+  const int64_t k = opts_.kernel, kk = k * k;
+  const int64_t stride = opts_.stride, pad = opts_.padding;
   const int64_t oh = grad_out.size(2), ow = grad_out.size(3);
+  const int64_t hw = h * w, ohw = oh * ow;
   Tensor grad_in(x.shape());
-  // Parallelize over channels, not planes: a channel owns its weight/bias
-  // gradient slots, so per-channel chunks are race-free, and the serial batch
-  // loop inside keeps the accumulation order thread-count-invariant.
-  parallel_for(c, /*grain=*/1, [&](int64_t c0, int64_t c1) {
-    for (int64_t ch = c0; ch < c1; ++ch) {
-      const float* ker = weight_.value.data() + ch * k * k;
-      float* kgrad = weight_.grad.data() + ch * k * k;
+  // Channels are the lanes: a block of kLanes channels has its image,
+  // output-gradient and kernel planes copied to [element][lane] scratch, and
+  // every lane runs its channel's scalar chains (dW over images then
+  // outputs, dX over outputs then taps, the same out-of-bounds taps
+  // skipped), so each channel's gradients are bit-for-bit the one-channel
+  // loop's. Blocks own their channels' weight/bias gradients and grad_in
+  // planes, so parallel chunks are race-free, and the serial image loop
+  // inside keeps every chain's order thread-count-invariant.
+  const int64_t blocks = (c + kLanes - 1) / kLanes;
+  parallel_for(blocks, /*grain=*/1, [&](int64_t b0, int64_t b1) {
+    float* img = scratch_acquire(
+        ScratchSlot::kDwGrad,
+        static_cast<size_t>((2 * hw + ohw + 2 * kk) * kLanes));
+    float* gin = img + hw * kLanes;
+    float* gout = gin + hw * kLanes;
+    float* ker = gout + ohw * kLanes;
+    float* kgrad = ker + kk * kLanes;
+    for (int64_t blk = b0; blk < b1; ++blk) {
+      const int64_t c0 = blk * kLanes;
+      const int64_t lanes = std::min(kLanes, c - c0);
+      to_lanes(weight_.value.data() + c0 * kk, kk, lanes, kk, ker);
+      to_lanes(weight_.grad.data() + c0 * kk, kk, lanes, kk, kgrad);
       for (int64_t i = 0; i < n; ++i) {
-        const float* img = x.data() + (i * c + ch) * h * w;
-        const float* gout = grad_out.data() + (i * c + ch) * oh * ow;
-        float* gin = grad_in.data() + (i * c + ch) * h * w;
+        to_lanes(x.data() + (i * c + c0) * hw, hw, lanes, hw, img);
+        to_lanes(grad_out.data() + (i * c + c0) * ohw, ohw, lanes, ohw,
+                 gout);
+        std::fill(gin, gin + hw * kLanes, 0.0f);
         for (int64_t oy = 0; oy < oh; ++oy) {
           for (int64_t ox = 0; ox < ow; ++ox) {
             // No zero-skip on gv: 0 * NaN must stay NaN in both gradients
             // (same accumulation policy as gemm/gemv, see gemm.h).
-            const float gv = gout[oy * ow + ox];
+            const f32x8 gv = lane(gout, oy * ow + ox);
             for (int64_t ki = 0; ki < k; ++ki) {
-              const int64_t iy = oy * opts_.stride + ki - opts_.padding;
+              const int64_t iy = oy * stride + ki - pad;
               if (iy < 0 || iy >= h) continue;
               for (int64_t kj = 0; kj < k; ++kj) {
-                const int64_t ix = ox * opts_.stride + kj - opts_.padding;
+                const int64_t ix = ox * stride + kj - pad;
                 if (ix < 0 || ix >= w) continue;
-                kgrad[ki * k + kj] += gv * img[iy * w + ix];
-                gin[iy * w + ix] += gv * ker[ki * k + kj];
+                lane(kgrad, ki * k + kj) += gv * lane(img, iy * w + ix);
+                lane(gin, iy * w + ix) += gv * lane(ker, ki * k + kj);
               }
             }
           }
         }
+        from_lanes(gin, lanes, hw, grad_in.data() + (i * c + c0) * hw, hw);
         if (opts_.bias) {
-          double s = 0.0;
-          for (int64_t p = 0; p < oh * ow; ++p) s += gout[p];
-          bias_.grad.at(ch) += static_cast<float>(s);
+          for (int64_t ch = c0; ch < c0 + lanes; ++ch) {
+            const float* g = grad_out.data() + (i * c + ch) * ohw;
+            double s = 0.0;
+            for (int64_t p = 0; p < ohw; ++p) s += g[p];
+            bias_.grad.at(ch) += static_cast<float>(s);
+          }
         }
       }
+      from_lanes(kgrad, lanes, kk, weight_.grad.data() + c0 * kk, kk);
     }
   });
   return grad_in;

@@ -1,6 +1,7 @@
 // 2-D convolution with groups (plain, grouped and depthwise), implemented as
-// im2col + GEMM with a direct fast path for depthwise kernels. Weight layout
-// is [cout, cin/groups, kh, kw] (same as torch), activations are NCHW.
+// im2col + GEMM with a direct fast path for depthwise kernels; 1x1 stride-1
+// convs run the GEMM on the input planes without im2col. Weight layout is
+// [cout, cin/groups, kh, kw] (same as torch), activations are NCHW.
 #pragma once
 
 #include "nn/module.h"
@@ -48,6 +49,11 @@ class Conv2d : public Module {
            opts_.groups == opts_.out_channels;
   }
   bool is_pointwise() const { return opts_.kernel == 1 && opts_.groups == 1; }
+  /// A 1x1, stride-1, unpadded conv: each group's input planes already are
+  /// its im2col columns, so forward and backward skip im2col and col2im.
+  bool is_direct() const {
+    return opts_.kernel == 1 && opts_.stride == 1 && opts_.padding == 0;
+  }
 
   /// FLOPs (multiply-accumulates counted as 2) for the given input HxW.
   int64_t flops(int64_t in_h, int64_t in_w) const;

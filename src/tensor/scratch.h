@@ -21,6 +21,7 @@ enum class ScratchSlot : int {
   kConvGradCols,   // column-space gradient scattered by col2im (dX)
   kDwPhase,        // vector depthwise: zero-bordered phase planes of one input
   kDwAcc,          // vector depthwise: flat accumulator before compaction
+  kDwGrad,         // depthwise backward: one channel block's lane planes
   kSlotCount,
 };
 

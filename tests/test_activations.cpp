@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "nn/activations.h"
 #include "nn/dropblock.h"
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
+#include "test_util.h"
 
 namespace nb::nn {
 namespace {
+
+using nb::testing::bits_equal;
 
 TEST(Activation, ReluClampsNegative) {
   Activation relu(ActKind::relu);
@@ -152,6 +158,135 @@ TEST(DropBlock, ZeroProbIsNoop) {
   Tensor x({1, 2, 6, 6});
   fill_normal(x, rng, 0.0f, 1.0f);
   EXPECT_LT(max_abs_diff(db.forward(x), x), 1e-7f);
+}
+
+// ------------------------------------------------------------------------
+// The branchy scalar activation loops as they were before the select form,
+// kept verbatim (on plain arrays) as the bitwise oracle. Built with
+// -ffp-contract=off like nb_nn.
+
+void scalar_act_forward(ActKind kind, float* p, int64_t n) {
+  if (kind == ActKind::relu) {
+    for (int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+  } else {  // relu6
+    for (int64_t i = 0; i < n; ++i) {
+      p[i] = p[i] > 0.0f ? (p[i] < 6.0f ? p[i] : 6.0f) : 0.0f;
+    }
+  }
+}
+
+void scalar_act_backward(ActKind kind, const float* xp, float* gp, int64_t n) {
+  if (kind == ActKind::relu) {
+    for (int64_t i = 0; i < n; ++i) {
+      if (xp[i] <= 0.0f) gp[i] = 0.0f;
+    }
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      if (xp[i] <= 0.0f || xp[i] >= 6.0f) gp[i] = 0.0f;
+    }
+  }
+}
+
+void scalar_plt_forward(ActKind kind, float a, float* p, int64_t n) {
+  if (kind == ActKind::relu) {
+    for (int64_t i = 0; i < n; ++i) {
+      if (p[i] < 0.0f) p[i] *= a;
+    }
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      if (p[i] < 0.0f) {
+        p[i] *= a;
+      } else if (p[i] > 6.0f) {
+        p[i] = 6.0f + a * (p[i] - 6.0f);
+      }
+    }
+  }
+}
+
+void scalar_plt_backward(ActKind kind, float a, const float* xp, float* gp,
+                         int64_t n) {
+  if (kind == ActKind::relu) {
+    for (int64_t i = 0; i < n; ++i) {
+      if (xp[i] < 0.0f) gp[i] *= a;
+    }
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      if (xp[i] < 0.0f || xp[i] > 6.0f) gp[i] *= a;
+    }
+  }
+}
+
+// Every special value next to ordinary ones: NaN, +-inf, +-0.0, denormals
+// of both signs, and the clamp points 0 and 6 with their neighbours.
+Tensor special_values(Rng& rng, int64_t n) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials = {
+      nan, -nan, inf, -inf, 0.0f, -0.0f, den, -den, 3.0e-39f, -3.0e-39f,
+      6.0f, std::nextafter(6.0f, 0.0f), std::nextafter(6.0f, 7.0f),
+      std::numeric_limits<float>::max(), -std::numeric_limits<float>::max()};
+  Tensor t({n});
+  for (int64_t i = 0; i < n; ++i) {
+    t.data()[i] = i % 3 == 0 ? specials[static_cast<size_t>(i / 3) % specials.size()]
+                             : rng.normal() * 5.0f + 2.0f;
+  }
+  return t;
+}
+
+// ReLU, ReLU6 and PLT at alpha 0, 0.3 and 1, forward and backward, against
+// the branchy scalar loops, memcmp-equal; lengths cover every vector tail.
+TEST(ActivationBitwise, SelectFormMatchesScalarLoops) {
+  Rng rng(91);
+  for (const int64_t n : {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 100, 1027}) {
+    const Tensor x = special_values(rng, n);
+    const Tensor g = special_values(rng, n);
+    for (const ActKind kind : {ActKind::relu, ActKind::relu6}) {
+      SCOPED_TRACE(::testing::Message() << to_string(kind) << " n=" << n);
+      Activation act(kind);
+      Tensor want_y = x.clone();
+      scalar_act_forward(kind, want_y.data(), n);
+      Tensor want_g = g.clone();
+      scalar_act_backward(kind, x.data(), want_g.data(), n);
+      const Tensor got_y = act.forward(x);
+      const Tensor got_g = act.backward(g);
+      EXPECT_TRUE(bits_equal(got_y.data(), want_y.data(), n)) << "forward";
+      EXPECT_TRUE(bits_equal(got_g.data(), want_g.data(), n)) << "backward";
+
+      for (const float a : {0.0f, 0.3f, 1.0f}) {
+        SCOPED_TRACE(::testing::Message() << "plt alpha=" << a);
+        PltActivation plt(kind, a);
+        Tensor want_py = x.clone();
+        scalar_plt_forward(kind, a, want_py.data(), n);
+        Tensor want_pg = g.clone();
+        scalar_plt_backward(kind, a, x.data(), want_pg.data(), n);
+        const Tensor got_py = plt.forward(x);
+        const Tensor got_pg = plt.backward(g);
+        EXPECT_TRUE(bits_equal(got_py.data(), want_py.data(), n)) << "forward";
+        EXPECT_TRUE(bits_equal(got_pg.data(), want_pg.data(), n)) << "backward";
+      }
+    }
+  }
+}
+
+// The NaN policies the select form must keep.
+TEST(ActivationBitwise, NanPolicies) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x = Tensor::from({2}, {nan, -nan});
+  const Tensor g = Tensor::from({2}, {1.5f, -2.5f});
+  for (const ActKind kind : {ActKind::relu, ActKind::relu6}) {
+    Activation act(kind);
+    const Tensor y = act.forward(x);
+    EXPECT_EQ(y.at(0), 0.0f) << "Activation maps NaN to 0";
+    EXPECT_EQ(y.at(1), 0.0f);
+    EXPECT_TRUE(bits_equal(act.backward(g).data(), g.data(), 2))
+        << "a NaN input keeps the gradient";
+    PltActivation plt(kind, 0.3f);
+    EXPECT_TRUE(bits_equal(plt.forward(x).data(), x.data(), 2))
+        << "PltActivation passes NaN through";
+    EXPECT_TRUE(bits_equal(plt.backward(g).data(), g.data(), 2))
+        << "a NaN input keeps the gradient";
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "nn/conv2d.h"
@@ -7,9 +8,14 @@
 #include "tensor/im2col.h"
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/threadpool.h"
+#include "test_util.h"
 
 namespace nb::nn {
 namespace {
+
+using nb::testing::bits_equal;
+using nb::testing::PoolOverride;
 
 // Direct convolution reference (cross-correlation, zero padding, groups).
 Tensor reference_conv(const Tensor& x, const Tensor& w, const Tensor* bias,
@@ -187,6 +193,242 @@ TEST(Conv2d, PointwiseDetection) {
   EXPECT_FALSE(dw.is_pointwise());
   EXPECT_FALSE(full.is_depthwise());
   EXPECT_FALSE(full.is_pointwise());
+}
+
+// ------------------------------------------------------------------------
+// Bitwise contracts of the training convolutions. This file is built with
+// -ffp-contract=off like nb_nn, so the oracles below round exactly as the
+// loops they copy.
+
+// Normal values with NaN, +-inf, -0.0 and denormals mixed in.
+void fill_with_specials(Tensor& t, Rng& rng, float scale) {
+  const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f,
+                            3.0e-39f, -3.0e-39f};
+  for (int64_t e = 0; e < t.numel(); ++e) {
+    const float u = rng.uniform();
+    t.data()[e] = u < 0.03f ? kSpecial[e % 6] : rng.normal() * scale;
+  }
+}
+
+// The scalar depthwise backward as it was before the channel lanes, kept
+// verbatim (serial over channels) as the bitwise oracle.
+void scalar_depthwise_backward(const Tensor& x, const Tensor& grad_out,
+                               const Tensor& weight, int64_t k, int64_t stride,
+                               int64_t padding, bool bias, Tensor& grad_in,
+                               Tensor& weight_grad, Tensor& bias_grad) {
+  const int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
+  const int64_t oh = grad_out.size(2), ow = grad_out.size(3);
+  for (int64_t ch = 0; ch < c; ++ch) {
+    const float* ker = weight.data() + ch * k * k;
+    float* kgrad = weight_grad.data() + ch * k * k;
+    for (int64_t i = 0; i < n; ++i) {
+      const float* img = x.data() + (i * c + ch) * h * w;
+      const float* gout = grad_out.data() + (i * c + ch) * oh * ow;
+      float* gin = grad_in.data() + (i * c + ch) * h * w;
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          const float gv = gout[oy * ow + ox];
+          for (int64_t ki = 0; ki < k; ++ki) {
+            const int64_t iy = oy * stride + ki - padding;
+            if (iy < 0 || iy >= h) continue;
+            for (int64_t kj = 0; kj < k; ++kj) {
+              const int64_t ix = ox * stride + kj - padding;
+              if (ix < 0 || ix >= w) continue;
+              kgrad[ki * k + kj] += gv * img[iy * w + ix];
+              gin[iy * w + ix] += gv * ker[ki * k + kj];
+            }
+          }
+        }
+      }
+      if (bias) {
+        double s = 0.0;
+        for (int64_t p = 0; p < oh * ow; ++p) s += gout[p];
+        bias_grad.at(ch) += static_cast<float>(s);
+      }
+    }
+  }
+}
+
+// The channel-lane depthwise backward against the scalar loop: dX, dW and
+// db (accumulated onto nonzero gradients), k in {1, 3, 5, 7}, strides 1
+// and 2, pad 0 and (k-1)/2, planes from 1x1 to 20x20 and 1 to 19 channels,
+// so every partial 8-channel block runs, at one and four threads.
+TEST(Conv2dBitwise, DepthwiseBackwardMatchesScalarLoop) {
+  ThreadPool one(0);
+  ThreadPool four(3);
+  const int64_t planes[][2] = {{1, 1}, {2, 3}, {5, 5}, {7, 4},
+                               {9, 13}, {20, 20}};
+  Rng rng(606);
+  int64_t channels = 0;
+  int64_t checked = 0;
+  for (const int64_t k : {1, 3, 5, 7}) {
+    for (const int64_t stride : {1, 2}) {
+      std::vector<int64_t> pads = {0};
+      if (k > 1) pads.push_back((k - 1) / 2);
+      for (const int64_t pad : pads) {
+        for (const auto& hw : planes) {
+          const int64_t h = hw[0], w = hw[1];
+          if (conv_out_size(h, k, stride, pad) <= 0 ||
+              conv_out_size(w, k, stride, pad) <= 0) {
+            continue;
+          }
+          channels = channels % 19 + 1;
+          const bool bias = channels % 2 == 1;
+          SCOPED_TRACE(::testing::Message()
+                       << "k=" << k << " s=" << stride << " pad=" << pad
+                       << " h=" << h << " w=" << w << " c=" << channels
+                       << " bias=" << bias);
+          Conv2d conv(Conv2dOptions(channels, channels, k)
+                          .with_stride(stride)
+                          .with_padding(pad)
+                          .with_groups(channels)
+                          .with_bias(bias));
+          fill_with_specials(conv.weight().value, rng, 0.5f);
+          fill_uniform(conv.weight().grad, rng, -0.1f, 0.1f);
+          if (bias) fill_uniform(conv.bias().grad, rng, -0.1f, 0.1f);
+          Tensor x({2, channels, h, w});
+          fill_with_specials(x, rng, 1.0f);
+          Tensor grad_out({2, channels, conv_out_size(h, k, stride, pad),
+                           conv_out_size(w, k, stride, pad)});
+          fill_with_specials(grad_out, rng, 1.0f);
+
+          Tensor want_gin(x.shape());
+          Tensor want_wg = conv.weight().grad.clone();
+          Tensor want_bg = bias ? conv.bias().grad.clone() : Tensor();
+          scalar_depthwise_backward(x, grad_out, conv.weight().value, k,
+                                    stride, pad, bias, want_gin, want_wg,
+                                    want_bg);
+          const Tensor wg0 = conv.weight().grad.clone();
+          const Tensor bg0 = bias ? conv.bias().grad.clone() : Tensor();
+          for (ThreadPool* pool : {&one, &four}) {
+            PoolOverride po(*pool);
+            conv.weight().grad.copy_from(wg0);
+            if (bias) conv.bias().grad.copy_from(bg0);
+            (void)conv.forward(x);
+            const Tensor got_gin = conv.backward(grad_out);
+            constexpr bool kNanAny = true;
+            EXPECT_TRUE(bits_equal(got_gin.data(), want_gin.data(),
+                                   want_gin.numel(), kNanAny))
+                << "dX, " << pool->num_workers() + 1 << " threads";
+            EXPECT_TRUE(bits_equal(conv.weight().grad.data(), want_wg.data(),
+                                   want_wg.numel(), kNanAny))
+                << "dW, " << pool->num_workers() + 1 << " threads";
+            if (bias) {
+              EXPECT_TRUE(bits_equal(conv.bias().grad.data(), want_bg.data(),
+                                     channels, kNanAny))
+                  << "db, " << pool->num_workers() + 1 << " threads";
+            }
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 60);
+}
+
+// The pre-PR generic lowering for one conv: im2col + GEMM per image and
+// group forward, and dW += dY * cols^T, dX = col2im(W^T dY) backward.
+void im2col_conv(const Conv2dOptions& o, const Tensor& x, const Tensor& weight,
+                 const Tensor& grad_out, Tensor& y, Tensor& weight_grad,
+                 Tensor& grad_in) {
+  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
+  const int64_t k = o.kernel, g = o.groups;
+  const int64_t cin_g = o.in_channels / g, cout_g = o.out_channels / g;
+  const int64_t oh = y.size(2), ow = y.size(3);
+  const int64_t plane = oh * ow, col_rows = cin_g * k * k;
+  std::vector<float> cols(static_cast<size_t>(col_rows * plane));
+  std::vector<float> gcols(cols.size());
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t gi = 0; gi < g; ++gi) {
+      const float* img = x.data() + (i * o.in_channels + gi * cin_g) * h * w;
+      const float* wgt = weight.data() + gi * cout_g * col_rows;
+      const float* gout =
+          grad_out.data() + (i * o.out_channels + gi * cout_g) * plane;
+      im2col(img, cin_g, h, w, k, k, o.stride, o.stride, o.padding, o.padding,
+             cols.data());
+      gemm(false, false, cout_g, plane, col_rows, 1.0f, wgt, cols.data(), 0.0f,
+           y.data() + (i * o.out_channels + gi * cout_g) * plane);
+      gemm(false, true, cout_g, col_rows, plane, 1.0f, gout, cols.data(), 1.0f,
+           weight_grad.data() + gi * cout_g * col_rows);
+      gemm(true, false, col_rows, plane, cout_g, 1.0f, wgt, gout, 0.0f,
+           gcols.data());
+      col2im(gcols.data(), cin_g, h, w, k, k, o.stride, o.stride, o.padding,
+             o.padding,
+             grad_in.data() + (i * o.in_channels + gi * cin_g) * h * w);
+    }
+  }
+}
+
+// 1x1 / stride-1 / pad-0 convs skip im2col and col2im; forward, dW and dX
+// stay memcmp-equal to the im2col path, grouped or not, at one and four
+// threads.
+TEST(Conv2dBitwise, DirectPointwiseMatchesIm2colPath) {
+  ThreadPool one(0);
+  ThreadPool four(3);
+  const struct {
+    int64_t cin, cout, groups, h, w;
+  } cases[] = {{1, 1, 1, 1, 1},     {3, 8, 1, 5, 5},    {16, 24, 1, 20, 20},
+               {24, 72, 1, 10, 10}, {72, 16, 1, 5, 5},  {12, 9, 3, 7, 4},
+               {8, 8, 2, 3, 9},     {40, 300, 1, 6, 6}, {33, 17, 1, 1, 37}};
+  Rng rng(707);
+  for (const auto& tc : cases) {
+    SCOPED_TRACE(::testing::Message() << tc.cin << "->" << tc.cout << " g"
+                                      << tc.groups << " " << tc.h << "x"
+                                      << tc.w);
+    const Conv2dOptions o = Conv2dOptions(tc.cin, tc.cout, 1).with_groups(tc.groups);
+    Conv2d conv(o);
+    ASSERT_TRUE(conv.is_direct());
+    fill_with_specials(conv.weight().value, rng, 0.5f);
+    fill_uniform(conv.weight().grad, rng, -0.1f, 0.1f);
+    Tensor x({2, tc.cin, tc.h, tc.w});
+    fill_with_specials(x, rng, 1.0f);
+    Tensor grad_out({2, tc.cout, tc.h, tc.w});
+    fill_with_specials(grad_out, rng, 1.0f);
+
+    Tensor want_y({2, tc.cout, tc.h, tc.w});
+    Tensor want_wg = conv.weight().grad.clone();
+    Tensor want_gin(x.shape());
+    im2col_conv(o, x, conv.weight().value, grad_out, want_y, want_wg,
+                want_gin);
+    const Tensor wg0 = conv.weight().grad.clone();
+    for (ThreadPool* pool : {&one, &four}) {
+      PoolOverride po(*pool);
+      conv.weight().grad.copy_from(wg0);
+      const Tensor got_y = conv.forward(x);
+      const Tensor got_gin = conv.backward(grad_out);
+      EXPECT_TRUE(bits_equal(got_y.data(), want_y.data(), want_y.numel()))
+          << "forward";
+      EXPECT_TRUE(bits_equal(conv.weight().grad.data(), want_wg.data(),
+                             want_wg.numel()))
+          << "dW";
+      EXPECT_TRUE(bits_equal(got_gin.data(), want_gin.data(),
+                             want_gin.numel()))
+          << "dX";
+    }
+  }
+}
+
+// dX past the GEMM's first K block (cout > 256) whose partial sums round to
+// -0.0: on an FMA kernel, fma(w, g, +0.0) with |w*g| below the smallest
+// denormal gives -0.0. col2im's `+=` into the zeroed grad_in ends in +0.0,
+// and so must the direct path.
+TEST(Conv2dBitwise, DirectPointwiseDxKeepsCol2imZeroSign) {
+  const Conv2dOptions o = Conv2dOptions(1, 300, 1);
+  Conv2d conv(o);
+  conv.weight().value.fill(-1.0e-30f);
+  Tensor x = Tensor::full({1, 1, 2, 2}, 1.0f);
+  Tensor grad_out = Tensor::full({1, 300, 2, 2}, 1.0e-20f);
+  Tensor want_y({1, 300, 2, 2});
+  Tensor want_wg(conv.weight().value.shape());
+  Tensor want_gin(x.shape());
+  im2col_conv(o, x, conv.weight().value, grad_out, want_y, want_wg, want_gin);
+  (void)conv.forward(x);
+  const Tensor got_gin = conv.backward(grad_out);
+  EXPECT_TRUE(bits_equal(got_gin.data(), want_gin.data(), want_gin.numel()));
+  EXPECT_FALSE(std::signbit(got_gin.at(0)));
 }
 
 }  // namespace

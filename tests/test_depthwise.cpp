@@ -23,6 +23,7 @@
 #include "tensor/depthwise.h"
 #include "tensor/im2col.h"
 #include "tensor/rng.h"
+#include "test_util.h"
 
 namespace nb {
 namespace {
@@ -233,13 +234,7 @@ TEST(DepthwiseS8, DispatchedKernelIsTheLastListedInstance) {
 
 // ---------------------------------------------------------------- float
 
-// Bitwise equality, except that any NaN matches any NaN: which payload
-// survives an add of two NaNs is the compiler's operand order, on every
-// instance alike (depthwise.h).
-bool same_bits(float a, float b) {
-  if (std::isnan(a) && std::isnan(b)) return true;
-  return std::memcmp(&a, &b, sizeof(float)) == 0;
-}
+using nb::testing::same_bits;
 
 // Runs every float instance and the routed depthwise_plane on one plane
 // and compares each against the scalar template (instance 0); returns how

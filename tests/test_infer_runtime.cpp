@@ -14,6 +14,7 @@
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/threadpool.h"
+#include "test_util.h"
 
 namespace nb::exporter {
 namespace {
@@ -66,14 +67,7 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-// Sets the nb::parallel_for pool for the lifetime of one scope.
-class PoolOverride {
- public:
-  explicit PoolOverride(ThreadPool& pool) {
-    ThreadPool::set_global_override(&pool);
-  }
-  ~PoolOverride() { ThreadPool::set_global_override(nullptr); }
-};
+using nb::testing::PoolOverride;
 
 TEST(InferPlan, FastMatchesReferenceOnResidualGraph) {
   for (uint64_t seed : {11u, 12u, 13u}) {

@@ -5,14 +5,53 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 
 #include "data/dataset.h"
 #include "nn/module.h"
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/threadpool.h"
 
 namespace nb::testing {
+
+/// Bitwise equality, except that any NaN matches any NaN: which payload
+/// survives an add or multiply of two NaNs is the compiler's operand order.
+inline bool same_bits(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+/// Compares n floats bit for bit, as memcmp does, and names the first
+/// mismatch; with nan_matches_nan, any NaN matches any NaN (see same_bits).
+inline ::testing::AssertionResult bits_equal(const float* got,
+                                             const float* want, int64_t n,
+                                             bool nan_matches_nan = false) {
+  for (int64_t i = 0; i < n; ++i) {
+    const bool equal = nan_matches_nan
+                           ? same_bits(got[i], want[i])
+                           : std::memcmp(&got[i], &want[i], sizeof(float)) == 0;
+    if (!equal) {
+      return ::testing::AssertionFailure()
+             << "first mismatch at " << i << " of " << n << ": got "
+             << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Routes nb::parallel_for through `pool` for the lifetime of one scope.
+class PoolOverride {
+ public:
+  explicit PoolOverride(ThreadPool& pool) {
+    ThreadPool::set_global_override(&pool);
+  }
+  ~PoolOverride() { ThreadPool::set_global_override(nullptr); }
+  PoolOverride(const PoolOverride&) = delete;
+  PoolOverride& operator=(const PoolOverride&) = delete;
+};
 
 /// Scalar objective used to seed backward: sum of elementwise weighted
 /// outputs, J = sum(w .* y). dJ/dy = w, which exercises every output path.
