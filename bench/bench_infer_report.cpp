@@ -11,15 +11,13 @@
 // Usage: bench_infer_report [--quick] [--out <path>]
 //   --quick  small graphs, fewer batches, short windows (the CI setting)
 //   --out    output path (default: BENCH_infer.json in the cwd)
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_timing.h"
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
@@ -33,58 +31,15 @@
 namespace {
 
 using namespace nb;
+using namespace nb::bench;
 using namespace nb::exporter;
 
 using synth::make_mbv2_flat;
 using synth::make_mcunet_flat;
 
-// ----------------------------------------------------------------------
-// Timing: best-of repeated windows for the fast backend; the reference
-// interpreter is orders of magnitude slower, so it gets a bounded number of
-// plain runs instead of a filled window.
-
-struct Budget {
-  double window_s;
-  int repeats;
-};
-
-double bench_seconds(const Budget& budget, const std::function<void()>& fn) {
-  fn();  // warmup / first-touch
-  double best = 1e100;
-  for (int r = 0; r < budget.repeats; ++r) {
-    int64_t iters = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-      fn();
-      ++iters;
-      elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-    } while (elapsed < budget.window_s);
-    best = std::min(best, elapsed / static_cast<double>(iters));
-  }
-  return best;
-}
-
-double time_once(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-struct PoolSet {
-  ThreadPool one{0};   // NB_THREADS=1: no workers, caller only
-  ThreadPool four{3};  // NB_THREADS=4: 3 workers + caller
-  ThreadPool& get(int64_t threads) { return threads == 4 ? four : one; }
-
-  std::vector<int64_t> counts() const {
-    std::vector<int64_t> c{1};
-    if (std::thread::hardware_concurrency() >= 4) c.push_back(4);
-    return c;
-  }
-};
+// Timing (bench_timing.h): best-of repeated windows for the fast backend;
+// the reference interpreter is orders of magnitude slower, so it gets one
+// plain run instead of a filled window.
 
 struct Result {
   std::string graph;

@@ -17,17 +17,14 @@
 // Usage: bench_int8_report [--quick] [--out <path>]
 //   --quick  small graphs, fewer batches, short windows (the CI setting)
 //   --out    output path (default: BENCH_int8.json in the cwd)
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
+#include "bench_timing.h"
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
@@ -42,61 +39,11 @@
 namespace {
 
 using namespace nb;
+using namespace nb::bench;
 using namespace nb::exporter;
 
 using synth::make_mbv2_flat;
 using synth::make_mcunet_flat;
-
-struct Budget {
-  double window_s;
-  int repeats;
-};
-
-// One timing window: runs fn until the window fills and returns the
-// per-iteration seconds.
-double window_seconds(const Budget& budget, const std::function<void()>& fn) {
-  int64_t iters = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } while (elapsed < budget.window_s);
-  return elapsed / static_cast<double>(iters);
-}
-
-// Times a and b in alternating windows of the same length and count, so
-// both sides see the same host state (a slow spell lands on both, not on
-// whichever side happened to be timing); returns each side's best
-// per-iteration seconds.
-std::pair<double, double> bench_pair_seconds(const Budget& budget,
-                                             const std::function<void()>& a,
-                                             const std::function<void()>& b) {
-  a();  // warmup / first-touch
-  b();
-  double best_a = 1e100;
-  double best_b = 1e100;
-  for (int r = 0; r < budget.repeats; ++r) {
-    best_a = std::min(best_a, window_seconds(budget, a));
-    best_b = std::min(best_b, window_seconds(budget, b));
-  }
-  return {best_a, best_b};
-}
-
-struct PoolSet {
-  ThreadPool one{0};   // NB_THREADS=1: no workers, caller only
-  ThreadPool four{3};  // NB_THREADS=4: 3 workers + caller
-  ThreadPool& get(int64_t threads) { return threads == 4 ? four : one; }
-
-  std::vector<int64_t> counts() const {
-    std::vector<int64_t> c{1};
-    if (std::thread::hardware_concurrency() >= 4) c.push_back(4);
-    return c;
-  }
-};
 
 struct Result {
   std::string graph;

@@ -23,18 +23,17 @@
 //   --quick  shorter timing windows and fewer shapes (the CI setting)
 //   --out    output path (default: BENCH_substrate.json in the cwd)
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench_timing.h"
 #include "core/netbooster.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
@@ -55,6 +54,7 @@
 namespace {
 
 using namespace nb;
+using namespace nb::bench;
 
 // ----------------------------------------------------------------------
 // The pre-PR kernels, kept verbatim (minus the pool fork) as the fixed
@@ -114,56 +114,6 @@ void depthwise_forward(const float* x, const float* w, float* y, int64_t n,
 
 }  // namespace legacy
 
-// ----------------------------------------------------------------------
-// Timing: run fn in a loop until the window fills, repeat, keep the best
-// per-iteration time. Best-of is the right statistic on noisy shared VMs.
-struct Budget {
-  double window_s;
-  int repeats;
-};
-
-// One timing window: runs fn until the window fills and returns the
-// per-iteration seconds.
-double window_seconds(const Budget& budget, const std::function<void()>& fn) {
-  int64_t iters = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  double elapsed = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } while (elapsed < budget.window_s);
-  return elapsed / static_cast<double>(iters);
-}
-
-double bench_seconds(const Budget& budget, const std::function<void()>& fn) {
-  fn();  // warmup / first-touch
-  double best = 1e100;
-  for (int r = 0; r < budget.repeats; ++r) {
-    best = std::min(best, window_seconds(budget, fn));
-  }
-  return best;
-}
-
-// Times a and b in alternating windows of the same length and count, so
-// both see the same host state; returns each side's best per-iteration
-// seconds.
-std::pair<double, double> bench_pair_seconds(const Budget& budget,
-                                             const std::function<void()>& a,
-                                             const std::function<void()>& b) {
-  a();  // warmup / first-touch
-  b();
-  double best_a = 1e100;
-  double best_b = 1e100;
-  for (int r = 0; r < budget.repeats; ++r) {
-    best_a = std::min(best_a, window_seconds(budget, a));
-    best_b = std::min(best_b, window_seconds(budget, b));
-  }
-  return {best_a, best_b};
-}
-
 struct Result {
   std::string name;
   std::string kind;      // gemm | conv | depthwise | elementwise
@@ -173,21 +123,6 @@ struct Result {
   double legacy_ms = 0.0;    // 0 when no legacy baseline exists
   double speedup = 0.0;      // legacy_ms / ms
   double max_abs_diff = 0.0; // vs legacy output, when compared
-};
-
-struct PoolSet {
-  ThreadPool one{0};   // NB_THREADS=1: no workers, caller only
-  ThreadPool four{3};  // NB_THREADS=4: 3 workers + caller
-  ThreadPool& get(int64_t threads) { return threads == 4 ? four : one; }
-
-  // Thread counts worth reporting: 4-thread rows on a host with fewer
-  // hardware threads would only record oversubscription noise, which must
-  // not pollute the committed perf trajectory.
-  std::vector<int64_t> counts() const {
-    std::vector<int64_t> c{1};
-    if (std::thread::hardware_concurrency() >= 4) c.push_back(4);
-    return c;
-  }
 };
 
 // ----------------------------------------------------------------------

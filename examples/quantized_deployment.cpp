@@ -79,7 +79,8 @@ int main() {
   Tensor probe({1, 3, 20, 20});
   fill_uniform(probe, rng, -1.0f, 1.0f);
   const float agreement =
-      max_abs_diff(model->forward(probe), flat.forward(probe));
+      max_abs_diff(model->forward(probe),
+                   flat.forward(probe, exporter::Backend::fast));
   std::printf("\nexported %s: %lld ops, %s weight payload, "
               "runtime max|diff| vs model = %.2e\n",
               artifact.c_str(), static_cast<long long>(flat.ops().size()),

@@ -6,9 +6,7 @@
 #include <fstream>
 
 #include "export/infer_plan.h"
-#include "export/weight_panels.h"
 #include "quant/quantize.h"
-#include "util/thread_safety.h"
 
 namespace nb::exporter {
 
@@ -377,93 +375,19 @@ FlatModel FlatModel::load_from_buffer(const uint8_t* data, size_t size) {
   return model;
 }
 
-// The lazily-created single session behind forward(fast): the compiled
-// weight panels (shared with copies of this model and with
-// runtime::CompiledModel) plus one geometry-keyed InferPlan, behind a mutex
-// so concurrent forward() calls are safe (they serialize; real concurrency
-// lives in runtime::Session).
-struct FlatModel::FastShim {
-  Mutex mu;
-  std::shared_ptr<const WeightPanels> panels NB_GUARDED_BY(mu);
-  std::unique_ptr<InferPlan> plan NB_GUARDED_BY(mu);  // Backend::fast
-  std::unique_ptr<InferPlan> plan_i8 NB_GUARDED_BY(mu);  // Backend::int8
-      // (separate slot so alternating backends never thrash the
-      // geometry-keyed cache)
-};
-
-FlatModel::FlatModel() : shim_(std::make_shared<FastShim>()) {}
-FlatModel::~FlatModel() = default;
-FlatModel::FlatModel(FlatModel&&) noexcept = default;
-FlatModel& FlatModel::operator=(FlatModel&&) noexcept = default;
-
-FlatModel::FlatModel(const FlatModel& other)
-    : ops_(other.ops_),
-      input_res_(other.input_res_),
-      input_channels_(other.input_channels_),
-      // Copies share the whole shim: the panels are built at most once
-      // across all copies even when the copy happens before the first
-      // build, and the plan cache is shared too (same program, and
-      // forward() serializes on the shim mutex anyway). Mutators detach.
-      shim_(other.shim_ != nullptr ? other.shim_
-                                   : std::make_shared<FastShim>()) {}
-
-FlatModel& FlatModel::operator=(const FlatModel& other) {
-  if (this != &other) {
-    FlatModel copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
-}
-
-// Rebuilds the shim after a move left it null; single-threaded by contract
-// (only reached when reusing a moved-from model).
-FlatModel::FastShim& FlatModel::ensure_shim() const {
-  if (shim_ == nullptr) shim_ = std::make_shared<FastShim>();
-  return *shim_;
-}
-
-void FlatModel::invalidate_compiled() {
-  // Detach instead of clearing: copies sharing the old shim keep their
-  // (still valid) compiled state for the unmutated program; this model
-  // starts a fresh one for the new program.
-  shim_ = std::make_shared<FastShim>();
-}
-
 void FlatModel::set_input(int64_t resolution, int64_t channels) {
   input_res_ = resolution;
   input_channels_ = channels;
-  invalidate_compiled();
 }
 
-void FlatModel::push(FlatOp op) {
-  ops_.push_back(std::move(op));
-  invalidate_compiled();
-}
-
-std::shared_ptr<const WeightPanels> FlatModel::compiled_panels() const {
-  FastShim& shim = ensure_shim();
-  MutexLock lock(shim.mu);
-  if (shim.panels == nullptr) shim.panels = WeightPanels::build(*this);
-  return shim.panels;
-}
+void FlatModel::push(FlatOp op) { ops_.push_back(std::move(op)); }
 
 Tensor FlatModel::forward(const Tensor& input, Backend backend) const {
   if (backend == Backend::fast || backend == Backend::int8) {
     NB_CHECK(input.dim() == 4, "flat model: planned backends need NCHW input");
-    FastShim& shim = ensure_shim();
-    MutexLock lock(shim.mu);
-    if (shim.panels == nullptr) shim.panels = WeightPanels::build(*this);
-    std::unique_ptr<InferPlan>& plan =
-        backend == Backend::int8 ? shim.plan_i8 : shim.plan;
-    if (plan == nullptr || plan->stats().batch != input.size(0) ||
-        plan->stats().channels != input.size(1) ||
-        plan->stats().in_h != input.size(2) ||
-        plan->stats().in_w != input.size(3)) {
-      plan = std::make_unique<InferPlan>(*this, shim.panels, input.size(0),
-                                         input.size(1), input.size(2),
-                                         input.size(3), backend);
-    }
-    return plan->run(input);
+    return InferPlan(*this, input.size(0), input.size(1), input.size(2),
+                     input.size(3), backend)
+        .run(input);
   }
   NB_CHECK(!ops_.empty(), "flat model: empty program");
   Tensor x = input.clone();
@@ -494,11 +418,6 @@ Tensor FlatModel::forward(const Tensor& input, Backend backend) const {
     }
   }
   return x;
-}
-
-Tensor FlatModel::forward(const Tensor& input) const {
-  return forward(input,
-                 input.dim() == 4 ? Backend::fast : Backend::reference);
 }
 
 int64_t FlatModel::weight_bytes() const {

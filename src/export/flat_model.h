@@ -7,7 +7,7 @@
 //
 //   writer:  models::MobileNetV2 (after quant::quantize_for_deployment)
 //            --> write_flat_model(model, path)
-//   runtime: FlatModel::load(path);  model.forward(nchw) -> logits
+//   runtime: FlatModel::load(path);  model.forward(nchw, backend) -> logits
 //
 // Format (little-endian):
 //   magic "NBFM" | u32 version | i64 input_res | i64 input_channels |
@@ -25,16 +25,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
 
 namespace nb::exporter {
-
-class InferPlan;
-class WeightPanels;
 
 constexpr uint32_t kFlatVersion = 1;
 
@@ -96,20 +92,12 @@ struct FlatOp {
   FlatLinear linear;  // when kind == linear
 };
 
-/// A loaded (or about-to-be-written) flat model.
+/// A loaded (or about-to-be-written) flat model: a plain program value.
+/// It holds only the op list and input geometry; compiled state (weight
+/// panels, plans, arenas) lives in the runtime that executes it
+/// (InferPlan, runtime::CompiledModel / Session), never in the program.
 class FlatModel {
  public:
-  FlatModel();
-  ~FlatModel();
-  FlatModel(FlatModel&&) noexcept;
-  FlatModel& operator=(FlatModel&&) noexcept;
-  // Copies share the compiled state (weight panels and plan cache, built
-  // at most once across all copies — even copies made before the first
-  // forward); mutating any copy detaches it onto fresh compiled state, so
-  // a mutated program never runs stale and never invalidates its siblings.
-  FlatModel(const FlatModel& other);
-  FlatModel& operator=(const FlatModel& other);
-
   static FlatModel load(const std::string& path);
   /// Parses an NBFM image straight from memory (blob store, embedded
   /// artifact, network buffer) — same validation as load(path), no temp
@@ -121,21 +109,13 @@ class FlatModel {
   /// pipeline does and agree within float accumulation-order rounding.
   /// Input is [N, C, H, W]; returns logits.
   ///
-  /// The fast backend is a thin shim over a lazily-created single serving
-  /// session: compiled weight panels shared with every copy of this model
-  /// (and with runtime::CompiledModel), plus one InferPlan keyed on the
-  /// input geometry. The shim is mutex-guarded, so concurrent forward()
-  /// calls are safe but serialize; use runtime::Session (one per stream)
-  /// for parallel serving.
+  /// Backend::reference runs the scalar interpreter. Backend::fast and
+  /// Backend::int8 build a one-shot InferPlan (weight panels + arena) for
+  /// the input geometry and run it: stateless, so concurrent calls on one
+  /// model are safe, but every call pays the compile. Repeated or
+  /// concurrent serving compiles once into a runtime::CompiledModel and
+  /// runs one runtime::Session per stream.
   Tensor forward(const Tensor& input, Backend backend) const;
-
-  /// forward on the fast backend (reference for non-NCHW programs).
-  Tensor forward(const Tensor& input) const;
-
-  /// The shared compiled weight panels for this program, built on first
-  /// use. Copies of this model and runtime::CompiledModel::compile reuse
-  /// the same panels; mutators (push/set_input) detach them.
-  std::shared_ptr<const WeightPanels> compiled_panels() const;
 
   const std::vector<FlatOp>& ops() const { return ops_; }
   int64_t input_resolution() const { return input_res_; }
@@ -143,24 +123,15 @@ class FlatModel {
   /// Total serialized weight payload in bytes (int8 weights + f32 scales).
   int64_t weight_bytes() const;
 
-  // Writer-side mutators (used by write_flat_model). Both invalidate the
-  // compiled panels and the cached fast-backend plan so a mutated program
-  // can never run stale.
+  // Writer-side mutators (used by write_flat_model).
   void set_input(int64_t resolution, int64_t channels);
   void push(FlatOp op);
   void save(const std::string& path) const;
 
  private:
-  // The lazily-created single session behind forward(fast): shared panels
-  // + one geometry-keyed plan, guarded by a mutex (defined in the .cpp).
-  struct FastShim;
-  FastShim& ensure_shim() const;
-  void invalidate_compiled();
-
   std::vector<FlatOp> ops_;
   int64_t input_res_ = 0;
   int64_t input_channels_ = 3;
-  mutable std::shared_ptr<FastShim> shim_;
 };
 
 }  // namespace nb::exporter

@@ -6,10 +6,11 @@
 // copy of the dequantized weights — N concurrent streams pay the panel
 // memory once instead of N times.
 //
-// Layering: this is the lowest rung of the serving stack. FlatModel's
-// forward shim, InferPlan, and runtime::CompiledModel all hand around the
-// same shared_ptr<const WeightPanels>; whoever builds first, everyone else
-// reuses.
+// Layering: this is the lowest rung of the serving stack.
+// runtime::CompiledModel builds the panels once and owns them; every
+// InferPlan its Sessions build borrows the same shared_ptr<const
+// WeightPanels>. A standalone InferPlan (and FlatModel::forward's one-shot
+// plan) builds its own.
 #pragma once
 
 #include <cstdint>

@@ -17,11 +17,8 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(
     NB_CHECK(exporter::int8_compatible(model, &reason),
              "compiled model: program not int8-compatible: " + reason);
   }
-  // compiled_panels() builds the panels on first use and reuses them when
-  // the source model (or any copy of it) already compiled lazily — one
-  // shared compiled path for FlatModel::forward and the serving stack.
   std::shared_ptr<const exporter::WeightPanels> panels =
-      model.compiled_panels();
+      exporter::WeightPanels::build(model);
   return std::shared_ptr<const CompiledModel>(
       new CompiledModel(std::move(model), std::move(panels), backend));
 }

@@ -2,7 +2,9 @@
 //
 // Compiling takes a FlatModel (from an NBFM file, an in-memory buffer, or a
 // writer-produced program), validates it, and freezes it together with the
-// dequantized weight panels built exactly once. The result is handed around
+// dequantized weight panels built exactly once — CompiledModel is the only
+// owner of compiled weights in the serving stack (a FlatModel is a plain
+// program value and holds none). The result is handed around
 // as shared_ptr<const CompiledModel>: any number of Sessions (and Engine
 // registry entries) execute against the same panels, so serving N
 // concurrent streams costs N small arenas and ONE copy of the weights —
@@ -24,8 +26,8 @@ namespace nb::runtime {
 
 class CompiledModel {
  public:
-  /// Compiles a flat program: builds (or adopts, when the model already
-  /// compiled lazily) the shared weight panels and freezes the op list.
+  /// Compiles a flat program: builds the shared weight panels once and
+  /// freezes the op list.
   /// Takes the model by value — move in to avoid copying the int8 payload.
   /// `backend` selects the execution mode every Session on this model
   /// runs: Backend::fast (float path over dequantized levels, default) or

@@ -9,6 +9,22 @@ namespace nb::runtime {
 
 using Clock = std::chrono::steady_clock;
 
+namespace {
+
+// True when no value is NaN or infinite. Branch-free over the exponent
+// bits, so it vectorizes: one pass over the pixels at admission.
+bool all_finite(const float* p, int64_t n) {
+  uint32_t non_finite = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, p + i, sizeof bits);
+    non_finite |= static_cast<uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
+  }
+  return non_finite == 0;
+}
+
+}  // namespace
+
 const char* to_string(RejectReason reason) {
   switch (reason) {
     case RejectReason::QueueFull:
@@ -19,6 +35,8 @@ const char* to_string(RejectReason reason) {
       return "ShuttingDown";
     case RejectReason::Unknown:
       return "Unknown";
+    case RejectReason::InvalidInput:
+      return "InvalidInput";
   }
   return "?";
 }
@@ -168,6 +186,13 @@ std::future<Tensor> Engine::submit(const std::string& name,
            "engine: submit expects one [C, H, W] image, got " +
                image.shape_str());
   NB_CHECK(opts.deadline_us >= 0, "engine: deadline_us must be >= 0");
+  // A non-finite pixel has no quantized level (the int8 backend's float ->
+  // int cast of NaN is undefined), so it never reaches a plan.
+  if (!all_finite(image.data(), image.numel())) {
+    throw RejectedError(RejectReason::InvalidInput,
+                        "engine: non-finite pixel submitted to '" + name +
+                            "'");
+  }
 
   Request req;
   // Own the pixels: the caller may reuse its tensor the moment we return.

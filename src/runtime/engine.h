@@ -91,6 +91,7 @@ enum class RejectReason {
   Deadline,      // expired at admission or while queued (never executed)
   ShuttingDown,  // submitted after shutdown began, or dropped by policy
   Unknown,       // no model registered under that name
+  InvalidInput,  // a NaN or infinite pixel
 };
 
 const char* to_string(RejectReason reason);
@@ -165,8 +166,8 @@ struct EngineOptions {
   /// Dispatcher threads executing batches (each owns one Session per
   /// model). More workers overlap batches of different models/geometries.
   int64_t workers = 1;
-  /// Thread budget for the per-worker sessions (serial by default so
-  /// workers never contend on the shared pool).
+  /// Options for the per-worker sessions (plan cache size, plan
+  /// verification).
   SessionOptions session;
   /// QoS applied by register_model calls that don't pass their own.
   ModelQos default_qos;
@@ -212,8 +213,9 @@ class Engine {
 
   /// Submits one image ([C, H, W] or [1, C, H, W]) for `name`. Admission
   /// rejections throw RejectedError synchronously (QueueFull / Deadline /
-  /// ShuttingDown / Unknown); a malformed shape is a caller bug and still
-  /// throws a plain NB_CHECK error. Post-admission failures — deadline
+  /// ShuttingDown / Unknown / InvalidInput); a non-finite pixel is refused
+  /// before the image is copied or counted in stats(). A malformed shape
+  /// is a caller bug and still throws a plain NB_CHECK error. Post-admission failures — deadline
   /// expiry while queued, drop-policy shutdown, model faults — surface
   /// through the future. The future resolves to the logits row
   /// [1, classes].

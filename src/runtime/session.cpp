@@ -24,7 +24,6 @@ const exporter::InferPlan& Session::plan_for(int64_t batch, int64_t channels,
       return plans_.front();
     }
   }
-  if (options_.on_plan_build) options_.on_plan_build(batch);
   plans_.emplace_front(model_->program(), model_->panels(), batch, channels,
                        h, w, model_->backend());
   if (options_.verify_plans) exporter::check_plan(plans_.front());
@@ -39,10 +38,7 @@ Tensor Session::run(const Tensor& input) {
   const exporter::InferPlan& plan =
       plan_for(input.size(0), input.size(1), input.size(2), input.size(3));
   ++runs_;
-  if (options_.threads == SessionOptions::Threads::serial) {
-    SerialScope serial;
-    return plan.run(input);
-  }
+  SerialScope serial;
   return plan.run(input);
 }
 

@@ -2,22 +2,19 @@
 //
 // A Session owns only what one stream needs: a small LRU cache of
 // geometry-keyed InferPlans (each plan = arena + step table, borrowing the
-// model's weight panels) and a thread budget. Creating a Session never
-// copies weights; MemoryStats splits owned arena floats from borrowed
-// panel floats so the zero-duplication invariant is assertable.
+// model's weight panels). Creating a Session never copies weights;
+// MemoryStats splits owned arena floats from borrowed panel floats so the
+// zero-duplication invariant is assertable.
 //
 // Concurrency model: one Session per stream. run() is thread-confined (no
 // internal lock — call it from one thread at a time), but any number of
 // Sessions over the same CompiledModel run() concurrently and produce
-// bitwise-identical results to a single-threaded run. With the default
-// `serial` thread budget each stream executes entirely on its calling
-// thread (an nb::SerialScope), so N streams scale without contending on
-// the process-wide pool; `shared_pool` opts a low-traffic stream back into
-// intra-op parallelism.
+// bitwise-identical results to a single-threaded run. Each run executes
+// entirely on its calling thread (an nb::SerialScope), so N streams scale
+// without contending on the process-wide pool.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 
@@ -28,14 +25,6 @@
 namespace nb::runtime {
 
 struct SessionOptions {
-  /// Intra-op thread budget for run().
-  ///   serial      — the whole run executes on the calling thread; the
-  ///                 right choice when many sessions run concurrently.
-  ///   shared_pool — kernels parallelize on the process-wide nb::ThreadPool;
-  ///                 fastest for a single stream on an idle process.
-  enum class Threads { serial, shared_pool };
-  Threads threads = Threads::serial;
-
   /// Plans kept per session before the least-recently-used is evicted
   /// (each distinct input geometry needs one plan).
   size_t max_cached_plans = 4;
@@ -46,13 +35,6 @@ struct SessionOptions {
   /// executes. Debug builds verify at plan construction regardless; this
   /// opts a Release serving process into the same proof.
   bool verify_plans = false;
-
-  /// Test seam: invoked right before a plan is built for a geometry this
-  /// session has not cached (the plan-compile path). Throwing propagates
-  /// out of run() exactly like a real planner rejection, so serving-layer
-  /// error handling is testable without crafting a model that fails to
-  /// plan. Null in production.
-  std::function<void(int64_t batch)> on_plan_build;
 };
 
 class Session {
@@ -65,7 +47,8 @@ class Session {
   /// caches its batch-4/8 plans (one GEMM per conv across the batch)
   /// alongside the batch-1 plan — built on first sight and reused after;
   /// results are bitwise independent of the batch size the images arrive
-  /// in, of the thread budget, and of other sessions.
+  /// in and of other sessions. A geometry the planner rejects throws out of
+  /// run() and leaves the plan cache as it was.
   Tensor run(const Tensor& input);
 
   /// Zero-pads `input` ([N, C, H, W]) bottom/right to (target_h, target_w)

@@ -2,8 +2,8 @@
 // vocabulary the runtime is written against.
 //
 // The serving tier's locking discipline (one admission mutex over
-// registry+queues, a separate stats mutex, the threadpool's job mutex, the
-// FlatModel plan shim) is enforced STATICALLY: every guarded member is
+// registry+queues, a separate stats mutex, the threadpool's job mutex) is
+// enforced STATICALLY: every guarded member is
 // declared NB_GUARDED_BY its mutex and every must-hold function is declared
 // NB_REQUIRES it, so a clang build with -Wthread-safety -Werror turns a
 // register/submit-style race into a compile error instead of a TSan finding

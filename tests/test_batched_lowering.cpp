@@ -120,7 +120,7 @@ TEST(BatchedLowering, BitwiseEqualsSequentialOnRandomGraphs) {
   const int64_t kH = 13, kW = 11;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const FlatModel m = random_graph(seed);
-    const auto panels = m.compiled_panels();
+    const auto panels = WeightPanels::build(m);
     const int64_t batch = 2 + static_cast<int64_t>(seed - 1) % 7;
     Rng rng(900 + seed, 1);
     const Tensor x = random_input(rng, {batch, 4, kH, kW});
@@ -143,7 +143,7 @@ TEST(BatchedLowering, BitwiseEqualsSequentialAtBatchBoundaries) {
   // batch == 1 must keep the direct-store path; batch == 8 is the Engine's
   // default max_batch.
   const FlatModel m = random_graph(42);
-  const auto panels = m.compiled_panels();
+  const auto panels = WeightPanels::build(m);
   Rng rng(17, 1);
   const Tensor x = random_input(rng, {8, 4, 9, 15});
   const InferPlan plan8(m, panels, 8, 4, 9, 15);
@@ -157,7 +157,7 @@ TEST(BatchedLowering, ThreadCountInvariantAtBatchAboveOne) {
   const FlatModel m = random_graph(7);
   Rng rng(23, 1);
   const Tensor x = random_input(rng, {6, 4, 13, 11});
-  const InferPlan plan(m, m.compiled_panels(), 6, 4, 13, 11);
+  const InferPlan plan(m, 6, 4, 13, 11);
   Tensor y1, y4;
   {
     PoolOverride po(one);
@@ -175,7 +175,7 @@ TEST(BatchedLowering, ThreadCountInvariantAtBatchAboveOne) {
 
 TEST(BatchedLowering, ArenaScalesAsDocumentedWithBatch) {
   const FlatModel m = random_graph(3);
-  const auto panels = m.compiled_panels();
+  const auto panels = WeightPanels::build(m);
   const InferPlan plan1(m, panels, 1, 4, 13, 11);
   const PlanStats& s1 = plan1.stats();
   EXPECT_GT(s1.cols_floats, 0);
@@ -242,7 +242,7 @@ TEST(BatchedLowering, Int8BitwiseEqualsSequentialOnRandomGraphs) {
   const int64_t kH = 13, kW = 11;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const FlatModel m = random_graph(seed);
-    const auto panels = m.compiled_panels();
+    const auto panels = WeightPanels::build(m);
     const QModel oracle(m);
     const int64_t batch = 1 + static_cast<int64_t>(seed - 1) % 8;
     Rng rng(1300 + seed, 1);
@@ -266,7 +266,7 @@ TEST(BatchedLowering, Int8ThreadCountInvariantAtBatchAboveOne) {
   const FlatModel m = random_graph(7);
   Rng rng(23, 1);
   const Tensor x = random_input(rng, {6, 4, 13, 11});
-  const InferPlan plan(m, m.compiled_panels(), 6, 4, 13, 11, Backend::int8);
+  const InferPlan plan(m, 6, 4, 13, 11, Backend::int8);
   Tensor y1, y4;
   {
     PoolOverride po(one);
@@ -281,7 +281,7 @@ TEST(BatchedLowering, Int8ThreadCountInvariantAtBatchAboveOne) {
 
 TEST(BatchedLowering, Int8ArenaScalesAsDocumentedWithBatch) {
   const FlatModel m = random_graph(3);
-  const auto panels = m.compiled_panels();
+  const auto panels = WeightPanels::build(m);
   const InferPlan plan1(m, panels, 1, 4, 13, 11, Backend::int8);
   const PlanStats& s1 = plan1.stats();
   EXPECT_EQ(s1.cols_floats, 0);

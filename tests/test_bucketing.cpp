@@ -475,7 +475,7 @@ bool has_bucket_finding(const VerifyReport& r) {
 
 TEST(BucketingVerify, ProvesASoundRungPlanAgainstItsExactTwin) {
   const FlatModel m = random_graph(5);
-  const auto panels = m.compiled_panels();
+  const auto panels = exporter::WeightPanels::build(m);
   const InferPlan bucket(m, panels, 4, 4, 16, 16);
   const InferPlan exact(m, panels, 4, 4, 13, 15);
   const VerifyReport r = exporter::verify_bucket_plan(
@@ -486,14 +486,14 @@ TEST(BucketingVerify, ProvesASoundRungPlanAgainstItsExactTwin) {
 
 TEST(BucketingVerify, FlagsDifferentProgramsAndStructureMutations) {
   const FlatModel m = random_graph(5);
-  const auto panels = m.compiled_panels();
+  const auto panels = exporter::WeightPanels::build(m);
   const PlanTables bucket = plan_tables(InferPlan(m, panels, 2, 4, 16, 16));
   const PlanTables exact = plan_tables(InferPlan(m, panels, 2, 4, 13, 15));
 
   // A different program (different step count) is never a twin.
   const FlatModel other = random_graph(6);
   const PlanTables foreign =
-      plan_tables(InferPlan(other, other.compiled_panels(), 2, 4, 13, 15));
+      plan_tables(InferPlan(other, 2, 4, 13, 15));
   if (foreign.steps.size() != bucket.steps.size()) {
     EXPECT_TRUE(has_bucket_finding(
         exporter::verify_bucket_plan(bucket, foreign, 4.0)));
@@ -512,7 +512,7 @@ TEST(BucketingVerify, FlagsDifferentProgramsAndStructureMutations) {
 
 TEST(BucketingVerify, FlagsCoverWasteAndArenaViolations) {
   const FlatModel m = random_graph(5);
-  const auto panels = m.compiled_panels();
+  const auto panels = exporter::WeightPanels::build(m);
   const PlanTables bucket = plan_tables(InferPlan(m, panels, 2, 4, 16, 16));
   const PlanTables exact = plan_tables(InferPlan(m, panels, 2, 4, 13, 15));
 

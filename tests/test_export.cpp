@@ -77,7 +77,7 @@ TEST(FlatWriter, RuntimeMatchesQuantizedModel) {
   fill_uniform(x, rng, -1.0f, 1.0f);
   model->set_training(false);
   const Tensor reference = model->forward(x);
-  const Tensor deployed = flat.forward(x);
+  const Tensor deployed = flat.forward(x, Backend::fast);
   ASSERT_TRUE(reference.same_shape(deployed));
   // Same math, different accumulation order: float-rounding agreement only.
   EXPECT_LT(max_abs_diff(reference, deployed), 5e-3f);
@@ -110,7 +110,8 @@ TEST(FlatWriter, BinaryRoundTripIsExact) {
   Rng rng(35, 1);
   Tensor x({1, 3, 20, 20});
   fill_uniform(x, rng, -1.0f, 1.0f);
-  EXPECT_FLOAT_EQ(max_abs_diff(flat.forward(x), loaded.forward(x)), 0.0f);
+  EXPECT_FLOAT_EQ(max_abs_diff(flat.forward(x, Backend::fast),
+                               loaded.forward(x, Backend::fast)), 0.0f);
 }
 
 TEST(FlatWriter, DeployedAccuracyMatchesQuantizedModel) {
@@ -123,7 +124,7 @@ TEST(FlatWriter, DeployedAccuracyMatchesQuantizedModel) {
   for (int64_t i = 0; i < n; ++i) {
     const Tensor img = data.image(i).reshape({1, 3, 20, 20});
     const Tensor a = model->forward(img);
-    const Tensor b = flat.forward(img);
+    const Tensor b = flat.forward(img, Backend::fast);
     int64_t arg_a = 0, arg_b = 0;
     for (int64_t c = 1; c < a.size(1); ++c) {
       if (a.at(0, c) > a.at(0, arg_a)) arg_a = c;
@@ -266,34 +267,6 @@ TEST(FlatModelIo, LoadFromBufferRoundTripsWithoutFiles) {
                  std::runtime_error)
         << "kept " << keep << " bytes";
   }
-}
-
-TEST(FlatModelIo, CopiesShareCompiledPanels) {
-  // Copies made BEFORE the first compile share too: the compiled state is
-  // per copy-family, not per instance.
-  const FlatModel original = tiny_program();
-  const FlatModel early_copy(original);
-  const auto panels = original.compiled_panels();
-  EXPECT_EQ(early_copy.compiled_panels().get(), panels.get());
-
-  const FlatModel copy(original);
-  FlatModel assigned;
-  assigned = original;
-  EXPECT_EQ(copy.compiled_panels().get(), panels.get());
-  EXPECT_EQ(assigned.compiled_panels().get(), panels.get());
-
-  // Mutating one copy detaches it without touching its siblings.
-  FlatModel mutated(original);
-  mutated.set_input(8, 2);
-  EXPECT_NE(mutated.compiled_panels().get(), panels.get());
-  EXPECT_EQ(copy.compiled_panels().get(), panels.get());
-  // Copies also agree numerically on the fast backend, of course.
-  Tensor x({2, 2, 4, 4});
-  Rng rng(9, 1);
-  fill_uniform(x, rng, -1.0f, 1.0f);
-  EXPECT_EQ(max_abs_diff(copy.forward(x, Backend::fast),
-                         original.forward(x, Backend::fast)),
-            0.0f);
 }
 
 void expect_load_rejects(const char* name,
@@ -471,9 +444,9 @@ TEST(FlatModelIo, MalformedProgramRejectedAtRun) {
   add.kind = OpKind::add_saved;
   model.push(add);
   Tensor x({1, 3, 8, 8});
-  EXPECT_THROW(model.forward(x), std::runtime_error);
+  EXPECT_THROW(model.forward(x, Backend::fast), std::runtime_error);
   FlatModel empty;
-  EXPECT_THROW(empty.forward(x), std::runtime_error);
+  EXPECT_THROW(empty.forward(x, Backend::fast), std::runtime_error);
 }
 
 // The artifact must track the training-side model at any weight precision.
@@ -494,7 +467,8 @@ TEST_P(FlatBitWidth, RuntimeTracksModelAtEveryPrecision) {
   Tensor x({2, 3, 20, 20});
   fill_uniform(x, rng, -1.0f, 1.0f);
   model->set_training(false);
-  const float diff = max_abs_diff(model->forward(x), flat.forward(x));
+  const float diff =
+      max_abs_diff(model->forward(x), flat.forward(x, Backend::fast));
   EXPECT_LT(diff, 5e-3f) << "bits=" << bits;
 }
 

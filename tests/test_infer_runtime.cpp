@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "export/flat_model.h"
@@ -198,7 +199,7 @@ TEST(InferPlan, RejectsGeometryMismatches) {
   EXPECT_THROW(InferPlan(bad, 1, 3, 8, 8), std::runtime_error);
 }
 
-TEST(InferPlan, MutatingModelInvalidatesCachedPlan) {
+TEST(InferPlan, ForwardAfterPushRunsTheLongerProgram) {
   Rng rng(5, 2);
   FlatModel m;
   m.set_input(12, 3);
@@ -206,19 +207,20 @@ TEST(InferPlan, MutatingModelInvalidatesCachedPlan) {
   Rng xr(8, 1);
   const Tensor x = random_input(xr, {1, 3, 12, 12});
   const Tensor y1 = m.forward(x, Backend::fast);
-  // Same input geometry, longer program: push() must drop the cached plan.
+  // Same input geometry, longer program: forward runs the program as it is
+  // now.
   m.push(make_conv(rng, 8, 8, 3, 1, 8, FlatAct::identity, true));
   const Tensor y2 = m.forward(x, Backend::fast);
   EXPECT_GT(max_abs_diff(y1, y2), 0.0f);
   EXPECT_LT(max_abs_diff(y2, m.forward(x, Backend::reference)), 1e-5f);
 }
 
-TEST(InferPlan, ForwardCachesPlanAcrossShapeChanges) {
+TEST(InferPlan, ForwardMatchesReferenceAcrossShapeChanges) {
   const FlatModel m = residual_graph(88);
   Rng rng(31, 1);
   const Tensor a = random_input(rng, {1, 3, 16, 16});
   const Tensor b = random_input(rng, {2, 3, 16, 16});
-  // Alternating shapes rebuilds the plan; results must stay correct.
+  // Alternating shapes; results must stay correct.
   for (int round = 0; round < 2; ++round) {
     EXPECT_LT(max_abs_diff(m.forward(a, Backend::fast),
                            m.forward(a, Backend::reference)),
@@ -227,6 +229,31 @@ TEST(InferPlan, ForwardCachesPlanAcrossShapeChanges) {
                            m.forward(b, Backend::reference)),
               1e-5f);
   }
+}
+
+TEST(InferPlan, ConcurrentForwardOnSharedModelMatchesSerial) {
+  // forward is stateless (a one-shot plan per call), so one const model is
+  // safe to share across threads on both planned backends.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  const FlatModel m = residual_graph(61);
+  Rng rng(62, 1);
+  const Tensor x = random_input(rng, {2, 3, 16, 16});
+  const Tensor fast = m.forward(x, Backend::fast);
+  const Tensor q = m.forward(x, Backend::int8);
+
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        if (!bitwise_equal(m.forward(x, Backend::fast), fast)) ++mismatches[t];
+        if (!bitwise_equal(m.forward(x, Backend::int8), q)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << "t=" << t;
 }
 
 TEST(InferPlan, LinearHeadMatchesReferenceBitwiseForEveryRowRemainder) {
@@ -421,14 +448,14 @@ TEST(Int8Plan, StatsReportBackendAndByteArena) {
   EXPECT_LT(q.stats().arena_floats, f.stats().arena_floats);
 }
 
-TEST(Int8Plan, ForwardCachesSeparatePlansPerBackend) {
+TEST(Int8Plan, AlternatingBackendsAreBitwiseReproducible) {
   const FlatModel m = residual_graph(88);
   Rng rng(31, 1);
   const Tensor x = random_input(rng, {2, 3, 16, 16});
   const Tensor fast1 = m.forward(x, Backend::fast);
   const Tensor q1 = m.forward(x, Backend::int8);
-  // Alternating backends must not thrash or cross-contaminate the cached
-  // plans: each backend's result is bitwise reproducible.
+  // Alternating backends must not cross-contaminate: each backend's result
+  // is bitwise reproducible.
   EXPECT_TRUE(bitwise_equal(fast1, m.forward(x, Backend::fast)));
   EXPECT_TRUE(bitwise_equal(q1, m.forward(x, Backend::int8)));
 }

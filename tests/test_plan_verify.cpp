@@ -60,7 +60,7 @@ TEST(PlanVerify, PassesEveryShippedGeometryFloatAndInt8) {
   for (const auto& [name, model] :
        {std::pair<const char*, FlatModel>{"mbv2", mbv2(31)},
         std::pair<const char*, FlatModel>{"mcunet", mcunet(32)}}) {
-    const auto panels = model.compiled_panels();
+    const auto panels = WeightPanels::build(model);
     for (Backend backend : {Backend::fast, Backend::int8}) {
       for (int64_t batch : {1, 2, 4, 8}) {
         const InferPlan plan(model, panels, batch, 3, 32, 32, backend);
@@ -76,7 +76,7 @@ TEST(PlanVerify, PassesEveryShippedGeometryFloatAndInt8) {
 
 TEST(PlanVerify, ProvesExactBatchScalingLaw) {
   const FlatModel model = mbv2(33);
-  const auto panels = model.compiled_panels();
+  const auto panels = WeightPanels::build(model);
   for (Backend backend : {Backend::fast, Backend::int8}) {
     const InferPlan unit(model, panels, 1, 3, 32, 32, backend);
     for (int64_t batch : {2, 5, 8}) {
@@ -91,8 +91,7 @@ TEST(PlanVerify, ProvesExactBatchScalingLaw) {
 
 TEST(PlanVerify, CheckPlanIsSilentOnSoundPlans) {
   const FlatModel model = mcunet(34);
-  const InferPlan plan(model, model.compiled_panels(), 4, 3, 32, 32,
-                       Backend::int8);
+  const InferPlan plan(model, 4, 3, 32, 32, Backend::int8);
   EXPECT_NO_THROW(check_plan(plan));
 }
 
@@ -103,8 +102,7 @@ class PlanVerifyMutation : public ::testing::Test {
  protected:
   void SetUp() override {
     model_ = mbv2(40);
-    plan_ = std::make_unique<InferPlan>(model_, model_.compiled_panels(), 2,
-                                        3, 32, 32, Backend::fast);
+    plan_ = std::make_unique<InferPlan>(model_, 2, 3, 32, 32, Backend::fast);
     tables_ = plan_tables(*plan_);
     ASSERT_TRUE(verify_tables(tables_).ok());
   }
@@ -201,8 +199,7 @@ TEST_F(PlanVerifyMutation, RejectsInconsistentPublishedStats) {
 }
 
 TEST_F(PlanVerifyMutation, RejectsBrokenBatchScaling) {
-  const InferPlan unit(model_, model_.compiled_panels(), 1, 3, 32, 32,
-                       Backend::fast);
+  const InferPlan unit(model_, 1, 3, 32, 32, Backend::fast);
   PlanTables u = plan_tables(unit);
   u.arena_floats -= 1;  // arena(2) != 2 * (arena(1) - 1)
   const VerifyReport r = verify_batch_scaling(tables_, u);
@@ -217,8 +214,7 @@ class PlanVerifyInt8Mutation : public ::testing::Test {
  protected:
   void SetUp() override {
     model_ = mcunet(41);
-    plan_ = std::make_unique<InferPlan>(model_, model_.compiled_panels(), 2,
-                                        3, 32, 32, Backend::int8);
+    plan_ = std::make_unique<InferPlan>(model_, 2, 3, 32, 32, Backend::int8);
     tables_ = plan_tables(*plan_);
     ASSERT_TRUE(verify_tables(tables_).ok());
   }
@@ -282,8 +278,7 @@ TEST(PlanVerify, CheckPlanThrowsTypedErrorWithFirstDiag) {
   // check_plan's exception carries the first finding's PlanDiag; prove the
   // typed propagation through verify_tables' report ordering.
   const FlatModel model = mbv2(52);
-  const InferPlan plan(model, model.compiled_panels(), 2, 3, 32, 32,
-                       Backend::fast);
+  const InferPlan plan(model, 2, 3, 32, 32, Backend::fast);
   PlanTables t = plan_tables(plan);
   t.steps.front().in_off += 1;
   const VerifyReport r = verify_tables(t);

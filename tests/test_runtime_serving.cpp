@@ -17,6 +17,7 @@
 #include <fstream>
 #include <future>
 #include <iterator>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -80,29 +81,6 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
-TEST(CompiledModel, SharesPanelsWithFlatModelAndItsCopies) {
-  FlatModel m = small_graph(11);
-  const auto panels = m.compiled_panels();
-  ASSERT_NE(panels, nullptr);
-  // A copy routes through the same compiled path: same panels object.
-  const FlatModel copy(m);
-  EXPECT_EQ(copy.compiled_panels().get(), panels.get());
-  // compile() adopts the already-built panels instead of rebuilding.
-  const auto compiled = CompiledModel::compile(m);
-  EXPECT_EQ(compiled->panels().get(), panels.get());
-  EXPECT_EQ(compiled->weight_panel_floats(), panels->total_floats());
-}
-
-TEST(CompiledModel, MutationDetachesCompiledPanels) {
-  FlatModel m = small_graph(12);
-  const auto before = m.compiled_panels();
-  Rng rng(5, 3);
-  m.push(synth::make_linear(rng, 10, 4, synth::pow2_act_scale(rng)));
-  const auto after = m.compiled_panels();
-  EXPECT_NE(before.get(), after.get());
-  EXPECT_EQ(after->op_count(), m.ops().size());
-}
-
 TEST(CompiledModel, CompileBufferMatchesFileLoad) {
   const FlatModel m = small_graph(13);
   const std::string path = ::testing::TempDir() + "nb_rt_buffer.nbfm";
@@ -156,15 +134,6 @@ TEST(Session, MatchesFlatModelForwardBitwise) {
   const Tensor expected = m.forward(x, exporter::Backend::fast);
   Session session(CompiledModel::compile(std::move(m)));
   EXPECT_TRUE(bitwise_equal(session.run(x), expected));
-}
-
-TEST(Session, SharedPoolAndSerialBudgetsAgreeBitwise) {
-  const auto model = CompiledModel::compile(small_graph(32));
-  SessionOptions pooled;
-  pooled.threads = SessionOptions::Threads::shared_pool;
-  Session serial(model), shared(model, pooled);
-  const Tensor x = random_input(3, {4, 3, 16, 16});
-  EXPECT_TRUE(bitwise_equal(serial.run(x), shared.run(x)));
 }
 
 TEST(Session, PlanCacheEvictsLeastRecentlyUsed) {
@@ -326,6 +295,43 @@ TEST(Engine, RejectsBadSubmitsAndPropagatesExecutionErrors) {
   const Engine::Stats st = engine.stats();
   EXPECT_EQ(st.failed, 1);
   EXPECT_GE(st.completed, 1);
+}
+
+TEST(Engine, RejectsNonFinitePixelsBeforeAdmission) {
+  // NaN and +-inf have no quantized level (the int8 backend's float -> int
+  // cast of them is undefined), so submit refuses them in the caller with a
+  // typed reason, before the image is copied or counted.
+  const float bad_pixels[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+  const auto counters = [](const Engine::Stats& st) {
+    return std::vector<int64_t>{st.submitted, st.accepted, st.completed,
+                                st.failed, st.rejected_queue_full,
+                                st.rejected_deadline, st.rejected_shutdown,
+                                st.queue_depth};
+  };
+  for (const exporter::Backend backend :
+       {exporter::Backend::fast, exporter::Backend::int8}) {
+    Engine engine;
+    engine.register_model("m",
+                          CompiledModel::compile(small_graph(110), backend));
+    const std::vector<int64_t> before = counters(engine.stats());
+    for (const float bad : bad_pixels) {
+      Tensor x = random_input(5, {3, 16, 16});
+      x.data()[17] = bad;
+      try {
+        (void)engine.submit("m", x);
+        ADD_FAILURE() << "expected RejectedError{InvalidInput} for " << bad;
+      } catch (const RejectedError& e) {
+        EXPECT_EQ(e.reason(), RejectReason::InvalidInput) << bad;
+        EXPECT_STREQ(to_string(e.reason()), "InvalidInput");
+      }
+    }
+    EXPECT_EQ(counters(engine.stats()), before);
+    // The engine then serves a finite image.
+    EXPECT_EQ(engine.submit("m", random_input(6, {3, 16, 16})).get().size(1),
+              10);
+  }
 }
 
 // ---- admission control, deadlines, faults, shutdown ------------------------
@@ -546,15 +552,14 @@ TEST(EngineFaults, PlanCompileFailureAtSessionCreateRecovers) {
 
 TEST(Session, PlanBuildHookFailsLikeAPlannerRejection) {
   const auto model = CompiledModel::compile(small_graph(107));
-  SessionOptions opts;
-  opts.on_plan_build = [](int64_t batch) {
-    if (batch == 2) throw std::runtime_error("no batch-2 plan today");
-  };
-  Session session(model, opts);
+  Session session(model);
   EXPECT_EQ(session.run(random_input(1, {1, 3, 16, 16})).size(1), 10);
-  EXPECT_THROW(session.run(random_input(2, {2, 3, 16, 16})),
+  // A 4-channel input to the 3-channel program: the planner rejects it and
+  // the rejection propagates out of run().
+  EXPECT_THROW(session.run(random_input(2, {1, 4, 16, 16})),
                std::runtime_error);
-  // The cached batch-1 plan is untouched by the failed build.
+  // The failed build cached nothing; the batch-1 plan is untouched.
+  EXPECT_EQ(session.memory().cached_plans, 1u);
   EXPECT_EQ(session.run(random_input(3, {1, 3, 16, 16})).size(1), 10);
 }
 

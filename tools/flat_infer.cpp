@@ -142,14 +142,15 @@ int main(int argc, char** argv) {
     ThreadPool::set_global_override(pool.get());
   }
 
-  // Compile the panels once; the inspection plan borrows them, and in
-  // serving mode CompiledModel::compile adopts the same object. The plan is
-  // built for the requested backend (reference gets a fast plan purely for
-  // the arena printout — plans reject Backend::reference by design).
+  // Compile the panels once; the inspection, verification and sequential
+  // plans borrow them. The plan is built for the requested backend
+  // (reference gets a fast plan purely for the arena printout — plans
+  // reject Backend::reference by design).
   const Backend plan_backend =
       backend == Backend::reference ? Backend::fast : backend;
-  const InferPlan plan(model, model.compiled_panels(), batch, channels, res,
-                       res, plan_backend);
+  const auto panels = WeightPanels::build(model);
+  const InferPlan plan(model, panels, batch, channels, res, res,
+                       plan_backend);
   const PlanStats& st = plan.stats();
   std::printf("planner:      arena %lld B (peak live %lld B, no-reuse %lld B, "
               "%lld save slot%s)\n",
@@ -176,8 +177,8 @@ int main(int argc, char** argv) {
     // scaling check against a freshly planned batch-1 twin.
     VerifyReport report = verify_plan(plan);
     if (report.ok() && batch > 1) {
-      const InferPlan unit(model, model.compiled_panels(), 1, channels, res,
-                           res, plan_backend);
+      const InferPlan unit(model, panels, 1, channels, res, res,
+                           plan_backend);
       VerifyReport scale =
           verify_batch_scaling(plan_tables(plan), plan_tables(unit));
       report.proved.insert(report.proved.end(), scale.proved.begin(),
@@ -207,14 +208,12 @@ int main(int argc, char** argv) {
   if (sessions > 1) {
     // Serving mode: N closed-loop streams over one shared CompiledModel.
     auto compiled = runtime::CompiledModel::compile(model, backend);
-    runtime::SessionOptions opts;
-    opts.threads = runtime::SessionOptions::Threads::serial;
     std::vector<std::vector<double>> lat_ms(static_cast<size_t>(sessions));
     std::vector<std::thread> streams;
     const auto t0 = std::chrono::steady_clock::now();
     for (int64_t sidx = 0; sidx < sessions; ++sidx) {
       streams.emplace_back([&, sidx] {
-        runtime::Session session(compiled, opts);
+        runtime::Session session(compiled);
         Tensor input = x.clone();
         (void)session.run(input);  // warmup / plan build
         auto& lat = lat_ms[static_cast<size_t>(sidx)];
@@ -284,8 +283,8 @@ int main(int argc, char** argv) {
     // amortization the CLI exists to make inspectable. Runs on the same
     // backend as the batched plan, so for int8 the bitwise cross-check also
     // witnesses the integer path's batched-vs-sequential exactness.
-    const InferPlan plan1(model, model.compiled_panels(), 1, channels, res,
-                          res, plan_backend);
+    const InferPlan plan1(model, panels, 1, channels, res, res,
+                          plan_backend);
     Tensor xi({1, channels, res, res});
     const int64_t chw = xi.numel();
     std::vector<Tensor> rows;
