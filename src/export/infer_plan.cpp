@@ -42,8 +42,8 @@ void store_row(float* row, int64_t count, float scale, float b, FlatAct act) {
 
 InferPlan::InferPlan(const FlatModel& model, int64_t batch, int64_t channels,
                      int64_t in_h, int64_t in_w, Backend backend)
-    : InferPlan(model, WeightPanels::build(model), batch, channels, in_h,
-                in_w, backend) {}
+    : InferPlan(model, WeightPanels::build(model, backend), batch, channels,
+                in_h, in_w, backend) {}
 
 InferPlan::InferPlan(const FlatModel& model,
                      std::shared_ptr<const WeightPanels> panels, int64_t batch,
@@ -57,6 +57,10 @@ InferPlan::InferPlan(const FlatModel& model,
            "infer plan: weight panels do not match the program");
   NB_CHECK(backend != Backend::reference,
            "infer plan: the reference interpreter has no plan");
+  NB_CHECK(panels_->backend() == backend,
+           backend == Backend::int8
+               ? "infer plan: weight panels lack the int8 backend's encoding"
+               : "infer plan: weight panels lack the fast backend's encoding");
   if (backend == Backend::int8) {
     std::string reason;
     NB_CHECK(int8_compatible(model, &reason),
@@ -327,16 +331,22 @@ void InferPlan::run_conv(const Step& s, const float* in, float* out,
   // lands directly in ping/pong as the next activation's layout (no
   // staging, no scatter). The GEMM's per-element rounding is independent
   // of M/N (one continuous ascending K chain), so every element is bitwise
-  // identical to a per-image lowering.
+  // identical to a per-image lowering. A direct (1x1, stride 1, pad 0) conv
+  // skips im2col: the group's slice of the batch-interleaved input already
+  // is that panel, value for value.
   const int64_t cin_g = s.cin / s.groups;
   const int64_t cout_g = s.cout / s.groups;
   const int64_t col_rows = cin_g * k * k;
+  const bool direct = k == 1 && s.stride == 1 && s.pad == 0;
   for (int64_t g = 0; g < s.groups; ++g) {
-    im2col_batched(in + g * cin_g * n * in_hw, n, in_hw, n * in_hw, cin_g,
-                   s.in_h, s.in_w, k, k, s.stride, s.stride, s.pad, s.pad,
-                   cols);
+    const float* panel = in + g * cin_g * n * in_hw;
+    if (!direct) {
+      im2col_batched(panel, n, in_hw, n * in_hw, cin_g, s.in_h, s.in_w, k, k,
+                     s.stride, s.stride, s.pad, s.pad, cols);
+      panel = cols;
+    }
     gemm(false, false, cout_g, row, col_rows, 1.0f,
-         s.wf + g * cout_g * col_rows, cols, 0.0f, out + g * cout_g * row);
+         s.wf + g * cout_g * col_rows, panel, 0.0f, out + g * cout_g * row);
   }
   // Fused epilogue, one batch-interleaved channel row at a time (the
   // per-channel scale/bias covers the whole row).
@@ -389,15 +399,20 @@ void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
   // Lowered path: ONE byte im2col + int8 GEMM per group covers the whole
   // micro-batch, exactly like the float path — and because the GEMM is
   // integer-exact, batched-vs-sequential and thread-count invariance hold
-  // bitwise by construction rather than by rounding-order discipline.
+  // bitwise by construction rather than by rounding-order discipline. A
+  // direct conv reads the quantized input region as its panel.
   const int64_t cin_g = s.cin / s.groups;
   const int64_t cout_g = s.cout / s.groups;
   const int64_t col_rows = cin_g * k * k;
+  const bool direct = k == 1 && s.stride == 1 && s.pad == 0;
   for (int64_t g = 0; g < s.groups; ++g) {
-    im2col_s8_batched(in + g * cin_g * n * in_hw, n, in_hw, n * in_hw, cin_g,
-                      s.in_h, s.in_w, k, k, s.stride, s.stride, s.pad, s.pad,
-                      cols);
-    gemm_s8(cout_g, row, col_rows, s.wq + g * cout_g * col_rows, cols,
+    const uint8_t* panel = in + g * cin_g * n * in_hw;
+    if (!direct) {
+      im2col_s8_batched(panel, n, in_hw, n * in_hw, cin_g, s.in_h, s.in_w, k,
+                        k, s.stride, s.stride, s.pad, s.pad, cols);
+      panel = cols;
+    }
+    gemm_s8(cout_g, row, col_rows, s.wq + g * cout_g * col_rows, panel,
             reinterpret_cast<int32_t*>(out + g * cout_g * row));
   }
   const int64_t grain =

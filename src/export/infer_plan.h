@@ -20,6 +20,15 @@
 //     lowers the whole batch, amortizing weight-panel packing and
 //     micro-kernel fringes across it.
 //
+// Direct 1x1 lowering: for a 1x1, stride-1, unpadded conv the group's
+// slice of the batch-interleaved input already IS that panel, value for
+// value, so the GEMM reads the input region as its B operand and no im2col
+// runs (on int8, the quantized byte region). The cols region is still
+// sized over every lowered conv, direct ones included: PlanStats'
+// cols_floats and arena_int8_bytes keep their meaning, which the
+// repository benchmark's kernel replay (perfbench/replay.cpp), lowering
+// every conv through a panel, checks against the panel it sizes.
+//
 // Batched activation layout: inside the arena every spatial activation is
 // kept BATCH-INTERLEAVED — [channels, batch*H*W], each channel holding the
 // batch's planes side by side — instead of NCHW. That is exactly the
@@ -37,8 +46,9 @@
 // purely a throughput decision, never a semantics change (test-enforced in
 // tests/test_batched_lowering.cpp).
 //
-// Weights come from a shared WeightPanels: int8 levels dequantized once to
-// exact float integers (scales are NOT folded in), so the packed nb::gemm
+// Weights come from a shared WeightPanels built for the plan's backend
+// (the constructor checks): for Backend::fast, int8 levels dequantized once
+// to exact float integers (scales are NOT folded in), so the packed nb::gemm
 // over them produces the same products as the reference int8 interpreter
 // and the per-channel scale + bias + activation clamp are applied in one
 // fused pass over the output store. Depthwise groups run through the direct
@@ -110,7 +120,9 @@ struct PlanStats {
   /// arena_floats(batch) == batch * arena_floats(1)).
   int64_t arena_floats = 0;
   /// The im2col cols region: the largest lowered conv's column panel with
-  /// every image side by side — scales exactly x batch. The batched GEMM
+  /// every image side by side — scales exactly x batch. Sized over every
+  /// lowered conv, including the direct 1x1 ones that never fill it (see
+  /// the header comment). The batched GEMM
   /// writes straight into ping/pong (its [cout, batch*oh*ow] output IS the
   /// batch-interleaved activation layout), so no staging region exists.
   int64_t cols_floats = 0;
@@ -120,9 +132,10 @@ struct PlanStats {
   /// Max floats simultaneously live at any single step — a lower bound for
   /// any planner; arena_floats must land between this and no_reuse_floats.
   int64_t peak_live_floats = 0;
-  /// Dequantized weight-panel floats the plan executes against. BORROWED
-  /// from the shared WeightPanels, not owned: every plan (and session) on
-  /// the same compiled model reports the same figure for the same bytes.
+  /// Weight-panel floats the plan executes against (dequantized levels on
+  /// fast panels, scales and bias on both). BORROWED from the shared
+  /// WeightPanels, not owned: every plan (and session) on the same compiled
+  /// model reports the same figure for the same bytes.
   int64_t weight_cache_floats = 0;
   /// Max residual save/add nesting depth.
   int64_t save_depth = 0;
@@ -150,7 +163,8 @@ class InferPlan {
   /// integer path (quantized activations, gemm_s8, fused requantize) and
   /// requires an int8_compatible program (throws otherwise, naming the
   /// offending op). Backend::reference is rejected — plans ARE the
-  /// non-reference runtime.
+  /// non-reference runtime — and so are panels built for another backend
+  /// (they lack this backend's weight encoding).
   InferPlan(const FlatModel& model,
             std::shared_ptr<const WeightPanels> panels, int64_t batch,
             int64_t channels, int64_t in_h, int64_t in_w,
@@ -197,7 +211,7 @@ class InferPlan {
     bool depthwise = false;
     // Borrowed views into the shared WeightPanels (kept alive by panels_).
     const float* wf = nullptr;      // int8 levels as exact float integers
-    const int8_t* wq = nullptr;     // the same levels raw, for Backend::int8
+    const int8_t* wq = nullptr;     // the same levels raw (int8 panels only)
     const float* scales = nullptr;  // per output channel
     const float* bias = nullptr;    // nullptr => zero bias
     // Int8 effective requantize scales, scales[o] * act_scale (empty for

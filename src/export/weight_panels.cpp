@@ -6,8 +6,12 @@
 namespace nb::exporter {
 
 std::shared_ptr<const WeightPanels> WeightPanels::build(
-    const FlatModel& model) {
+    const FlatModel& model, Backend backend) {
+  NB_CHECK(backend != Backend::reference,
+           "weight panels: the reference interpreter runs no plan");
+  const bool int8 = backend == Backend::int8;
   auto panels = std::shared_ptr<WeightPanels>(new WeightPanels());
+  panels->backend_ = backend;
   panels->panels_.resize(model.ops().size());
   for (size_t i = 0; i < model.ops().size(); ++i) {
     const FlatOp& op = model.ops()[i];
@@ -23,8 +27,11 @@ std::shared_ptr<const WeightPanels> WeightPanels::build(
                "weight panels: conv scale count mismatch");
       NB_CHECK(!c.has_bias || static_cast<int64_t>(c.bias.size()) == c.cout,
                "weight panels: conv bias count mismatch");
-      p.wf = quant::dequantize_levels(c.weights.data(), c.weights.size());
-      p.wq = c.weights;
+      if (int8) {
+        p.wq = c.weights;
+      } else {
+        p.wf = quant::dequantize_levels(c.weights.data(), c.weights.size());
+      }
       p.scales = c.weight_scales;
       if (c.has_bias) p.bias = c.bias;
     } else if (op.kind == OpKind::linear) {
@@ -35,8 +42,11 @@ std::shared_ptr<const WeightPanels> WeightPanels::build(
                "weight panels: linear scale count mismatch");
       NB_CHECK(l.bias.empty() || static_cast<int64_t>(l.bias.size()) == l.out,
                "weight panels: linear bias count mismatch");
-      p.wf = quant::dequantize_levels(l.weights.data(), l.weights.size());
-      p.wq = l.weights;
+      if (int8) {
+        p.wq = l.weights;
+      } else {
+        p.wf = quant::dequantize_levels(l.weights.data(), l.weights.size());
+      }
       p.scales = l.weight_scales;
       p.bias = l.bias;
     }

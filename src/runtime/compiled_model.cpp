@@ -18,7 +18,7 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(
              "compiled model: program not int8-compatible: " + reason);
   }
   std::shared_ptr<const exporter::WeightPanels> panels =
-      exporter::WeightPanels::build(model);
+      exporter::WeightPanels::build(model, backend);
   return std::shared_ptr<const CompiledModel>(
       new CompiledModel(std::move(model), std::move(panels), backend));
 }

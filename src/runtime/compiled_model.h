@@ -2,9 +2,10 @@
 //
 // Compiling takes a FlatModel (from an NBFM file, an in-memory buffer, or a
 // writer-produced program), validates it, and freezes it together with the
-// dequantized weight panels built exactly once — CompiledModel is the only
-// owner of compiled weights in the serving stack (a FlatModel is a plain
-// program value and holds none). The result is handed around
+// weight panels built exactly once, in the one encoding its backend reads
+// (float levels for fast, raw int8 levels for int8) — CompiledModel is the
+// only owner of compiled weights in the serving stack (a FlatModel is a
+// plain program value and holds none). The result is handed around
 // as shared_ptr<const CompiledModel>: any number of Sessions (and Engine
 // registry entries) execute against the same panels, so serving N
 // concurrent streams costs N small arenas and ONE copy of the weights —
@@ -53,8 +54,8 @@ class CompiledModel {
   /// mutates after compile()).
   const exporter::FlatModel& program() const { return program_; }
 
-  /// The shared dequantized weight panels. Identity-comparable: every
-  /// Session on this model borrows exactly this object.
+  /// The shared weight panels, built for backend(). Identity-comparable:
+  /// every Session on this model borrows exactly this object.
   const std::shared_ptr<const exporter::WeightPanels>& panels() const {
     return panels_;
   }

@@ -227,6 +227,16 @@ std::future<Tensor> Engine::submit(const std::string& name,
         what = "engine: unknown model '" + name + "'";
       } else {
         ModelEntry& entry = *it->second;
+        // An image the program cannot take fails in the caller, typed, and
+        // before any counter moves; its plan would only reject it later,
+        // failing every request batched with it.
+        if (req.input.size(1) != entry.model->input_channels()) {
+          throw RejectedError(
+              RejectReason::InvalidInput,
+              "engine: '" + name + "' takes " +
+                  std::to_string(entry.model->input_channels()) +
+                  " input channels, got " + std::to_string(req.input.size(1)));
+        }
         // Deadline precedence: absolute > per-submit relative > model
         // default > none.
         if (opts.deadline != TimePoint{}) {

@@ -91,7 +91,7 @@ enum class RejectReason {
   Deadline,      // expired at admission or while queued (never executed)
   ShuttingDown,  // submitted after shutdown began, or dropped by policy
   Unknown,       // no model registered under that name
-  InvalidInput,  // a NaN or infinite pixel
+  InvalidInput,  // a NaN or infinite pixel, or the wrong channel count
 };
 
 const char* to_string(RejectReason reason);
@@ -214,11 +214,12 @@ class Engine {
   /// Submits one image ([C, H, W] or [1, C, H, W]) for `name`. Admission
   /// rejections throw RejectedError synchronously (QueueFull / Deadline /
   /// ShuttingDown / Unknown / InvalidInput); a non-finite pixel is refused
-  /// before the image is copied or counted in stats(). A malformed shape
-  /// is a caller bug and still throws a plain NB_CHECK error. Post-admission failures — deadline
-  /// expiry while queued, drop-policy shutdown, model faults — surface
-  /// through the future. The future resolves to the logits row
-  /// [1, classes].
+  /// before the image is copied, and an image whose channel count differs
+  /// from the model's input_channels() before it is counted in stats().
+  /// A malformed shape is a caller bug and still throws a plain NB_CHECK
+  /// error. Post-admission failures — deadline expiry while queued,
+  /// drop-policy shutdown, model faults — surface through the future. The
+  /// future resolves to the logits row [1, classes].
   std::future<Tensor> submit(const std::string& name, const Tensor& image,
                              const SubmitOptions& opts = {});
 

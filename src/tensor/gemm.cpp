@@ -1,29 +1,36 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "tensor/gemm_kernel.h"
-#include "tensor/scratch.h"
 
 namespace nb {
 
 namespace {
 
-using GemmKernelFn = void (*)(int64_t, int64_t, int64_t, float, const float*,
-                              const float*, float, float*);
+using GemmKernelFn = void (*)(bool, bool, int64_t, int64_t, int64_t, float,
+                              const float*, const float*, float, float*);
 
-GemmKernelFn pick_kernel() {
+struct Instance {
+  const char* name;
+  GemmKernelFn fn;
+};
+
+// Every compiled instance this CPU can execute, generic first; the last
+// entry is the one gemm() dispatches to.
+const std::vector<Instance>& instances() {
+  static const std::vector<Instance> list = [] {
+    std::vector<Instance> v;
+    v.push_back({"packed-generic", &detail::gemm_packed_generic});
 #if defined(NB_GEMM_AVX2)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return &detail::gemm_packed_avx2;
-  }
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+      v.push_back({"packed-avx2", &detail::gemm_packed_avx2});
+    }
 #endif
-  return &detail::gemm_packed_generic;
-}
-
-GemmKernelFn active_kernel() {
-  static const GemmKernelFn kernel = pick_kernel();
-  return kernel;
+    return v;
+  }();
+  return list;
 }
 
 void scale_rows(float* c, int64_t count, float beta) {
@@ -34,46 +41,41 @@ void scale_rows(float* c, int64_t count, float beta) {
   }
 }
 
-}  // namespace
-
-const char* gemm_kernel_name() {
-#if defined(NB_GEMM_AVX2)
-  if (active_kernel() == &detail::gemm_packed_avx2) return "packed-avx2";
-#endif
-  return "packed-generic";
-}
-
-void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-          float alpha, const float* a, const float* b, float beta, float* c) {
+// The BLAS corners every instance shares, then the packed kernel, which
+// reads transposed operands in place while it packs them.
+void run(GemmKernelFn kernel, bool trans_a, bool trans_b, int64_t m,
+         int64_t n, int64_t k, float alpha, const float* a, const float* b,
+         float beta, float* c) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0 || alpha == 0.0f) {
     // BLAS convention: no product term, C = beta * C without touching A or B.
     scale_rows(c, m * n, beta);
     return;
   }
+  kernel(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
+}
 
-  // The packed kernel consumes the NN layout; transposed operands are
-  // materialized once into the arena. The copies are O(MK + KN), negligible
-  // next to the O(MNK) product, and reuse the same buffers across calls.
-  const float* ap = a;
-  const float* bp = b;
-  if (trans_a) {
-    float* buf =
-        scratch_acquire(ScratchSlot::kGemmOpA, static_cast<size_t>(m * k));
-    for (int64_t p = 0; p < k; ++p) {
-      for (int64_t i = 0; i < m; ++i) buf[i * k + p] = a[p * m + i];
-    }
-    ap = buf;
-  }
-  if (trans_b) {
-    float* buf =
-        scratch_acquire(ScratchSlot::kGemmOpB, static_cast<size_t>(k * n));
-    for (int64_t j = 0; j < n; ++j) {
-      for (int64_t p = 0; p < k; ++p) buf[p * n + j] = b[j * k + p];
-    }
-    bp = buf;
-  }
-  active_kernel()(m, n, k, alpha, ap, bp, beta, c);
+}  // namespace
+
+const char* gemm_kernel_name() { return instances().back().name; }
+
+int gemm_instance_count() { return static_cast<int>(instances().size()); }
+
+const char* gemm_instance_name(int i) {
+  return instances()[static_cast<size_t>(i)].name;
+}
+
+void gemm_run_instance(int i, bool trans_a, bool trans_b, int64_t m,
+                       int64_t n, int64_t k, float alpha, const float* a,
+                       const float* b, float beta, float* c) {
+  run(instances()[static_cast<size_t>(i)].fn, trans_a, trans_b, m, n, k,
+      alpha, a, b, beta, c);
+}
+
+void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
+          float alpha, const float* a, const float* b, float beta, float* c) {
+  run(instances().back().fn, trans_a, trans_b, m, n, k, alpha, a, b, beta,
+      c);
 }
 
 void gemv(bool trans_a, int64_t m, int64_t n, float alpha, const float* a,

@@ -2,9 +2,10 @@
 // convolution (via im2col) and linear layer in the library.
 //
 // Implementation: a cache-blocked, register-tiled kernel (gemm_kernel.inc)
-// that packs A into row panels and B into column panels held in a per-thread
-// scratch arena, runs an 8x8 micro-kernel over them, and writes C directly
-// when beta == 0. On x86-64 an AVX2+FMA instance is selected at runtime.
+// that packs op(A) into row panels and op(B) into column panels held in a
+// per-thread scratch arena (transposed operands are read in place while
+// packing), runs an 8x8 register micro-tile over them, and stores each tile
+// straight into C. On x86-64 an AVX2+FMA instance is selected at runtime.
 //
 // Accumulation policy (applies to gemm and both gemv paths):
 //   * every partial product accumulates in single precision (float);
@@ -38,5 +39,13 @@ void gemv(bool trans_a, int64_t m, int64_t n, float alpha, const float* a,
 /// Name of the kernel instance chosen at runtime ("packed-avx2" or
 /// "packed-generic"); surfaced by the substrate bench report.
 const char* gemm_kernel_name();
+
+/// Test hooks, shaped like gemm_s8's: every compiled instance this CPU can
+/// execute, generic first, each run through gemm's own front end.
+int gemm_instance_count();
+const char* gemm_instance_name(int i);
+void gemm_run_instance(int i, bool trans_a, bool trans_b, int64_t m,
+                       int64_t n, int64_t k, float alpha, const float* a,
+                       const float* b, float beta, float* c);
 
 }  // namespace nb

@@ -8,15 +8,18 @@
 
 namespace nb::detail {
 
-/// Baseline-ISA instance, always available.
-void gemm_packed_generic(int64_t m, int64_t n, int64_t k, float alpha,
-                         const float* a, const float* b, float beta, float* c);
+/// Baseline-ISA instance, always available. Same operands as nb::gemm, with
+/// m, n, k > 0 and alpha != 0 (the front end handles the BLAS corners).
+void gemm_packed_generic(bool trans_a, bool trans_b, int64_t m, int64_t n,
+                         int64_t k, float alpha, const float* a,
+                         const float* b, float beta, float* c);
 
 #if defined(NB_GEMM_AVX2)
 /// AVX2+FMA instance (gemm_kernel_avx2.cpp, built with -mavx2 -mfma on
 /// x86-64). Only called after __builtin_cpu_supports confirms both features.
-void gemm_packed_avx2(int64_t m, int64_t n, int64_t k, float alpha,
-                      const float* a, const float* b, float beta, float* c);
+void gemm_packed_avx2(bool trans_a, bool trans_b, int64_t m, int64_t n,
+                      int64_t k, float alpha, const float* a, const float* b,
+                      float beta, float* c);
 #endif
 
 }  // namespace nb::detail

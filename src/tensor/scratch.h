@@ -15,8 +15,6 @@ namespace nb {
 enum class ScratchSlot : int {
   kGemmPackA = 0,  // per-thread A micro-panel (packed row block)
   kGemmPackB,      // shared B panel, owned by the thread driving the GEMM
-  kGemmOpA,        // materialized op(A) for the transposed paths
-  kGemmOpB,        // materialized op(B) for the transposed paths
   kConvCols,       // im2col column matrix (forward and dW)
   kConvGradCols,   // column-space gradient scattered by col2im (dX)
   kDwPhase,        // vector depthwise: zero-bordered phase planes of one input

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "export/flat_model.h"
@@ -33,8 +34,9 @@ FlatOp make_conv(Rng& rng, int64_t cin, int64_t cout, int64_t k,
 }
 
 /// Randomized flat graph over a 4-channel input: pointwise / depthwise /
-/// grouped convs and residual save/add pairs, ending in GAP + linear —
-/// every op kind the batched lowering has to scatter correctly.
+/// grouped convs and residual save/add pairs, ending in a grouped pointwise
+/// conv (the direct, im2col-free lowering, one GEMM per group) and GAP +
+/// linear — every op kind the batched lowering has to scatter correctly.
 FlatModel random_graph(uint64_t seed) {
   Rng rng(seed, 5);
   FlatModel m;
@@ -60,6 +62,10 @@ FlatModel random_graph(uint64_t seed) {
       m.push(synth::make_marker(OpKind::add_saved));
     }
   }
+  // Grouped pointwise, 2 or 4 groups (c is a multiple of 4).
+  m.push(make_conv(rng, c, c * 2, 1, 1, 2 << rng.randint(2), FlatAct::relu6,
+                   true));
+  c *= 2;
   m.push(synth::make_marker(OpKind::gap));
   m.push(synth::make_linear(rng, c, 7, synth::pow2_act_scale(rng)));
   return m;
@@ -120,7 +126,7 @@ TEST(BatchedLowering, BitwiseEqualsSequentialOnRandomGraphs) {
   const int64_t kH = 13, kW = 11;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const FlatModel m = random_graph(seed);
-    const auto panels = WeightPanels::build(m);
+    const auto panels = WeightPanels::build(m, Backend::fast);
     const int64_t batch = 2 + static_cast<int64_t>(seed - 1) % 7;
     Rng rng(900 + seed, 1);
     const Tensor x = random_input(rng, {batch, 4, kH, kW});
@@ -143,7 +149,7 @@ TEST(BatchedLowering, BitwiseEqualsSequentialAtBatchBoundaries) {
   // batch == 1 must keep the direct-store path; batch == 8 is the Engine's
   // default max_batch.
   const FlatModel m = random_graph(42);
-  const auto panels = WeightPanels::build(m);
+  const auto panels = WeightPanels::build(m, Backend::fast);
   Rng rng(17, 1);
   const Tensor x = random_input(rng, {8, 4, 9, 15});
   const InferPlan plan8(m, panels, 8, 4, 9, 15);
@@ -175,7 +181,7 @@ TEST(BatchedLowering, ThreadCountInvariantAtBatchAboveOne) {
 
 TEST(BatchedLowering, ArenaScalesAsDocumentedWithBatch) {
   const FlatModel m = random_graph(3);
-  const auto panels = WeightPanels::build(m);
+  const auto panels = WeightPanels::build(m, Backend::fast);
   const InferPlan plan1(m, panels, 1, 4, 13, 11);
   const PlanStats& s1 = plan1.stats();
   EXPECT_GT(s1.cols_floats, 0);
@@ -232,6 +238,50 @@ TEST(BatchedLowering, BatchedSessionsShareOneWeightCopy) {
   EXPECT_EQ(ma.borrowed_weight_floats, compiled->weight_panel_floats());
 }
 
+TEST(WeightPanels, HoldOnlyTheirBackendsEncoding) {
+  // A fast model's panels carry float levels only and an int8 model's raw
+  // int8 levels only; scales and bias are kept for both.
+  const FlatModel m = random_graph(23);
+  const auto fast = runtime::CompiledModel::compile(m, Backend::fast);
+  const auto int8 = runtime::CompiledModel::compile(m, Backend::int8);
+  int64_t levels = 0;
+  int64_t side = 0;  // scale and bias floats
+  for (size_t i = 0; i < m.ops().size(); ++i) {
+    const OpPanel& f = fast->panels()->at(i);
+    const OpPanel& q = int8->panels()->at(i);
+    EXPECT_TRUE(f.wq.empty()) << "op " << i;
+    EXPECT_TRUE(q.wf.empty()) << "op " << i;
+    EXPECT_EQ(f.wf.size(), q.wq.size()) << "op " << i;
+    EXPECT_EQ(f.scales, q.scales) << "op " << i;
+    EXPECT_EQ(f.bias, q.bias) << "op " << i;
+    levels += static_cast<int64_t>(q.wq.size());
+    side += static_cast<int64_t>(q.scales.size() + q.bias.size());
+  }
+  ASSERT_GT(levels, 0);
+  // No float level is counted in an int8 model's panel bytes.
+  EXPECT_EQ(int8->weight_panel_bytes(), levels + 4 * side);
+  EXPECT_EQ(fast->weight_panel_bytes(), 4 * (levels + side));
+}
+
+TEST(WeightPanels, PlanRejectsPanelsWithoutItsBackendsEncoding) {
+  const FlatModel m = random_graph(24);
+  for (const Backend built : {Backend::fast, Backend::int8}) {
+    const Backend wanted =
+        built == Backend::fast ? Backend::int8 : Backend::fast;
+    const std::string expected =
+        std::string("lack the ") +
+        (wanted == Backend::int8 ? "int8" : "fast") + " backend";
+    try {
+      const InferPlan plan(m, WeightPanels::build(m, built), 1, 4, 13, 11,
+                           wanted);
+      ADD_FAILURE() << "plan accepted panels without its encoding";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Int8 batched lowering: the one-GEMM-per-conv batching must hold on the
 // integer path too — and there "bitwise" is not a property to defend but a
@@ -242,7 +292,7 @@ TEST(BatchedLowering, Int8BitwiseEqualsSequentialOnRandomGraphs) {
   const int64_t kH = 13, kW = 11;
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const FlatModel m = random_graph(seed);
-    const auto panels = WeightPanels::build(m);
+    const auto panels = WeightPanels::build(m, Backend::int8);
     const QModel oracle(m);
     const int64_t batch = 1 + static_cast<int64_t>(seed - 1) % 8;
     Rng rng(1300 + seed, 1);
@@ -281,7 +331,7 @@ TEST(BatchedLowering, Int8ThreadCountInvariantAtBatchAboveOne) {
 
 TEST(BatchedLowering, Int8ArenaScalesAsDocumentedWithBatch) {
   const FlatModel m = random_graph(3);
-  const auto panels = WeightPanels::build(m);
+  const auto panels = WeightPanels::build(m, Backend::int8);
   const InferPlan plan1(m, panels, 1, 4, 13, 11, Backend::int8);
   const PlanStats& s1 = plan1.stats();
   EXPECT_EQ(s1.cols_floats, 0);

@@ -475,7 +475,7 @@ bool has_bucket_finding(const VerifyReport& r) {
 
 TEST(BucketingVerify, ProvesASoundRungPlanAgainstItsExactTwin) {
   const FlatModel m = random_graph(5);
-  const auto panels = exporter::WeightPanels::build(m);
+  const auto panels = exporter::WeightPanels::build(m, Backend::fast);
   const InferPlan bucket(m, panels, 4, 4, 16, 16);
   const InferPlan exact(m, panels, 4, 4, 13, 15);
   const VerifyReport r = exporter::verify_bucket_plan(
@@ -486,7 +486,7 @@ TEST(BucketingVerify, ProvesASoundRungPlanAgainstItsExactTwin) {
 
 TEST(BucketingVerify, FlagsDifferentProgramsAndStructureMutations) {
   const FlatModel m = random_graph(5);
-  const auto panels = exporter::WeightPanels::build(m);
+  const auto panels = exporter::WeightPanels::build(m, Backend::fast);
   const PlanTables bucket = plan_tables(InferPlan(m, panels, 2, 4, 16, 16));
   const PlanTables exact = plan_tables(InferPlan(m, panels, 2, 4, 13, 15));
 
@@ -512,7 +512,7 @@ TEST(BucketingVerify, FlagsDifferentProgramsAndStructureMutations) {
 
 TEST(BucketingVerify, FlagsCoverWasteAndArenaViolations) {
   const FlatModel m = random_graph(5);
-  const auto panels = exporter::WeightPanels::build(m);
+  const auto panels = exporter::WeightPanels::build(m, Backend::fast);
   const PlanTables bucket = plan_tables(InferPlan(m, panels, 2, 4, 16, 16));
   const PlanTables exact = plan_tables(InferPlan(m, panels, 2, 4, 13, 15));
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "gemm_staged_kernel.h"
 #include "tensor/gemm.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -208,6 +211,168 @@ TEST(Gemv, TransposedMatchesGemm) {
   naive_gemm(true, false, n, 1, m, 0.5f, a.data(), x.data(), 2.0f,
              y_ref.data());
   for (int64_t i = 0; i < n; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-4f);
+}
+
+// ---- every instance against the memory-staged kernel, bit for bit --------
+
+using StagedFn = void (*)(int64_t, int64_t, int64_t, float, const float*,
+                          const float*, float, float*);
+
+// The staged oracle built with the flags of the named instance.
+StagedFn staged_kernel_for(const std::string& instance) {
+  if (instance == "packed-generic") return &detail::gemm_staged_generic;
+#if defined(NB_GEMM_STAGED_AVX2)
+  if (instance == "packed-avx2") return &detail::gemm_staged_avx2;
+#endif
+  return nullptr;
+}
+
+// The staged kernel's own front end: transposed operands are copied into
+// the NN layout before the kernel runs (k > 0 and alpha != 0 here).
+void staged_gemm(StagedFn kernel, bool ta, bool tb, int64_t m, int64_t n,
+                 int64_t k, float alpha, const float* a, const float* b,
+                 float beta, float* c) {
+  std::vector<float> at, bt;
+  if (ta) {
+    at.resize(static_cast<size_t>(m * k));
+    for (int64_t p = 0; p < k; ++p) {
+      for (int64_t i = 0; i < m; ++i) at[i * k + p] = a[p * m + i];
+    }
+    a = at.data();
+  }
+  if (tb) {
+    bt.resize(static_cast<size_t>(k * n));
+    for (int64_t j = 0; j < n; ++j) {
+      for (int64_t p = 0; p < k; ++p) bt[p * n + j] = b[j * k + p];
+    }
+    b = bt.data();
+  }
+  kernel(m, n, k, alpha, a, b, beta, c);
+}
+
+// A normal draw, or with probability 1/32 (when `specials`) one of NaN,
+// +inf, -inf, -0.0 or +0.0.
+float draw(Rng& rng, bool specials) {
+  if (specials && rng.randint(32) == 0) {
+    const float corner[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f,
+                            0.0f};
+    return corner[rng.randint(5)];
+  }
+  return rng.normal();
+}
+
+struct InstanceCase {
+  bool ta, tb;
+  int64_t m, n, k;
+  float alpha, beta;
+  bool specials;
+};
+
+// Same bits, or both NaN. C++ leaves a NaN's sign and payload to the
+// compiler, which may commute an add and so return the other operand's NaN
+// (a quiet-NaN input against the negative default NaN that inf * 0 makes);
+// every other bit pattern, -0.0 and +-inf included, must match exactly.
+bool same_bits(float got, float want) {
+  return std::memcmp(&got, &want, sizeof(float)) == 0 ||
+         (std::isnan(got) && std::isnan(want));
+}
+
+// Runs one case through instance `inst` and its staged oracle from identical
+// inputs. C carries a guard band of eight rows past its m x n window, so a
+// tile that stores a padded row or column differs from the oracle too.
+::testing::AssertionResult matches_staged(int inst, StagedFn oracle,
+                                          const InstanceCase& tc,
+                                          uint64_t seed) {
+  Rng rng(seed, 7);
+  std::vector<float> a(static_cast<size_t>(tc.m * tc.k));
+  std::vector<float> b(static_cast<size_t>(tc.k * tc.n));
+  std::vector<float> c(static_cast<size_t>((tc.m + 8) * tc.n + 8));
+  for (float& v : a) v = draw(rng, tc.specials);
+  for (float& v : b) v = draw(rng, tc.specials);
+  for (float& v : c) v = draw(rng, tc.specials);
+  std::vector<float> want = c;
+  gemm_run_instance(inst, tc.ta, tc.tb, tc.m, tc.n, tc.k, tc.alpha, a.data(),
+                    b.data(), tc.beta, c.data());
+  staged_gemm(oracle, tc.ta, tc.tb, tc.m, tc.n, tc.k, tc.alpha, a.data(),
+              b.data(), tc.beta, want.data());
+  for (size_t at = 0; at < c.size(); ++at) {
+    if (same_bits(c[at], want[at])) continue;
+    return ::testing::AssertionFailure()
+           << gemm_instance_name(inst) << " ta=" << tc.ta << " tb=" << tc.tb
+           << " m=" << tc.m << " n=" << tc.n << " k=" << tc.k
+           << " alpha=" << tc.alpha << " beta=" << tc.beta
+           << " specials=" << tc.specials << ": first difference at element "
+           << at << (at >= static_cast<size_t>(tc.m * tc.n) ? " (guard)" : "")
+           << ", got " << c[at] << ", staged kernel " << want[at];
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(GemmInstances, EveryInstanceMatchesTheStagedKernelBitwise) {
+  const float alphas[] = {1.0f, -2.0f};
+  const float betas[] = {0.0f, 1.0f, 0.5f};
+  ASSERT_GE(gemm_instance_count(), 1);
+  EXPECT_STREQ(gemm_instance_name(gemm_instance_count() - 1),
+               gemm_kernel_name());
+  for (int inst = 0; inst < gemm_instance_count(); ++inst) {
+    const StagedFn oracle = staged_kernel_for(gemm_instance_name(inst));
+    ASSERT_NE(oracle, nullptr) << gemm_instance_name(inst);
+    uint64_t seed = 0;
+    // Full and fringe tiles: every (m, n) in 1..17 under all four
+    // transposes, both alphas and the three beta rules.
+    const int64_t small_k[] = {1, 5, 19};
+    for (int64_t m = 1; m <= 17; ++m) {
+      for (int64_t n = 1; n <= 17; ++n) {
+        for (int combo = 0; combo < 24; ++combo) {
+          const InstanceCase tc{(combo & 1) != 0,     (combo & 2) != 0,
+                                m,
+                                n,
+                                small_k[(m + n + combo) % 3],
+                                alphas[(combo >> 2) % 2],
+                                betas[(combo >> 3) % 3],
+                                false};
+          ASSERT_TRUE(matches_staged(inst, oracle, tc, ++seed));
+        }
+      }
+    }
+    // K-block and N-stripe edges, with two row blocks so the forked path
+    // runs too.
+    for (int64_t k : {1, 4, 255, 256, 257, 513}) {
+      for (int64_t n : {1023, 1024, 1025}) {
+        for (int t = 0; t < 4; ++t) {
+          const InstanceCase tc{(t & 1) != 0,
+                                (t & 2) != 0,
+                                9,
+                                n,
+                                k,
+                                alphas[(k + t) % 2],
+                                betas[(n + t) % 3],
+                                false};
+          ASSERT_TRUE(matches_staged(inst, oracle, tc, ++seed));
+        }
+      }
+    }
+    // NaN, +-inf and -0.0 in A, B and C, on tiles, fringes and K blocks.
+    for (int64_t m : {1, 7, 8, 13}) {
+      for (int64_t n : {1, 6, 8, 17}) {
+        for (int64_t k : {1, 3, 300}) {
+          for (int combo = 0; combo < 24; ++combo) {
+            const InstanceCase tc{(combo & 1) != 0,
+                                  (combo & 2) != 0,
+                                  m,
+                                  n,
+                                  k,
+                                  alphas[(combo >> 2) % 2],
+                                  betas[(combo >> 3) % 3],
+                                  true};
+            ASSERT_TRUE(matches_staged(inst, oracle, tc, ++seed));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

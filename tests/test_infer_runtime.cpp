@@ -121,6 +121,11 @@ TEST(InferPlan, FastMatchesReferenceOnRandomizedConvChains) {
         m.push(make_marker(OpKind::add_saved));
       }
     }
+    // A grouped pointwise conv (the direct, im2col-free lowering, one GEMM
+    // per group), from its own stream so the draws above stay as they were.
+    Rng tail_rng(700 + static_cast<uint64_t>(trial), 3);
+    m.push(make_conv(tail_rng, c, c, 1, 1, 2 << (trial % 2), FlatAct::relu6,
+                     true));
     Rng rng(500 + static_cast<uint64_t>(trial), 1);
     const Tensor x = random_input(rng, {2, 4, 12, 12});
     const Tensor ref = m.forward(x, Backend::reference);
@@ -292,9 +297,10 @@ TEST(Int8Plan, MatchesQModelBitwiseOnResidualGraph) {
 }
 
 TEST(Int8Plan, MatchesQModelOnRandomizedGraphsAtOddSizes) {
-  // Randomized grouped/depthwise/residual graphs over odd, non-square
-  // inputs and batches 1..8: every lowering shape (fringe tiles, K % 4,
-  // group slices, residual joins) must still land memcmp-equal. Depthwise
+  // Randomized grouped/depthwise/residual graphs, each ending in a grouped
+  // pointwise conv, over odd, non-square inputs and batches 1..8: every
+  // lowering shape (fringe tiles, K % 4, group slices, direct 1x1 panels,
+  // residual joins) must still land memcmp-equal. Depthwise
   // steps draw k in {3, 5, 7} at stride 1 or 2 (residual ones at stride
   // 1); the twelve trials draw all six (k, s) pairs.
   Rng graph_rng(271, 3);
@@ -326,6 +332,11 @@ TEST(Int8Plan, MatchesQModelOnRandomizedGraphsAtOddSizes) {
         m.push(make_marker(OpKind::add_saved));
       }
     }
+    // A grouped pointwise conv (the direct lowering, one GEMM per group),
+    // from its own stream so the draws above stay as they were.
+    Rng tail_rng(800 + static_cast<uint64_t>(trial), 3);
+    m.push(make_conv(tail_rng, c, c, 1, 1, 2 << (trial % 2), FlatAct::relu,
+                     false));
     m.push(make_marker(OpKind::gap));
     m.push(make_linear(graph_rng, c, 7));
 

@@ -60,8 +60,8 @@ TEST(PlanVerify, PassesEveryShippedGeometryFloatAndInt8) {
   for (const auto& [name, model] :
        {std::pair<const char*, FlatModel>{"mbv2", mbv2(31)},
         std::pair<const char*, FlatModel>{"mcunet", mcunet(32)}}) {
-    const auto panels = WeightPanels::build(model);
     for (Backend backend : {Backend::fast, Backend::int8}) {
+      const auto panels = WeightPanels::build(model, backend);
       for (int64_t batch : {1, 2, 4, 8}) {
         const InferPlan plan(model, panels, batch, 3, 32, 32, backend);
         const VerifyReport r = verify_plan(plan);
@@ -76,8 +76,8 @@ TEST(PlanVerify, PassesEveryShippedGeometryFloatAndInt8) {
 
 TEST(PlanVerify, ProvesExactBatchScalingLaw) {
   const FlatModel model = mbv2(33);
-  const auto panels = WeightPanels::build(model);
   for (Backend backend : {Backend::fast, Backend::int8}) {
+    const auto panels = WeightPanels::build(model, backend);
     const InferPlan unit(model, panels, 1, 3, 32, 32, backend);
     for (int64_t batch : {2, 5, 8}) {
       const InferPlan plan(model, panels, batch, 3, 32, 32, backend);

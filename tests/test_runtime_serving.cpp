@@ -277,26 +277,6 @@ TEST(Engine, HotSwappingAModelServesTheNewVersion) {
   EXPECT_EQ(engine.model("m").get(), v2.get());
 }
 
-TEST(Engine, RejectsBadSubmitsAndPropagatesExecutionErrors) {
-  const auto model = CompiledModel::compile(small_graph(99));
-  Engine engine;
-  engine.register_model("m", model);
-  // Unknown model and non-image shapes fail fast, in the caller.
-  EXPECT_THROW(engine.submit("nope", random_input(1, {3, 16, 16})),
-               std::runtime_error);
-  EXPECT_THROW(engine.submit("m", random_input(1, {2, 3, 16, 16})),
-               std::runtime_error);
-  // Geometry the planner rejects (wrong channel count) surfaces through
-  // the future, not a crash — and the engine keeps serving afterwards.
-  auto bad = engine.submit("m", random_input(1, {4, 16, 16}));
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  auto good = engine.submit("m", random_input(1, {3, 16, 16}));
-  EXPECT_EQ(good.get().size(1), 10);
-  const Engine::Stats st = engine.stats();
-  EXPECT_EQ(st.failed, 1);
-  EXPECT_GE(st.completed, 1);
-}
-
 TEST(Engine, RejectsNonFinitePixelsBeforeAdmission) {
   // NaN and +-inf have no quantized level (the int8 backend's float -> int
   // cast of them is undefined), so submit refuses them in the caller with a
@@ -402,6 +382,44 @@ RejectReason reason_of(std::future<Tensor>& f) {
   }
   ADD_FAILURE() << "future resolved without a RejectedError";
   return RejectReason::Unknown;
+}
+
+TEST(Engine, RejectsBadSubmitsAndPropagatesExecutionErrors) {
+  const auto model = CompiledModel::compile(small_graph(99));
+  auto inj = std::make_shared<ThrowInjector>();
+  EngineOptions opts;
+  opts.fault_injector = inj;
+  Engine engine(opts);
+  engine.register_model("m", model);
+  // Unknown model and non-image shapes fail fast, in the caller.
+  EXPECT_THROW(engine.submit("nope", random_input(1, {3, 16, 16})),
+               std::runtime_error);
+  EXPECT_THROW(engine.submit("m", random_input(1, {2, 3, 16, 16})),
+               std::runtime_error);
+  // A channel count the program does not take is refused at admission,
+  // typed, before any counter moves.
+  const auto counters = [](const Engine::Stats& st) {
+    return std::vector<int64_t>{st.submitted, st.accepted, st.completed,
+                                st.failed, st.queue_depth};
+  };
+  const std::vector<int64_t> before = counters(engine.stats());
+  try {
+    (void)engine.submit("m", random_input(1, {4, 16, 16}));
+    ADD_FAILURE() << "expected RejectedError{InvalidInput}";
+  } catch (const RejectedError& e) {
+    EXPECT_EQ(e.reason(), RejectReason::InvalidInput);
+  }
+  EXPECT_EQ(counters(engine.stats()), before);
+  // A fault during execution surfaces through the future, not a crash —
+  // and the engine keeps serving afterwards.
+  inj->fail_batch = true;
+  auto bad = engine.submit("m", random_input(1, {3, 16, 16}));
+  EXPECT_THROW(bad.get(), std::runtime_error);
+  auto good = engine.submit("m", random_input(1, {3, 16, 16}));
+  EXPECT_EQ(good.get().size(1), 10);
+  const Engine::Stats st = engine.stats();
+  EXPECT_EQ(st.failed, 1);
+  EXPECT_GE(st.completed, 1);
 }
 
 TEST(EngineAdmission, QueueFullRejectionIsTyped) {

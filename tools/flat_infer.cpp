@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   // reject Backend::reference by design).
   const Backend plan_backend =
       backend == Backend::reference ? Backend::fast : backend;
-  const auto panels = WeightPanels::build(model);
+  const auto panels = WeightPanels::build(model, plan_backend);
   const InferPlan plan(model, panels, batch, channels, res, res,
                        plan_backend);
   const PlanStats& st = plan.stats();
@@ -159,9 +159,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(st.no_reuse_bytes()),
               static_cast<long long>(st.save_depth),
               st.save_depth == 1 ? "" : "s");
-  std::printf("weight cache: %lld B (dequantized float panels, shared across "
-              "sessions)\n",
-              static_cast<long long>(st.weight_cache_floats * 4));
+  std::printf("weight cache: %lld B (%s panels, shared across sessions)\n",
+              static_cast<long long>(panels->total_bytes()),
+              plan_backend == Backend::int8 ? "int8" : "dequantized float");
   if (plan_backend == Backend::int8) {
     std::printf("int8 arena:   %lld B (quantized activations + byte im2col; "
                 "kernel %s, depthwise %s)\n",
