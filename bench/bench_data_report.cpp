@@ -19,10 +19,7 @@
 //   * end-to-end: a real train_classifier() epoch with data_workers on and
 //     off lands on the bitwise-identical final accuracy.
 //
-// Usage: bench_data_report [--quick] [--out <path>]
-//   --quick  small dataset, fewer repeat epochs (the CI setting)
-//   --out    output path (default: BENCH_data.json in the cwd)
-#include <algorithm>
+// Usage: bench_data_report [--quick] [--out <path>] (--help describes both)
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_report.h"
 #include "data/dataloader.h"
 #include "data/pipeline.h"
 #include "data/synth_classification.h"
@@ -41,12 +39,7 @@
 namespace {
 
 using namespace nb;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using namespace nb::bench;
 
 /// Decorates a dataset with a blocking per-sample decode latency — the
 /// stand-in for disk/network reads, which the pipeline's workers overlap.
@@ -82,24 +75,6 @@ struct Result {
   int64_t max_ticket_depth = -1;
 };
 
-/// Best-of-`repeats` wall time for one full epoch (start_epoch + drain),
-/// after one untimed warmup epoch (first-touch buffer allocation).
-double epoch_seconds(data::BatchSource& loader, int repeats) {
-  data::Batch batch;
-  loader.start_epoch();
-  while (loader.next(batch)) {
-  }
-  double best = 1e100;
-  for (int r = 0; r < repeats; ++r) {
-    const double t0 = now_s();
-    loader.start_epoch();
-    while (loader.next(batch)) {
-    }
-    best = std::min(best, now_s() - t0);
-  }
-  return best;
-}
-
 void sweep_config(const std::string& config_name,
                   const data::ClassificationDataset& ds,
                   data::LoaderOptions opts, int repeats,
@@ -109,7 +84,15 @@ void sweep_config(const std::string& config_name,
     opts.workers = workers;
     const std::unique_ptr<data::BatchSource> loader =
         data::make_loader(ds, opts);
-    const double s = epoch_seconds(*loader, repeats);
+    // Best-of-`repeats` wall time for one full epoch (start_epoch +
+    // drain), after one untimed warmup epoch (first-touch buffer
+    // allocation).
+    data::Batch batch;
+    const double s = bench_seconds(Budget{0.0, repeats}, [&] {
+      loader->start_epoch();
+      while (loader->next(batch)) {
+      }
+    });
     if (workers == 0) sync_s = s;
     Result r;
     r.config = config_name;
@@ -171,99 +154,12 @@ bool epochs_bitwise_equal(const data::ClassificationDataset& ds,
   return true;
 }
 
-void write_json(const std::string& path, bool quick, int64_t samples,
-                int64_t resolution, int64_t batch_size, int64_t delay_us,
-                bool det_plain, bool det_aug, bool det_mixed,
-                const std::vector<Result>& results, double e2e_sync_ms,
-                double e2e_pipe_ms, int64_t e2e_workers, bool e2e_acc_equal) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(1);
-  }
-  // Headline: the latency-bound workload at 4 workers, where prefetch
-  // overlap pays at any core count.
-  const Result* headline = nullptr;
-  for (const Result& r : results) {
-    if (r.config == "augmented_io" && r.workers == 4) headline = &r;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"nb-bench-data-v1\",\n");
-  std::fprintf(f, "  \"bench\": \"data\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f,
-               "  \"dataset\": {\"samples\": %lld, \"resolution\": %lld, "
-               "\"batch_size\": %lld, \"io_delay_us\": %lld},\n",
-               static_cast<long long>(samples),
-               static_cast<long long>(resolution),
-               static_cast<long long>(batch_size),
-               static_cast<long long>(delay_us));
-  std::fprintf(f,
-               "  \"determinism\": {\"plain\": %s, \"augmented\": %s, "
-               "\"augmented_mixed\": %s},\n",
-               det_plain ? "true" : "false", det_aug ? "true" : "false",
-               det_mixed ? "true" : "false");
-  if (headline != nullptr) {
-    std::fprintf(f, "  \"augmented_io_w4\": {\n");
-    std::fprintf(f, "    \"epoch_ms\": %.3f,\n", headline->epoch_ms);
-    std::fprintf(f, "    \"samples_per_s\": %.1f,\n", headline->samples_per_s);
-    std::fprintf(f, "    \"speedup_pipeline_vs_sync\": %.4f\n",
-                 headline->speedup_vs_sync);
-    std::fprintf(f, "  },\n");
-  }
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"config\": \"%s\", \"workers\": %lld, "
-                 "\"epoch_ms\": %.3f, \"samples_per_s\": %.1f, "
-                 "\"speedup_vs_sync\": %.4f",
-                 r.config.c_str(), static_cast<long long>(r.workers),
-                 r.epoch_ms, r.samples_per_s, r.speedup_vs_sync);
-    if (r.workers > 0) {
-      std::fprintf(f,
-                   ", \"reader_stall_ms\": %.2f, \"worker_stall_ms\": %.2f, "
-                   "\"consumer_stall_ms\": %.2f, \"max_ticket_depth\": %lld",
-                   r.reader_stall_ms, r.worker_stall_ms, r.consumer_stall_ms,
-                   static_cast<long long>(r.max_ticket_depth));
-    }
-    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"end_to_end\": {\n");
-  std::fprintf(f, "    \"train_epoch_sync_ms\": %.1f,\n", e2e_sync_ms);
-  std::fprintf(f, "    \"train_epoch_pipeline_ms\": %.1f,\n", e2e_pipe_ms);
-  std::fprintf(f, "    \"workers\": %lld,\n",
-               static_cast<long long>(e2e_workers));
-  std::fprintf(f, "    \"speedup\": %.4f,\n",
-               e2e_pipe_ms > 0.0 ? e2e_sync_ms / e2e_pipe_ms : 0.0);
-  std::fprintf(f, "    \"acc_bitwise_equal\": %s\n",
-               e2e_acc_equal ? "true" : "false");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_data.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_data_report [--quick] [--out <path>]\n");
-      return 2;
-    }
-  }
-
+  const auto [quick, out_path] = parse_report_args(
+      argc, argv, "bench_data_report", "BENCH_data.json",
+      "small dataset, fewer repeat epochs (the CI setting)");
   data::SynthConfig sc;
   sc.name = "bench-data";
   sc.num_classes = quick ? 6 : 12;
@@ -321,10 +217,10 @@ int main(int argc, char** argv) {
     tc.augment = true;
     tc.seed = 33;
     tc.data_workers = pass == 0 ? 0 : e2e_workers;
-    const double t0 = now_s();
-    const float acc =
-        train::train_classifier(*model, train, test, tc).final_test_acc;
-    const double ms = 1e3 * (now_s() - t0);
+    float acc = 0.0f;
+    const double ms = 1e3 * time_once([&] {
+      acc = train::train_classifier(*model, train, test, tc).final_test_acc;
+    });
     if (pass == 0) {
       e2e_sync_ms = ms;
       acc_sync = acc;
@@ -341,9 +237,61 @@ int main(int argc, char** argv) {
                e2e_sync_ms, static_cast<long long>(e2e_workers), e2e_pipe_ms,
                e2e_acc_equal);
 
-  write_json(out_path, quick, train.size(), train.resolution(), batch_size,
-             delay_us, det_plain, det_aug, det_mixed, results, e2e_sync_ms,
-             e2e_pipe_ms, e2e_workers, e2e_acc_equal);
+  // Headline: the latency-bound workload at 4 workers, where prefetch
+  // overlap pays at any core count.
+  const Result* headline = nullptr;
+  for (const Result& r : results) {
+    if (r.config == "augmented_io" && r.workers == 4) headline = &r;
+  }
+  JsonWriter w(out_path);
+  w.str("schema", "nb-bench-data-v1");
+  w.str("bench", "data");
+  w.boolean("quick", quick);
+  w.integer("hardware_threads", std::thread::hardware_concurrency());
+  write_provenance(w);
+  w.row("dataset");
+  w.integer("samples", train.size());
+  w.integer("resolution", train.resolution());
+  w.integer("batch_size", batch_size);
+  w.integer("io_delay_us", delay_us);
+  w.end();
+  w.row("determinism");
+  w.boolean("plain", det_plain);
+  w.boolean("augmented", det_aug);
+  w.boolean("augmented_mixed", det_mixed);
+  w.end();
+  if (headline != nullptr) {
+    w.object("augmented_io_w4");
+    w.num("epoch_ms", headline->epoch_ms, "%.3f");
+    w.num("samples_per_s", headline->samples_per_s, "%.1f");
+    w.num("speedup_pipeline_vs_sync", headline->speedup_vs_sync);
+    w.end();
+  }
+  w.array("results");
+  for (const Result& r : results) {
+    w.row();
+    w.str("config", r.config);
+    w.integer("workers", r.workers);
+    w.num("epoch_ms", r.epoch_ms, "%.3f");
+    w.num("samples_per_s", r.samples_per_s, "%.1f");
+    w.num("speedup_vs_sync", r.speedup_vs_sync);
+    if (r.workers > 0) {
+      w.num("reader_stall_ms", r.reader_stall_ms, "%.2f");
+      w.num("worker_stall_ms", r.worker_stall_ms, "%.2f");
+      w.num("consumer_stall_ms", r.consumer_stall_ms, "%.2f");
+      w.integer("max_ticket_depth", r.max_ticket_depth);
+    }
+    w.end();
+  }
+  w.end();
+  w.object("end_to_end");
+  w.num("train_epoch_sync_ms", e2e_sync_ms, "%.1f");
+  w.num("train_epoch_pipeline_ms", e2e_pipe_ms, "%.1f");
+  w.integer("workers", e2e_workers);
+  w.num("speedup", e2e_pipe_ms > 0.0 ? e2e_sync_ms / e2e_pipe_ms : 0.0);
+  w.boolean("acc_bitwise_equal", e2e_acc_equal);
+  w.end();
+  w.finish();
   std::fprintf(stderr, "wrote %s (%zu results)\n", out_path.c_str(),
                results.size());
   return 0;

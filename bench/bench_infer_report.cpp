@@ -8,16 +8,14 @@
 // records the float GEMM kernel and depthwise instance the fast backend
 // dispatched to ("kernel", "dw_kernel").
 //
-// Usage: bench_infer_report [--quick] [--out <path>]
-//   --quick  small graphs, fewer batches, short windows (the CI setting)
-//   --out    output path (default: BENCH_infer.json in the cwd)
+// Usage: bench_infer_report [--quick] [--out <path>] (--help describes both)
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_timing.h"
+#include "bench_report.h"
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
@@ -37,7 +35,7 @@ using namespace nb::exporter;
 using synth::make_mbv2_flat;
 using synth::make_mcunet_flat;
 
-// Timing (bench_timing.h): best-of repeated windows for the fast backend;
+// Timing (bench_report.h): best-of repeated windows for the fast backend;
 // the reference interpreter is orders of magnitude slower, so it gets one
 // plain run instead of a filled window.
 
@@ -110,11 +108,6 @@ void bench_graph(const std::string& name, const FlatModel& model, int64_t res,
 
 void write_json(const std::string& path, bool quick,
                 const std::vector<Result>& results) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(1);
-  }
   // Headline: MobileNetV2-flat, batch 1, single thread.
   const Result* headline = nullptr;
   for (const Result& r : results) {
@@ -123,75 +116,53 @@ void write_json(const std::string& path, bool quick,
       break;
     }
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"nb-bench-infer-v1\",\n");
-  std::fprintf(f, "  \"bench\": \"infer\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"kernel\": \"%s\",\n", gemm_kernel_name());
-  std::fprintf(f, "  \"dw_kernel\": \"%s\",\n", depthwise_kernel_name());
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
+  JsonWriter w(path);
+  w.str("schema", "nb-bench-infer-v1");
+  w.str("bench", "infer");
+  w.boolean("quick", quick);
+  w.str("kernel", gemm_kernel_name());
+  w.str("dw_kernel", depthwise_kernel_name());
+  w.integer("hardware_threads", std::thread::hardware_concurrency());
+  write_provenance(w);
   if (headline != nullptr) {
-    std::fprintf(f, "  \"mbv2_b1_t1\": {\n");
-    std::fprintf(f, "    \"fast_ms\": %.4f,\n", headline->fast_ms);
-    std::fprintf(f, "    \"reference_ms\": %.4f,\n", headline->reference_ms);
-    std::fprintf(f, "    \"speedup_fast_vs_reference\": %.4f,\n",
-                 headline->speedup);
-    std::fprintf(f, "    \"max_abs_diff\": %.3g,\n", headline->max_abs_diff);
-    std::fprintf(f, "    \"arena_bytes\": %lld,\n",
-                 static_cast<long long>(headline->arena_bytes));
-    std::fprintf(f, "    \"no_reuse_bytes\": %lld\n",
-                 static_cast<long long>(headline->no_reuse_bytes));
-    std::fprintf(f, "  },\n");
+    w.object("mbv2_b1_t1");
+    w.num("fast_ms", headline->fast_ms);
+    w.num("reference_ms", headline->reference_ms);
+    w.num("speedup_fast_vs_reference", headline->speedup);
+    w.num("max_abs_diff", headline->max_abs_diff, "%.3g");
+    w.integer("arena_bytes", headline->arena_bytes);
+    w.integer("no_reuse_bytes", headline->no_reuse_bytes);
+    w.end();
   }
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"graph\": \"%s\", \"batch\": %lld, \"threads\": %lld, "
-                 "\"ops\": %lld",
-                 r.graph.c_str(), static_cast<long long>(r.batch),
-                 static_cast<long long>(r.threads),
-                 static_cast<long long>(r.ops));
-    std::fprintf(f, ", \"fast_ms\": %.4f, \"fast_images_per_s\": %.2f",
-                 r.fast_ms, r.fast_images_per_s);
+  w.array("results");
+  for (const Result& r : results) {
+    w.row();
+    w.str("graph", r.graph);
+    w.integer("batch", r.batch);
+    w.integer("threads", r.threads);
+    w.integer("ops", r.ops);
+    w.num("fast_ms", r.fast_ms);
+    w.num("fast_images_per_s", r.fast_images_per_s, "%.2f");
     if (r.reference_ms > 0.0) {
-      std::fprintf(f, ", \"reference_ms\": %.4f, \"speedup\": %.4f",
-                   r.reference_ms, r.speedup);
+      w.num("reference_ms", r.reference_ms);
+      w.num("speedup", r.speedup);
     }
-    if (r.max_abs_diff >= 0.0) {
-      std::fprintf(f, ", \"max_abs_diff\": %.3g", r.max_abs_diff);
-    }
-    std::fprintf(f,
-                 ", \"arena_bytes\": %lld, \"no_reuse_bytes\": %lld, "
-                 "\"peak_live_bytes\": %lld}%s\n",
-                 static_cast<long long>(r.arena_bytes),
-                 static_cast<long long>(r.no_reuse_bytes),
-                 static_cast<long long>(r.peak_live_bytes),
-                 i + 1 < results.size() ? "," : "");
+    if (r.max_abs_diff >= 0.0) w.num("max_abs_diff", r.max_abs_diff, "%.3g");
+    w.integer("arena_bytes", r.arena_bytes);
+    w.integer("no_reuse_bytes", r.no_reuse_bytes);
+    w.integer("peak_live_bytes", r.peak_live_bytes);
+    w.end();
   }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.end();
+  w.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_infer.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_infer_report [--quick] [--out <path>]\n");
-      return 2;
-    }
-  }
+  const auto [quick, out_path] = parse_report_args(
+      argc, argv, "bench_infer_report", "BENCH_infer.json",
+      "small graphs, fewer batches, short windows (the CI setting)");
   const Budget budget = quick ? Budget{0.05, 2} : Budget{0.3, 4};
 
   PoolSet pools;

@@ -14,9 +14,7 @@
 // (dw-s8-vnni / dw-s8-avx2 / dw-s8-generic) are reported so regressions can
 // be attributed to dispatch changes.
 //
-// Usage: bench_int8_report [--quick] [--out <path>]
-//   --quick  small graphs, fewer batches, short windows (the CI setting)
-//   --out    output path (default: BENCH_int8.json in the cwd)
+// Usage: bench_int8_report [--quick] [--out <path>] (--help describes both)
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -24,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench_timing.h"
+#include "bench_report.h"
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
@@ -122,11 +120,6 @@ void bench_graph(const std::string& name, const FlatModel& model, int64_t res,
 
 void write_json(const std::string& path, bool quick,
                 const std::vector<Result>& results) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(1);
-  }
   // Headline: MobileNetV2-flat, batch 1, single thread.
   const Result* headline = nullptr;
   for (const Result& r : results) {
@@ -135,77 +128,54 @@ void write_json(const std::string& path, bool quick,
       break;
     }
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"nb-bench-int8-v1\",\n");
-  std::fprintf(f, "  \"bench\": \"int8\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"kernel\": \"%s\",\n", gemm_s8_kernel_name());
-  std::fprintf(f, "  \"dw_kernel\": \"%s\",\n", depthwise_s8_kernel_name());
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
+  JsonWriter w(path);
+  w.str("schema", "nb-bench-int8-v1");
+  w.str("bench", "int8");
+  w.boolean("quick", quick);
+  w.str("kernel", gemm_s8_kernel_name());
+  w.str("dw_kernel", depthwise_s8_kernel_name());
+  w.integer("hardware_threads", std::thread::hardware_concurrency());
+  write_provenance(w);
   if (headline != nullptr) {
-    std::fprintf(f, "  \"mbv2_b1_t1\": {\n");
-    std::fprintf(f, "    \"int8_ms\": %.4f,\n", headline->int8_ms);
-    std::fprintf(f, "    \"fast_ms\": %.4f,\n", headline->fast_ms);
-    std::fprintf(f, "    \"speedup_int8_vs_fast\": %.4f,\n",
-                 headline->speedup);
-    std::fprintf(f, "    \"exact_vs_qmodel\": %s,\n",
-                 headline->exact_vs_qmodel == 1 ? "true" : "false");
-    std::fprintf(f, "    \"arena_bytes\": %lld,\n",
-                 static_cast<long long>(headline->arena_bytes));
-    std::fprintf(f, "    \"arena_int8_bytes\": %lld,\n",
-                 static_cast<long long>(headline->arena_int8_bytes));
-    std::fprintf(f, "    \"fast_arena_bytes\": %lld\n",
-                 static_cast<long long>(headline->fast_arena_bytes));
-    std::fprintf(f, "  },\n");
+    w.object("mbv2_b1_t1");
+    w.num("int8_ms", headline->int8_ms);
+    w.num("fast_ms", headline->fast_ms);
+    w.num("speedup_int8_vs_fast", headline->speedup);
+    w.boolean("exact_vs_qmodel", headline->exact_vs_qmodel == 1);
+    w.integer("arena_bytes", headline->arena_bytes);
+    w.integer("arena_int8_bytes", headline->arena_int8_bytes);
+    w.integer("fast_arena_bytes", headline->fast_arena_bytes);
+    w.end();
   }
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f,
-                 "    {\"graph\": \"%s\", \"batch\": %lld, \"threads\": %lld, "
-                 "\"ops\": %lld",
-                 r.graph.c_str(), static_cast<long long>(r.batch),
-                 static_cast<long long>(r.threads),
-                 static_cast<long long>(r.ops));
-    std::fprintf(f,
-                 ", \"int8_ms\": %.4f, \"int8_images_per_s\": %.2f, "
-                 "\"fast_ms\": %.4f, \"speedup\": %.4f",
-                 r.int8_ms, r.int8_images_per_s, r.fast_ms, r.speedup);
+  w.array("results");
+  for (const Result& r : results) {
+    w.row();
+    w.str("graph", r.graph);
+    w.integer("batch", r.batch);
+    w.integer("threads", r.threads);
+    w.integer("ops", r.ops);
+    w.num("int8_ms", r.int8_ms);
+    w.num("int8_images_per_s", r.int8_images_per_s, "%.2f");
+    w.num("fast_ms", r.fast_ms);
+    w.num("speedup", r.speedup);
     if (r.exact_vs_qmodel >= 0) {
-      std::fprintf(f, ", \"exact_vs_qmodel\": %s",
-                   r.exact_vs_qmodel == 1 ? "true" : "false");
+      w.boolean("exact_vs_qmodel", r.exact_vs_qmodel == 1);
     }
-    std::fprintf(f,
-                 ", \"arena_bytes\": %lld, \"arena_int8_bytes\": %lld, "
-                 "\"fast_arena_bytes\": %lld}%s\n",
-                 static_cast<long long>(r.arena_bytes),
-                 static_cast<long long>(r.arena_int8_bytes),
-                 static_cast<long long>(r.fast_arena_bytes),
-                 i + 1 < results.size() ? "," : "");
+    w.integer("arena_bytes", r.arena_bytes);
+    w.integer("arena_int8_bytes", r.arena_int8_bytes);
+    w.integer("fast_arena_bytes", r.fast_arena_bytes);
+    w.end();
   }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.end();
+  w.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_int8.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_int8_report [--quick] [--out <path>]\n");
-      return 2;
-    }
-  }
+  const auto [quick, out_path] = parse_report_args(
+      argc, argv, "bench_int8_report", "BENCH_int8.json",
+      "small graphs, fewer batches, short windows (the CI setting)");
   // Full mode uses many best-of windows: single-core containers see heavy
   // tenancy noise, and the int8-vs-float ratio is only trustworthy when both
   // sides report their genuine best window.

@@ -29,9 +29,7 @@
 // (mbv2_batching, unchanged) and the overload row's bounded-p99 + shed
 // rate.
 //
-// Usage: bench_serve_report [--quick] [--out <path>]
-//   --quick  small graph, short windows (the CI setting)
-//   --out    output path (default: BENCH_serve.json in the cwd)
+// Usage: bench_serve_report [--quick] [--out <path>] (--help describes both)
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -41,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_report.h"
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
 #include "runtime/compiled_model.h"
@@ -55,6 +54,7 @@
 namespace {
 
 using namespace nb;
+using namespace nb::bench;
 using namespace nb::runtime;
 using Clock = std::chrono::steady_clock;
 
@@ -378,27 +378,25 @@ MixedGeoRow bench_mixed_geometry(std::shared_ptr<const CompiledModel> model,
   return row;
 }
 
-void print_mixed_geo_row(FILE* f, const MixedGeoRow& r, const char* indent,
-                         const char* trailer) {
-  std::fprintf(
-      f,
-      "%s{\"bucketed\": %s, \"workers\": %lld, \"queue_depth\": %lld, "
-      "\"slo_ms\": %lld, \"offered_per_s\": %.2f, \"capacity_per_s\": %.2f, "
-      "\"offered\": %lld, \"completed\": %lld, \"shed\": %lld, "
-      "\"unresolved\": %lld, \"padded_accepted\": %lld, "
-      "\"mixed_geometry_batches\": %lld, \"batches\": %lld, "
-      "\"avg_batch\": %.2f, \"goodput_per_s\": %.2f, \"shed_rate\": %.4f, "
-      "\"p50_accepted_ms\": %.4f, \"p99_accepted_ms\": %.4f}%s\n",
-      indent, r.bucketed ? "true" : "false",
-      static_cast<long long>(r.workers),
-      static_cast<long long>(r.queue_depth),
-      static_cast<long long>(r.slo_ms), r.offered_per_s, r.capacity_per_s,
-      static_cast<long long>(r.offered), static_cast<long long>(r.completed),
-      static_cast<long long>(r.shed), static_cast<long long>(r.unresolved),
-      static_cast<long long>(r.padded_accepted),
-      static_cast<long long>(r.mixed_geometry_batches),
-      static_cast<long long>(r.batches), r.avg_batch, r.goodput_per_s,
-      r.shed_rate, r.p50_accepted_ms, r.p99_accepted_ms, trailer);
+void write_mixed_geo_row(JsonWriter& w, const MixedGeoRow& r) {
+  w.boolean("bucketed", r.bucketed);
+  w.integer("workers", r.workers);
+  w.integer("queue_depth", r.queue_depth);
+  w.integer("slo_ms", r.slo_ms);
+  w.num("offered_per_s", r.offered_per_s, "%.2f");
+  w.num("capacity_per_s", r.capacity_per_s, "%.2f");
+  w.integer("offered", r.offered);
+  w.integer("completed", r.completed);
+  w.integer("shed", r.shed);
+  w.integer("unresolved", r.unresolved);
+  w.integer("padded_accepted", r.padded_accepted);
+  w.integer("mixed_geometry_batches", r.mixed_geometry_batches);
+  w.integer("batches", r.batches);
+  w.num("avg_batch", r.avg_batch, "%.2f");
+  w.num("goodput_per_s", r.goodput_per_s, "%.2f");
+  w.num("shed_rate", r.shed_rate);
+  w.num("p50_accepted_ms", r.p50_accepted_ms);
+  w.num("p99_accepted_ms", r.p99_accepted_ms);
 }
 
 /// Per-graph batching headline: best micro-batching policy vs that same
@@ -410,44 +408,35 @@ struct BatchingHeadline {
   double speedup() const { return best->images_per_s / seq->images_per_s; }
 };
 
-void print_headline(FILE* f, const char* key, const BatchingHeadline& h,
-                    const char* trailer) {
-  std::fprintf(f, "  \"%s\": {\n", key);
-  std::fprintf(f, "    \"graph\": \"%s\",\n", h.graph.c_str());
-  std::fprintf(f, "    \"sequential_images_per_s\": %.2f,\n",
-               h.seq->images_per_s);
-  std::fprintf(f, "    \"best_policy\": \"%s\",\n", h.best->policy.c_str());
-  std::fprintf(f, "    \"best_policy_images_per_s\": %.2f,\n",
-               h.best->images_per_s);
-  std::fprintf(f, "    \"speedup_microbatch_vs_sequential\": %.4f,\n",
-               h.speedup());
-  std::fprintf(f, "    \"best_policy_avg_batch\": %.2f\n", h.best->avg_batch);
-  std::fprintf(f, "  }%s\n", trailer);
+void write_headline(JsonWriter& w, const BatchingHeadline& h) {
+  w.str("graph", h.graph);
+  w.num("sequential_images_per_s", h.seq->images_per_s, "%.2f");
+  w.str("best_policy", h.best->policy);
+  w.num("best_policy_images_per_s", h.best->images_per_s, "%.2f");
+  w.num("speedup_microbatch_vs_sequential", h.speedup());
+  w.num("best_policy_avg_batch", h.best->avg_batch, "%.2f");
 }
 
-void print_open_loop_row(FILE* f, const OpenLoopRow& r, const char* indent,
-                         const char* trailer) {
-  std::fprintf(
-      f,
-      "%s{\"graph\": \"%s\", \"mode\": \"%s\", \"workers\": %lld, "
-      "\"queue_depth\": %lld, \"slo_ms\": %lld, \"offered_per_s\": %.2f, "
-      "\"capacity_per_s\": %.2f, \"offered\": %lld, \"completed\": %lld, "
-      "\"completed_within_slo\": %lld, \"rejected_queue_full\": %lld, "
-      "\"dropped_deadline\": %lld, \"shed\": %lld, \"unresolved\": %lld, "
-      "\"goodput_per_s\": %.2f, \"shed_rate\": %.4f, "
-      "\"p50_accepted_ms\": %.4f, \"p99_accepted_ms\": %.4f, "
-      "\"max_lag_ms\": %.4f}%s\n",
-      indent, r.graph.c_str(), r.mode.c_str(),
-      static_cast<long long>(r.workers),
-      static_cast<long long>(r.queue_depth),
-      static_cast<long long>(r.slo_ms), r.offered_per_s, r.capacity_per_s,
-      static_cast<long long>(r.offered), static_cast<long long>(r.completed),
-      static_cast<long long>(r.completed_within_slo),
-      static_cast<long long>(r.rejected_queue_full),
-      static_cast<long long>(r.dropped_deadline),
-      static_cast<long long>(r.shed),
-      static_cast<long long>(r.unresolved), r.goodput_per_s, r.shed_rate,
-      r.p50_accepted_ms, r.p99_accepted_ms, r.max_lag_ms, trailer);
+void write_open_loop_row(JsonWriter& w, const OpenLoopRow& r) {
+  w.str("graph", r.graph);
+  w.str("mode", r.mode);
+  w.integer("workers", r.workers);
+  w.integer("queue_depth", r.queue_depth);
+  w.integer("slo_ms", r.slo_ms);
+  w.num("offered_per_s", r.offered_per_s, "%.2f");
+  w.num("capacity_per_s", r.capacity_per_s, "%.2f");
+  w.integer("offered", r.offered);
+  w.integer("completed", r.completed);
+  w.integer("completed_within_slo", r.completed_within_slo);
+  w.integer("rejected_queue_full", r.rejected_queue_full);
+  w.integer("dropped_deadline", r.dropped_deadline);
+  w.integer("shed", r.shed);
+  w.integer("unresolved", r.unresolved);
+  w.num("goodput_per_s", r.goodput_per_s, "%.2f");
+  w.num("shed_rate", r.shed_rate);
+  w.num("p50_accepted_ms", r.p50_accepted_ms);
+  w.num("p99_accepted_ms", r.p99_accepted_ms);
+  w.num("max_lag_ms", r.max_lag_ms);
 }
 
 void write_json(const std::string& path, bool quick,
@@ -456,11 +445,6 @@ void write_json(const std::string& path, bool quick,
                 const std::vector<OpenLoopRow>& sweep,
                 const OpenLoopRow* overload,
                 const std::vector<MixedGeoRow>& mixed_geometry) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(1);
-  }
   // Batching headlines, one per graph: best micro-batching policy
   // (batch <= 8) vs sequential throughput ON THE SAME GRAPH. `mbv2_batching`
   // is the best MobileNetV2-flat geometry — with the batched one-GEMM-per-
@@ -494,18 +478,21 @@ void write_json(const std::string& path, bool quick,
     if (mbv2 == nullptr || h.speedup() > mbv2->speedup()) mbv2 = &h;
   }
 
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"nb-bench-serve-v3\",\n");
-  std::fprintf(f, "  \"bench\": \"serve\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
+  JsonWriter w(path);
+  w.str("schema", "nb-bench-serve-v3");
+  w.str("bench", "serve");
+  w.boolean("quick", quick);
+  w.integer("hardware_threads", std::thread::hardware_concurrency());
+  write_provenance(w);
   if (mbv2 != nullptr) {
-    print_headline(f, "mbv2_batching", *mbv2, ",");
+    w.object("mbv2_batching");
+    write_headline(w, *mbv2);
+    w.end();
   }
   if (overload != nullptr) {
-    std::fprintf(f, "  \"overload\":\n");
-    print_open_loop_row(f, *overload, "    ", ",");
+    w.row("overload");
+    write_open_loop_row(w, *overload);
+    w.end();
   }
   if (!mixed_geometry.empty()) {
     const MixedGeoRow* with = nullptr;
@@ -513,99 +500,80 @@ void write_json(const std::string& path, bool quick,
     for (const MixedGeoRow& r : mixed_geometry) {
       (r.bucketed ? with : without) = &r;
     }
-    std::fprintf(f, "  \"mixed_geometry\": {\n");
-    std::fprintf(f, "    \"graph\": \"mbv2_w035_r32\",\n");
-    std::fprintf(f, "    \"bucket_ladder\": \"32x32\",\n");
-    std::fprintf(f, "    \"geometries\": %zu,\n", kMixedGeometries.size());
+    w.object("mixed_geometry");
+    w.str("graph", "mbv2_w035_r32");
+    w.str("bucket_ladder", "32x32");
+    w.integer("geometries", static_cast<int64_t>(kMixedGeometries.size()));
     if (with != nullptr && without != nullptr &&
         without->goodput_per_s > 0.0) {
-      std::fprintf(f,
-                   "    \"goodput_ratio_bucketed_vs_unbucketed\": %.4f,\n",
-                   with->goodput_per_s / without->goodput_per_s);
+      w.num("goodput_ratio_bucketed_vs_unbucketed",
+            with->goodput_per_s / without->goodput_per_s);
     }
-    std::fprintf(f, "    \"rows\": [\n");
-    for (size_t i = 0; i < mixed_geometry.size(); ++i) {
-      print_mixed_geo_row(f, mixed_geometry[i], "      ",
-                          i + 1 < mixed_geometry.size() ? "," : "");
+    w.array("rows");
+    for (const MixedGeoRow& r : mixed_geometry) {
+      w.row();
+      write_mixed_geo_row(w, r);
+      w.end();
     }
-    std::fprintf(f, "    ]\n");
-    std::fprintf(f, "  },\n");
+    w.end();
+    w.end();
   }
-  std::fprintf(f, "  \"workers_sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    print_open_loop_row(f, sweep[i], "    ",
-                        i + 1 < sweep.size() ? "," : "");
+  w.array("workers_sweep");
+  for (const OpenLoopRow& r : sweep) {
+    w.row();
+    write_open_loop_row(w, r);
+    w.end();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"batching_by_graph\": [\n");
-  for (size_t i = 0; i < headlines.size(); ++i) {
-    const BatchingHeadline& h = headlines[i];
-    std::fprintf(
-        f,
-        "    {\"graph\": \"%s\", \"sequential_images_per_s\": %.2f, "
-        "\"best_policy\": \"%s\", \"best_policy_images_per_s\": %.2f, "
-        "\"speedup_microbatch_vs_sequential\": %.4f, "
-        "\"best_policy_avg_batch\": %.2f}%s\n",
-        h.graph.c_str(), h.seq->images_per_s, h.best->policy.c_str(),
-        h.best->images_per_s, h.speedup(), h.best->avg_batch,
-        i + 1 < headlines.size() ? "," : "");
+  w.end();
+  w.array("batching_by_graph");
+  for (const BatchingHeadline& h : headlines) {
+    w.row();
+    write_headline(w, h);
+    w.end();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"session_scaling\": [\n");
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    const SessionResult& r = sessions[i];
-    std::fprintf(
-        f,
-        "    {\"graph\": \"%s\", \"sessions\": %lld, \"requests\": %lld, "
-        "\"images_per_s\": %.2f, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"owned_arena_bytes_per_session\": %lld, "
-        "\"shared_weight_bytes\": %lld}%s\n",
-        r.graph.c_str(), static_cast<long long>(r.sessions),
-        static_cast<long long>(r.requests), r.images_per_s, r.p50_ms,
-        r.p99_ms, static_cast<long long>(r.owned_arena_bytes_per_session),
-        static_cast<long long>(r.shared_weight_bytes),
-        i + 1 < sessions.size() ? "," : "");
+  w.end();
+  w.array("session_scaling");
+  for (const SessionResult& r : sessions) {
+    w.row();
+    w.str("graph", r.graph);
+    w.integer("sessions", r.sessions);
+    w.integer("requests", r.requests);
+    w.num("images_per_s", r.images_per_s, "%.2f");
+    w.num("p50_ms", r.p50_ms);
+    w.num("p99_ms", r.p99_ms);
+    w.integer("owned_arena_bytes_per_session",
+              r.owned_arena_bytes_per_session);
+    w.integer("shared_weight_bytes", r.shared_weight_bytes);
+    w.end();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"engine\": [\n");
-  for (size_t i = 0; i < engines.size(); ++i) {
-    const EngineResult& r = engines[i];
-    std::fprintf(
-        f,
-        "    {\"graph\": \"%s\", \"policy\": \"%s\", \"max_batch\": %lld, "
-        "\"max_wait_us\": %lld, \"clients\": %lld, \"workers\": %lld, "
-        "\"requests\": %lld, \"images_per_s\": %.2f, \"p50_ms\": %.4f, "
-        "\"p99_ms\": %.4f, \"avg_batch\": %.2f, \"batches\": %lld}%s\n",
-        r.graph.c_str(), r.policy.c_str(),
-        static_cast<long long>(r.max_batch),
-        static_cast<long long>(r.max_wait_us),
-        static_cast<long long>(r.clients), static_cast<long long>(r.workers),
-        static_cast<long long>(r.requests), r.images_per_s, r.p50_ms,
-        r.p99_ms, r.avg_batch, static_cast<long long>(r.batches),
-        i + 1 < engines.size() ? "," : "");
+  w.end();
+  w.array("engine");
+  for (const EngineResult& r : engines) {
+    w.row();
+    w.str("graph", r.graph);
+    w.str("policy", r.policy);
+    w.integer("max_batch", r.max_batch);
+    w.integer("max_wait_us", r.max_wait_us);
+    w.integer("clients", r.clients);
+    w.integer("workers", r.workers);
+    w.integer("requests", r.requests);
+    w.num("images_per_s", r.images_per_s, "%.2f");
+    w.num("p50_ms", r.p50_ms);
+    w.num("p99_ms", r.p99_ms);
+    w.num("avg_batch", r.avg_batch, "%.2f");
+    w.integer("batches", r.batches);
+    w.end();
   }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.end();
+  w.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_serve.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_serve_report [--quick] [--out <path>]\n");
-      return 2;
-    }
-  }
+  const auto [quick, out_path] = parse_report_args(
+      argc, argv, "bench_serve_report", "BENCH_serve.json",
+      "small graph, short windows (the CI setting)");
   const double window_s = quick ? 0.4 : 2.0;
   const double open_loop_window_s = quick ? 1.0 : 3.0;
   const int64_t clients = 8;

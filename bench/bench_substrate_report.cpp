@@ -19,9 +19,7 @@
 // fed the geometry it sees in training, summed per pass kind with each
 // kind's share of the step's layer time.
 //
-// Usage: bench_substrate_report [--quick] [--out <path>]
-//   --quick  shorter timing windows and fewer shapes (the CI setting)
-//   --out    output path (default: BENCH_substrate.json in the cwd)
+// Usage: bench_substrate_report [--quick] [--out <path>] (--help describes both)
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -33,7 +31,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench_timing.h"
+#include "bench_report.h"
 #include "core/netbooster.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
@@ -511,11 +509,6 @@ void write_json(const std::string& path, bool quick,
                 const std::vector<Result>& results,
                 const std::vector<DwGeometry>& routes,
                 const std::vector<TrainRow>& train) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    std::exit(1);
-  }
   double sgemm256_speedup = 0.0;
   double sgemm256_gflops = 0.0;
   double sgemm256_legacy_gflops = 0.0;
@@ -526,25 +519,22 @@ void write_json(const std::string& path, bool quick,
       sgemm256_legacy_gflops = r.gflops * r.ms / r.legacy_ms;
     }
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"nb-bench-substrate-v1\",\n");
-  std::fprintf(f, "  \"bench\": \"substrate\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(f, "  \"gemm_kernel\": \"%s\",\n", gemm_kernel_name());
-  std::fprintf(f, "  \"dw_kernel\": \"%s\",\n", depthwise_kernel_name());
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"threads_tested\": [");
-  for (size_t i = 0; i < threads_tested.size(); ++i) {
-    std::fprintf(f, "%s%lld", i > 0 ? ", " : "",
-                 static_cast<long long>(threads_tested[i]));
-  }
-  std::fprintf(f, "],\n");
-  std::fprintf(f, "  \"sgemm256\": {\n");
-  std::fprintf(f, "    \"gflops_1t\": %.4f,\n", sgemm256_gflops);
-  std::fprintf(f, "    \"legacy_gflops_1t\": %.4f,\n", sgemm256_legacy_gflops);
-  std::fprintf(f, "    \"speedup_vs_legacy\": %.4f\n", sgemm256_speedup);
-  std::fprintf(f, "  },\n");
+  JsonWriter w(path);
+  w.str("schema", "nb-bench-substrate-v1");
+  w.str("bench", "substrate");
+  w.boolean("quick", quick);
+  w.str("gemm_kernel", gemm_kernel_name());
+  w.str("dw_kernel", depthwise_kernel_name());
+  w.integer("hardware_threads", std::thread::hardware_concurrency());
+  write_provenance(w);
+  w.array("threads_tested", /*one_line=*/true);
+  for (const int64_t t : threads_tested) w.integer(nullptr, t);
+  w.end();
+  w.object("sgemm256");
+  w.num("gflops_1t", sgemm256_gflops);
+  w.num("legacy_gflops_1t", sgemm256_legacy_gflops);
+  w.num("speedup_vs_legacy", sgemm256_speedup);
+  w.end();
   // Per-graph totals: what each instance alone would cost, and what the
   // routed depthwise_plane costs (each geometry at its route's time).
   std::vector<std::string> graphs;
@@ -553,102 +543,89 @@ void write_json(const std::string& path, bool quick,
       graphs.push_back(g.graph);
     }
   }
-  std::fprintf(f, "  \"depthwise_routing\": {\n");
-  std::fprintf(f, "    \"threads\": 1,\n");
-  std::fprintf(f, "    \"totals\": [\n");
-  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+  w.object("depthwise_routing");
+  w.integer("threads", 1);
+  w.array("totals");
+  for (const std::string& graph : graphs) {
     double scalar = 0.0, vector = 0.0, routed = 0.0;
     for (const DwGeometry& g : routes) {
-      if (g.graph != graphs[gi]) continue;
+      if (g.graph != graph) continue;
       scalar += g.scalar_ms;
       vector += g.vector_ms;
       routed += g.route == depthwise_instance_name(0) ? g.scalar_ms
                                                       : g.vector_ms;
     }
-    std::fprintf(f,
-                 "      {\"graph\": \"%s\", \"scalar_ms\": %.4f, "
-                 "\"vector_ms\": %.4f, \"routed_ms\": %.4f, "
-                 "\"speedup_routed_vs_scalar\": %.4f}%s\n",
-                 graphs[gi].c_str(), scalar, vector, routed, scalar / routed,
-                 gi + 1 < graphs.size() ? "," : "");
+    w.row();
+    w.str("graph", graph);
+    w.num("scalar_ms", scalar);
+    w.num("vector_ms", vector);
+    w.num("routed_ms", routed);
+    w.num("speedup_routed_vs_scalar", scalar / routed);
+    w.end();
   }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f, "    \"rows\": [\n");
-  for (size_t i = 0; i < routes.size(); ++i) {
-    const DwGeometry& g = routes[i];
-    std::fprintf(f,
-                 "      {\"graph\": \"%s\", \"h\": %lld, \"w\": %lld, "
-                 "\"k\": %lld, \"s\": %lld, \"pad\": %lld, "
-                 "\"planes\": %lld, \"scalar_ms\": %.5f, "
-                 "\"vector_ms\": %.5f, \"speedup\": %.3f, "
-                 "\"route\": \"%s\"}%s\n",
-                 g.graph.c_str(), static_cast<long long>(g.h),
-                 static_cast<long long>(g.w), static_cast<long long>(g.k),
-                 static_cast<long long>(g.s), static_cast<long long>(g.pad),
-                 static_cast<long long>(g.planes), g.scalar_ms, g.vector_ms,
-                 g.scalar_ms / g.vector_ms, g.route.c_str(),
-                 i + 1 < routes.size() ? "," : "");
+  w.end();
+  w.array("rows");
+  for (const DwGeometry& g : routes) {
+    w.row();
+    w.str("graph", g.graph);
+    w.integer("h", g.h);
+    w.integer("w", g.w);
+    w.integer("k", g.k);
+    w.integer("s", g.s);
+    w.integer("pad", g.pad);
+    w.integer("planes", g.planes);
+    w.num("scalar_ms", g.scalar_ms, "%.5f");
+    w.num("vector_ms", g.vector_ms, "%.5f");
+    w.num("speedup", g.scalar_ms / g.vector_ms, "%.3f");
+    w.str("route", g.route);
+    w.end();
   }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
+  w.end();
+  w.end();
   double train_total = 0.0;
   for (const TrainRow& r : train) train_total += r.forward_ms + r.backward_ms;
-  std::fprintf(f, "  \"train_step\": {\n");
-  std::fprintf(f, "    \"graph\": \"mbv2_tiny_giant_r%lld_b%lld\",\n",
-               static_cast<long long>(kTrainRes),
-               static_cast<long long>(kTrainBatch));
-  std::fprintf(f, "    \"threads\": 1,\n");
-  std::fprintf(f, "    \"total_ms\": %.4f,\n", train_total);
-  std::fprintf(f, "    \"rows\": [\n");
-  for (size_t i = 0; i < train.size(); ++i) {
-    const TrainRow& r = train[i];
-    std::fprintf(f,
-                 "      {\"pass\": \"%s\", \"units\": %zu, "
-                 "\"forward_ms\": %.4f, \"backward_ms\": %.4f, "
-                 "\"share\": %.4f}%s\n",
-                 r.pass.c_str(), r.units.size(), r.forward_ms, r.backward_ms,
-                 (r.forward_ms + r.backward_ms) / train_total,
-                 i + 1 < train.size() ? "," : "");
+  w.object("train_step");
+  w.str("graph", "mbv2_tiny_giant_r" + std::to_string(kTrainRes) + "_b" +
+                     std::to_string(kTrainBatch));
+  w.integer("threads", 1);
+  w.num("total_ms", train_total);
+  w.array("rows");
+  for (const TrainRow& r : train) {
+    w.row();
+    w.str("pass", r.pass);
+    w.integer("units", static_cast<int64_t>(r.units.size()));
+    w.num("forward_ms", r.forward_ms);
+    w.num("backward_ms", r.backward_ms);
+    w.num("share", (r.forward_ms + r.backward_ms) / train_total);
+    w.end();
   }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"kind\": \"%s\", \"threads\": %lld",
-                 r.name.c_str(), r.kind.c_str(),
-                 static_cast<long long>(r.threads));
-    std::fprintf(f, ", \"ms\": %.6f", r.ms);
-    if (r.gflops > 0.0) std::fprintf(f, ", \"gflops\": %.4f", r.gflops);
+  w.end();
+  w.end();
+  w.array("results");
+  for (const Result& r : results) {
+    w.row();
+    w.str("name", r.name);
+    w.str("kind", r.kind);
+    w.integer("threads", r.threads);
+    w.num("ms", r.ms, "%.6f");
+    if (r.gflops > 0.0) w.num("gflops", r.gflops);
     if (r.legacy_ms > 0.0) {
-      std::fprintf(f, ", \"legacy_ms\": %.6f, \"speedup_vs_legacy\": %.4f",
-                   r.legacy_ms, r.speedup);
-      std::fprintf(f, ", \"max_abs_diff_vs_legacy\": %.3g", r.max_abs_diff);
+      w.num("legacy_ms", r.legacy_ms, "%.6f");
+      w.num("speedup_vs_legacy", r.speedup);
+      w.num("max_abs_diff_vs_legacy", r.max_abs_diff, "%.3g");
     }
-    std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
+    w.end();
   }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  w.end();
+  w.finish();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string out_path = "BENCH_substrate.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_substrate_report [--quick] [--out <path>]\n");
-      return 2;
-    }
-  }
+  const auto [quick, out_path] = parse_report_args(
+      argc, argv, "bench_substrate_report", "BENCH_substrate.json",
+      "shorter timing windows and fewer shapes (the CI setting)");
   const Budget budget = quick ? Budget{0.03, 2} : Budget{0.15, 4};
 
   PoolSet pools;

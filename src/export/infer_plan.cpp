@@ -176,8 +176,10 @@ InferPlan::InferPlan(const FlatModel& model,
         out_reg = 1 - region;
         region = out_reg;
         ping[region] = std::max(ping[region], out);
+        // An int8 plan's cols panel lives in the byte arena.
+        const int64_t float_cols = backend == Backend::fast ? cols : 0;
         stats_.peak_live_floats = std::max(
-            stats_.peak_live_floats, saved_total + cur + out + cols);
+            stats_.peak_live_floats, saved_total + cur + out + float_cols);
         stats_.no_reuse_floats += out + cols;
         c = cv.cout;
         h = oh;

@@ -130,7 +130,9 @@ struct PlanStats {
   /// every residual copy + per-conv im2col scratch.
   int64_t no_reuse_floats = 0;
   /// Max floats simultaneously live at any single step — a lower bound for
-  /// any planner; arena_floats must land between this and no_reuse_floats.
+  /// any planner's float arena; arena_floats must land between this and
+  /// no_reuse_floats. An int8 plan's cols panel is not counted: it lives in
+  /// the byte arena (arena_int8_bytes).
   int64_t peak_live_floats = 0;
   /// Weight-panel floats the plan executes against (dequantized levels on
   /// fast panels, scales and bias on both). BORROWED from the shared

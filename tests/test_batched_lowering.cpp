@@ -346,6 +346,26 @@ TEST(BatchedLowering, Int8ArenaScalesAsDocumentedWithBatch) {
   }
 }
 
+TEST(BatchedLowering, ArenaCoversPeakLiveOnSynthGraphsAndBothBackends) {
+  // peak_live_floats bounds the float arena from below on both backends.
+  // An int8 plan's im2col panel lives in its byte arena, so it must not
+  // count toward the float peak.
+  Rng rng(20260730);
+  const FlatModel mbv2 = synth::make_mbv2_flat(rng, 0.35f, 96, 100);
+  const FlatModel mcunet = synth::make_mcunet_flat(rng, 96, 100);
+  for (const FlatModel* m : {&mbv2, &mcunet}) {
+    for (const Backend backend : {Backend::fast, Backend::int8}) {
+      for (const int64_t b : {1, 8}) {
+        const InferPlan plan(*m, b, 3, 96, 96, backend);
+        const PlanStats& st = plan.stats();
+        EXPECT_GE(st.arena_floats, st.peak_live_floats)
+            << (m == &mbv2 ? "mbv2" : "mcunet") << " "
+            << (backend == Backend::int8 ? "int8" : "fast") << " b" << b;
+      }
+    }
+  }
+}
+
 TEST(BatchedLowering, Int8SessionBatchedRunMatchesQModel) {
   // End to end through the serving tier on the integer backend: compile
   // with Backend::int8, run a stacked batch, and demand memcmp equality
