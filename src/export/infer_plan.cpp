@@ -263,8 +263,8 @@ InferPlan::InferPlan(const FlatModel& model,
   if (backend == Backend::int8) {
     // The int8 plan never touches the float cols region — its im2col panel
     // is the byte qarena instead, alongside the quantized-input region.
-    // Accumulators need no region of their own: the int32 GEMM output is
-    // requantized in place over the float out region (4 bytes either way).
+    // Accumulators need no region of their own: int32 sums live in the
+    // float out region they are requantized over (4 bytes either way).
     stats_.cols_floats = 0;
     stats_.arena_floats = off;
     stats_.arena_int8_bytes = qin_max + cols_max;
@@ -365,13 +365,14 @@ void InferPlan::run_conv(const Step& s, const float* in, float* out,
 
 void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
                             uint8_t* cols) const {
-  // Mirror of run_conv over integer levels. The int32 accumulators are
-  // written straight into the float out region (both are 4 bytes per
-  // element) and requantize_row rewrites them as floats IN PLACE — element
-  // i is read before it is written, so the aliasing is benign, and no
-  // separate accumulator arena exists. The epilogue itself is the shared
-  // out-of-line function from qmodel.cpp, which is what makes this path
-  // memcmp-equal to the QModel oracle.
+  // Mirror of run_conv over integer levels. Every float it stores comes
+  // from the one requantize expression (tensor/requantize.h) that the
+  // QModel oracle also runs, which is what makes this path memcmp-equal to
+  // it. The depthwise writes its int32 accumulators straight into the
+  // float out region (both are 4 bytes per element) and requantize_row
+  // rewrites them as floats IN PLACE — element i is read before it is
+  // written, so the aliasing is benign; lowered convs requantize inside
+  // the GEMM's final store.
   const int64_t n = stats_.batch;
   const int64_t in_hw = s.in_h * s.in_w;
   const int64_t plane = s.out_h * s.out_w;
@@ -402,7 +403,10 @@ void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
   // micro-batch, exactly like the float path — and because the GEMM is
   // integer-exact, batched-vs-sequential and thread-count invariance hold
   // bitwise by construction rather than by rounding-order discipline. A
-  // direct conv reads the quantized input region as its panel.
+  // direct conv reads the quantized input region as its panel. The GEMM's
+  // epilogue requantizes each tile on its final K block and stores the
+  // group's floats straight into the out region (earlier K blocks park
+  // their int32 partial sums there).
   const int64_t cin_g = s.cin / s.groups;
   const int64_t cout_g = s.cout / s.groups;
   const int64_t col_rows = cin_g * k * k;
@@ -414,19 +418,13 @@ void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
                         k, s.stride, s.stride, s.pad, s.pad, cols);
       panel = cols;
     }
+    GemmS8Epilogue epi;
+    epi.eff = s.eff.data() + g * cout_g;
+    epi.bias = s.bias == nullptr ? nullptr : s.bias + g * cout_g;
+    epi.act = requant_act(s.act);
     gemm_s8(cout_g, row, col_rows, s.wq + g * cout_g * col_rows, panel,
-            reinterpret_cast<int32_t*>(out + g * cout_g * row));
+            out + g * cout_g * row, epi);
   }
-  const int64_t grain =
-      std::max<int64_t>(1, 4096 / std::max<int64_t>(row, 1));
-  parallel_for(s.cout, grain, [&](int64_t o0, int64_t o1) {
-    for (int64_t o = o0; o < o1; ++o) {
-      float* orow = out + o * row;
-      const float b = s.bias == nullptr ? 0.0f : s.bias[o];
-      requantize_row(orow, reinterpret_cast<const int32_t*>(orow), row,
-                     s.eff[static_cast<size_t>(o)], b, s.act);
-    }
-  });
 }
 
 void InferPlan::run_gap(const Step& s, const float* in, float* out) const {

@@ -59,12 +59,15 @@
 // Backend::int8 builds the same plan over the TRUE integer path: before
 // each conv/linear the float activation is quantized once to offset-u8
 // levels (shared quantize_levels_u8, the same rounding fake-quant applies),
-// the byte im2col + gemm_s8 accumulate exact int32, and the shared
-// requantize_row epilogue (see qmodel.h) rescales per channel in place over
-// the output region. The int32 accumulators live IN the float arena's
-// output region (4 bytes per element either way); the plan additionally
-// owns a small byte arena [ quantized input | byte cols ] and drops the
-// float cols region entirely. Because every accumulation is an exact
+// the byte im2col + gemm_s8 accumulate exact int32, and the requantize
+// expression — one inline definition (tensor/requantize.h), the one the
+// QModel oracle runs — rescales per channel: inside gemm_s8's final store
+// for lowered convs, through requantize_row in place for the depthwise and
+// requantize_linear_row for the head (see qmodel.h). Int32 accumulators
+// live IN the float arena's output region (4 bytes per element either
+// way); the plan additionally owns a small byte arena
+// [ quantized input | byte cols ] and drops the float cols region
+// entirely. Because every accumulation is an exact
 // integer sum, thread-count and batched-vs-sequential invariance are
 // bitwise by construction, and the whole backend is memcmp-equal to the
 // scalar QModel oracle (enforced in tests/test_infer_runtime.cpp).

@@ -1,9 +1,8 @@
 #include "export/qmodel.h"
 
-#include <algorithm>
-
 #include "quant/quantize.h"
 #include "tensor/gemm_s8.h"
+#include "tensor/requantize.h"
 
 namespace nb::exporter {
 
@@ -16,11 +15,15 @@ void requantize_row_avx2(float* out, const int32_t* acc, int64_t n,
 
 namespace {
 
-#if defined(__GNUC__)
-#define NB_NOINLINE __attribute__((noinline))
-#else
-#define NB_NOINLINE
-#endif
+// One loop per activation: with the activation a constant, its test folds
+// out of the loop.
+template <RequantAct kAct>
+void requantize_scalar(float* out, const int32_t* acc, int64_t n, float scale,
+                       float bias) {
+  for (int64_t i = 0; i < n; ++i) {
+    out[i] = requantize<ScalarLanes>(acc[i], scale, bias, kAct);
+  }
+}
 
 /// Int8 levels of one quantized activation tensor (offset-u8 storage).
 std::vector<uint8_t> quantize_tensor(const Tensor& x, float scale, int bits) {
@@ -127,15 +130,15 @@ Tensor run_linear_q(const FlatLinear& op, const Tensor& x, const float* eff) {
 
 }  // namespace
 
-// NB_NOINLINE: these two are THE shared int8 float epilogue. QModel calls
-// them from this translation unit; if the compiler inlined that call it
-// could contract the multiply-add differently from the out-of-line copy
-// InferPlan links against, silently breaking the memcmp contract.
-NB_NOINLINE void requantize_row(float* out, const int32_t* acc, int64_t n,
-                                float scale, float bias, FlatAct act) {
+// Both epilogues evaluate the one requantize expression of
+// tensor/requantize.h, which the gemm_s8 epilogue evaluates too; this TU
+// and the AVX2 one build with -ffp-contract=off, so every copy rounds the
+// multiply and the add on their own.
+void requantize_row(float* out, const int32_t* acc, int64_t n, float scale,
+                    float bias, FlatAct act) {
 #if defined(NB_EXPORT_REQUANT_AVX2)
-  // Bit-identical AVX2 instance (mul-then-add, NaN-faithful clamps); the
-  // epilogue runs over every conv output element, so width matters.
+  // The epilogue runs over every depthwise output element, so width
+  // matters; the AVX2 instance is the same expression eight lanes wide.
   static const bool use_avx2 = __builtin_cpu_supports("avx2");
   if (use_avx2) {
     detail::requantize_row_avx2(out, acc, n, scale, bias, act);
@@ -144,30 +147,23 @@ NB_NOINLINE void requantize_row(float* out, const int32_t* acc, int64_t n,
 #endif
   switch (act) {
     case FlatAct::identity:
-      for (int64_t i = 0; i < n; ++i) {
-        out[i] = static_cast<float>(acc[i]) * scale + bias;
-      }
+      requantize_scalar<RequantAct::identity>(out, acc, n, scale, bias);
       return;
     case FlatAct::relu:
-      for (int64_t i = 0; i < n; ++i) {
-        out[i] = std::max(static_cast<float>(acc[i]) * scale + bias, 0.0f);
-      }
+      requantize_scalar<RequantAct::relu>(out, acc, n, scale, bias);
       return;
     case FlatAct::relu6:
-      for (int64_t i = 0; i < n; ++i) {
-        out[i] =
-            std::clamp(static_cast<float>(acc[i]) * scale + bias, 0.0f, 6.0f);
-      }
+      requantize_scalar<RequantAct::relu6>(out, acc, n, scale, bias);
       return;
   }
 }
 
-NB_NOINLINE void requantize_linear_row(float* out, const int32_t* acc,
-                                       const float* eff, const float* bias,
-                                       int64_t n) {
+void requantize_linear_row(float* out, const int32_t* acc, const float* eff,
+                           const float* bias, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
-    const float b = bias == nullptr ? 0.0f : bias[i];
-    out[i] = static_cast<float>(acc[i]) * eff[i] + b;
+    out[i] = requantize<ScalarLanes>(acc[i], eff[i],
+                                     bias == nullptr ? 0.0f : bias[i],
+                                     RequantAct::identity);
   }
 }
 

@@ -11,10 +11,14 @@
 //   * The int32 accumulator is the EXACT integer sum of w * level. Integer
 //     sums are order-invariant, so the packed GEMM's blocking/threading and
 //     this oracle's naive loop produce the same int32 bit pattern.
-//   * The float epilogue is the out-of-line requantize_row /
-//     requantize_linear_row defined below — ONE compiled function used by
-//     both the oracle and InferPlan, so no compiler can contract the
-//     multiply-add differently on the two sides.
+//   * The float epilogue is ONE expression, act(float(acc) * eff + bias),
+//     with one inline definition (tensor/requantize.h) compiled only in
+//     -ffp-contract=off library sources. The oracle reaches it through
+//     requantize_row / requantize_linear_row below; InferPlan reaches it
+//     through the same two functions (int8 depthwise, linear head) and
+//     through the gemm_s8 epilogue, which applies it in each GEMM tile's
+//     final store. No copy can contract the multiply-add into an FMA, so
+//     every path rounds the same way.
 //   * Residual add, GAP and the entry layout conversion stay float with the
 //     same scalar expressions as InferPlan.
 //
@@ -27,24 +31,36 @@
 #include <vector>
 
 #include "export/flat_model.h"
+#include "tensor/gemm_s8.h"
 
 namespace nb::exporter {
 
-/// Fused int8 conv epilogue over one contiguous run of outputs:
-/// out[i] = act_clamp((float)acc[i] * scale + bias). `scale` is the
-/// per-channel effective scale weight_scale * act_scale. Defined out of
-/// line (and never inlined) in qmodel.cpp so QModel and InferPlan execute
-/// the same machine code — the epilogue is the only float arithmetic in
-/// the int8 conv path, and a differently-contracted copy would break the
-/// memcmp contract. Safe when out and acc alias elementwise (the plan
-/// requantizes in place; element i is read before it is written).
+/// The int8 conv epilogue over one contiguous run of outputs:
+/// out[i] = act_clamp((float)acc[i] * scale + bias), the requantize
+/// expression of tensor/requantize.h. `scale` is the per-channel effective
+/// scale weight_scale * act_scale. Safe when out and acc alias elementwise
+/// (the int8 depthwise requantizes in place; element i is read before it
+/// is written).
 void requantize_row(float* out, const int32_t* acc, int64_t n, float scale,
                     float bias, FlatAct act);
 
 /// Linear-head epilogue over one image's logit row:
-/// out[o] = (float)acc[o] * eff[o] + bias[o] (bias == nullptr reads 0).
+/// out[o] = (float)acc[o] * eff[o] + bias[o] (bias == nullptr reads 0), the
+/// same expression with the identity activation.
 void requantize_linear_row(float* out, const int32_t* acc, const float* eff,
                            const float* bias, int64_t n);
+
+/// The requantize activation for a program activation (same values).
+inline RequantAct requant_act(FlatAct act) {
+  static_assert(static_cast<int>(FlatAct::identity) ==
+                        static_cast<int>(RequantAct::identity) &&
+                    static_cast<int>(FlatAct::relu) ==
+                        static_cast<int>(RequantAct::relu) &&
+                    static_cast<int>(FlatAct::relu6) ==
+                        static_cast<int>(RequantAct::relu6),
+                "FlatAct and RequantAct must share their values");
+  return static_cast<RequantAct>(act);
+}
 
 /// Whether every conv/linear in `model` can run on the true int8 backend:
 /// calibrated act_scale > 0 and act_bits in [2, 8] (activation levels must

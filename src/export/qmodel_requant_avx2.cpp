@@ -1,60 +1,49 @@
-// AVX2 instance of the shared requantization epilogue, selected at runtime
-// by requantize_row in qmodel.cpp. The contract is bit-identity with the
-// generic TU, which compiles to mul-then-add (baseline x86-64 has no FMA),
-// so this instance also uses separate _mm256_mul_ps / _mm256_add_ps — never
-// fmadd, whose single rounding would diverge. Clamp operand order is chosen
-// so NaN propagates exactly like std::max(v, 0.0f) / std::clamp(v, 0, 6):
-// vmaxps/vminps return the SECOND source when either operand is NaN, so the
-// accumulator-derived value always sits in the second slot.
-#include <algorithm>
+// AVX2 instance of requantize_row, selected at runtime by qmodel.cpp: the
+// requantize expression of tensor/requantize.h eight lanes at a time, the
+// scalar lanes on the tail. Built with -mavx2 (no FMA) and, like every
+// library source, -ffp-contract=off.
 #include <cstdint>
 
 #include <immintrin.h>
 
 #include "export/flat_model.h"
+#include "tensor/requantize.h"
 
 namespace nb::exporter::detail {
 
+namespace {
+
+// One loop per activation: with the activation a constant, its test folds
+// out of the loop.
+template <RequantAct kAct>
+void requantize_lanes(float* out, const int32_t* acc, int64_t n, float scale,
+                      float bias) {
+  const __m256 vs = Avx2Lanes::splat(scale);
+  const __m256 vb = Avx2Lanes::splat(bias);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    _mm256_storeu_ps(out + i, requantize<Avx2Lanes>(v, vs, vb, kAct));
+  }
+  for (; i < n; ++i) {
+    out[i] = requantize<ScalarLanes>(acc[i], scale, bias, kAct);
+  }
+}
+
+}  // namespace
+
 void requantize_row_avx2(float* out, const int32_t* acc, int64_t n,
                          float scale, float bias, FlatAct act) {
-  const __m256 vs = _mm256_set1_ps(scale);
-  const __m256 vb = _mm256_set1_ps(bias);
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 six = _mm256_set1_ps(6.0f);
-  int64_t i = 0;
   switch (act) {
     case FlatAct::identity:
-      for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_cvtepi32_ps(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(acc + i)));
-        _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_mul_ps(v, vs), vb));
-      }
-      for (; i < n; ++i) {
-        out[i] = static_cast<float>(acc[i]) * scale + bias;
-      }
+      requantize_lanes<RequantAct::identity>(out, acc, n, scale, bias);
       return;
     case FlatAct::relu:
-      for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_cvtepi32_ps(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(acc + i)));
-        const __m256 y = _mm256_add_ps(_mm256_mul_ps(v, vs), vb);
-        _mm256_storeu_ps(out + i, _mm256_max_ps(zero, y));
-      }
-      for (; i < n; ++i) {
-        out[i] = std::max(static_cast<float>(acc[i]) * scale + bias, 0.0f);
-      }
+      requantize_lanes<RequantAct::relu>(out, acc, n, scale, bias);
       return;
     case FlatAct::relu6:
-      for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_cvtepi32_ps(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(acc + i)));
-        const __m256 y = _mm256_add_ps(_mm256_mul_ps(v, vs), vb);
-        _mm256_storeu_ps(out + i, _mm256_min_ps(six, _mm256_max_ps(zero, y)));
-      }
-      for (; i < n; ++i) {
-        out[i] =
-            std::clamp(static_cast<float>(acc[i]) * scale + bias, 0.0f, 6.0f);
-      }
+      requantize_lanes<RequantAct::relu6>(out, acc, n, scale, bias);
       return;
   }
 }

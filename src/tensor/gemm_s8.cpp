@@ -1,9 +1,11 @@
 #include "tensor/gemm_s8.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "tensor/gemm_s8_kernel.h"
+#include "tensor/requantize.h"
 #include "tensor/tensor.h"
 
 namespace nb {
@@ -11,7 +13,8 @@ namespace nb {
 namespace {
 
 using GemmS8KernelFn = void (*)(int64_t, int64_t, int64_t, const int8_t*,
-                                const uint8_t*, int32_t*);
+                                const uint8_t*, int32_t*,
+                                const GemmS8Epilogue*);
 
 GemmS8KernelFn pick_kernel() {
 #if defined(NB_GEMM_S8_VNNI)
@@ -58,6 +61,37 @@ const std::vector<Instance>& instances() {
   return list;
 }
 
+// The empty reduction: C is an exact zero, which the epilogue still maps.
+// No conv lowering reaches it, so it stays out of the hot path.
+[[gnu::cold]] void store_empty_product(int64_t m, int64_t n, int32_t* c,
+                                       const GemmS8Epilogue* epi) {
+  if (epi == nullptr) {
+    std::fill_n(c, m * n, 0);
+    return;
+  }
+  float* out = reinterpret_cast<float*>(c);
+  for (int64_t i = 0; i < m; ++i) {
+    std::fill_n(out + i * n, n, requantize<ScalarLanes>(
+        0, epi->eff[i], epi->bias == nullptr ? 0.0f : epi->bias[i], epi->act));
+  }
+}
+
+// The front end every entry point shares: empty shapes, the empty
+// reduction and the K bound.
+void run(GemmS8KernelFn fn, int64_t m, int64_t n, int64_t k, const int8_t* a,
+         const uint8_t* b, int32_t* c, const GemmS8Epilogue* epi) {
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    store_empty_product(m, n, c, epi);
+    return;
+  }
+  NB_CHECK(k <= kGemmS8MaxK,
+           "gemm_s8: K too large for exact int32 accumulation");
+  NB_CHECK(epi == nullptr || epi->eff != nullptr,
+           "gemm_s8: the requantize epilogue needs its scales");
+  fn(m, n, k, a, b, c, epi);
+}
+
 }  // namespace
 
 const char* gemm_s8_kernel_name() {
@@ -80,26 +114,24 @@ const char* gemm_s8_instance_name(int i) {
 
 void gemm_s8_run_instance(int i, int64_t m, int64_t n, int64_t k,
                           const int8_t* a, const uint8_t* b, int32_t* c) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    std::fill(c, c + m * n, 0);
-    return;
-  }
-  NB_CHECK(k <= kGemmS8MaxK,
-           "gemm_s8: K too large for exact int32 accumulation");
-  instances()[static_cast<size_t>(i)].fn(m, n, k, a, b, c);
+  run(instances()[static_cast<size_t>(i)].fn, m, n, k, a, b, c, nullptr);
+}
+
+void gemm_s8_run_instance(int i, int64_t m, int64_t n, int64_t k,
+                          const int8_t* a, const uint8_t* b, float* out,
+                          const GemmS8Epilogue& epi) {
+  run(instances()[static_cast<size_t>(i)].fn, m, n, k, a, b,
+      reinterpret_cast<int32_t*>(out), &epi);
 }
 
 void gemm_s8(int64_t m, int64_t n, int64_t k, const int8_t* a,
              const uint8_t* b, int32_t* c) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    std::fill(c, c + m * n, 0);
-    return;
-  }
-  NB_CHECK(k <= kGemmS8MaxK,
-           "gemm_s8: K too large for exact int32 accumulation");
-  active_kernel()(m, n, k, a, b, c);
+  run(active_kernel(), m, n, k, a, b, c, nullptr);
+}
+
+void gemm_s8(int64_t m, int64_t n, int64_t k, const int8_t* a,
+             const uint8_t* b, float* out, const GemmS8Epilogue& epi) {
+  run(active_kernel(), m, n, k, a, b, reinterpret_cast<int32_t*>(out), &epi);
 }
 
 }  // namespace nb

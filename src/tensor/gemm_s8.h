@@ -20,6 +20,16 @@
 // Exactness bound: |C| <= K * 127 * 127 and the largest intermediate is
 // |C| + kc * 127 * 255, so K <= 2^17 keeps every partial sum inside int32
 // (checked; far above any conv lowering's cin/groups * k * k).
+//
+// Requantize epilogue: the second gemm_s8 overload maps each element of C
+// through the int8 backend's requantize expression (tensor/requantize.h,
+// which only -ffp-contract=off library sources include) inside the
+// micro-kernel, on each tile's final K block, and stores floats straight
+// from the registers — no int32 pass over C is left for a separate
+// requantize. Earlier K blocks keep their exact int32 partial sums in the
+// output buffer itself (4 bytes per element either way), so the output is
+// bit-identical to gemm_s8 followed by the same expression per row
+// (exporter::requantize_row).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +46,24 @@ constexpr int64_t kGemmS8MaxK = int64_t{1} << 17;
 void gemm_s8(int64_t m, int64_t n, int64_t k, const int8_t* a,
              const uint8_t* b, int32_t* c);
 
+/// Activation applied by the requantize epilogue; the values match
+/// exporter::FlatAct's.
+enum class RequantAct : uint8_t { identity = 0, relu = 1, relu6 = 2 };
+
+/// Per-row requantize epilogue: row i of C stores
+/// requantize(C[i,j], eff[i], bias[i], act) as a float.
+struct GemmS8Epilogue {
+  const float* eff = nullptr;   // [M] effective scales, required
+  const float* bias = nullptr;  // [M], or nullptr to add +0.0f
+  RequantAct act = RequantAct::identity;
+};
+
+/// out[M,N] = requantize(A[M,K] * (B[K,N] - 128)) per the epilogue, float,
+/// row-major, overwrite; bit-identical to the int32 overload followed by
+/// the same expression per row.
+void gemm_s8(int64_t m, int64_t n, int64_t k, const int8_t* a,
+             const uint8_t* b, float* out, const GemmS8Epilogue& epi);
+
 /// Name of the instance chosen at runtime ("s8-vnni", "s8-avx2" or
 /// "s8-generic"); surfaced by the int8 bench report.
 const char* gemm_s8_kernel_name();
@@ -48,5 +76,8 @@ const char* gemm_s8_instance_name(int i);
 /// Runs instance i with the same contract (and K bound) as gemm_s8.
 void gemm_s8_run_instance(int i, int64_t m, int64_t n, int64_t k,
                           const int8_t* a, const uint8_t* b, int32_t* c);
+void gemm_s8_run_instance(int i, int64_t m, int64_t n, int64_t k,
+                          const int8_t* a, const uint8_t* b, float* out,
+                          const GemmS8Epilogue& epi);
 
 }  // namespace nb

@@ -3,15 +3,22 @@
 // the accumulation is exact integer arithmetic they return bit-identical
 // results — gemm_s8.cpp picks the fastest one the CPU supports. Not part of
 // the public surface — include "tensor/gemm_s8.h".
+//
+// Every instance takes the int32 output `c` and an optional epilogue: with
+// `epi` null it stores exact int32 sums; otherwise each tile's final K
+// block stores requantized floats over the same memory (see gemm_s8.h).
 #pragma once
 
 #include <cstdint>
+
+#include "tensor/gemm_s8.h"
 
 namespace nb::detail {
 
 /// Baseline-ISA instance, always available.
 void gemm_s8_packed_generic(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                            const uint8_t* b, int32_t* c);
+                            const uint8_t* b, int32_t* c,
+                            const GemmS8Epilogue* epi);
 
 #if defined(NB_GEMM_S8_AVX2)
 /// AVX2 instance (gemm_s8_kernel_avx2.cpp, built with -mavx2). vpmaddubsw
@@ -20,7 +27,8 @@ void gemm_s8_packed_generic(int64_t m, int64_t n, int64_t k, const int8_t* a,
 /// result is still the exact integer sum. Only called after
 /// __builtin_cpu_supports("avx2").
 void gemm_s8_packed_avx2(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                         const uint8_t* b, int32_t* c);
+                         const uint8_t* b, int32_t* c,
+                         const GemmS8Epilogue* epi);
 #endif
 
 #if defined(NB_GEMM_S8_VNNI)
@@ -29,7 +37,8 @@ void gemm_s8_packed_avx2(int64_t m, int64_t n, int64_t k, const int8_t* a,
 /// saturation. Only called after __builtin_cpu_supports confirms
 /// avx512vnni and avx512vl.
 void gemm_s8_packed_vnni(int64_t m, int64_t n, int64_t k, const int8_t* a,
-                         const uint8_t* b, int32_t* c);
+                         const uint8_t* b, int32_t* c,
+                         const GemmS8Epilogue* epi);
 #endif
 
 }  // namespace nb::detail

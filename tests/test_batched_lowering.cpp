@@ -349,18 +349,28 @@ TEST(BatchedLowering, Int8ArenaScalesAsDocumentedWithBatch) {
 TEST(BatchedLowering, ArenaCoversPeakLiveOnSynthGraphsAndBothBackends) {
   // peak_live_floats bounds the float arena from below on both backends.
   // An int8 plan's im2col panel lives in its byte arena, so it must not
-  // count toward the float peak.
+  // count toward the float peak. The int8 plans must also stay
+  // memcmp-equal to QModel on these real-shaped graphs; mbv2's K = 336
+  // projection convs span two 256-deep GEMM K blocks, so the GEMM's
+  // requantize epilogue runs after resumed partial sums (mcunet_r96's
+  // largest reduction, 192, fits one block).
   Rng rng(20260730);
   const FlatModel mbv2 = synth::make_mbv2_flat(rng, 0.35f, 96, 100);
   const FlatModel mcunet = synth::make_mcunet_flat(rng, 96, 100);
   for (const FlatModel* m : {&mbv2, &mcunet}) {
+    const QModel oracle(*m);
     for (const Backend backend : {Backend::fast, Backend::int8}) {
       for (const int64_t b : {1, 8}) {
         const InferPlan plan(*m, b, 3, 96, 96, backend);
         const PlanStats& st = plan.stats();
-        EXPECT_GE(st.arena_floats, st.peak_live_floats)
-            << (m == &mbv2 ? "mbv2" : "mcunet") << " "
-            << (backend == Backend::int8 ? "int8" : "fast") << " b" << b;
+        const std::string what = std::string(m == &mbv2 ? "mbv2" : "mcunet") +
+                                 (backend == Backend::int8 ? " int8" : " fast") +
+                                 " b" + std::to_string(b);
+        EXPECT_GE(st.arena_floats, st.peak_live_floats) << what;
+        if (backend == Backend::int8) {
+          const Tensor x = random_input(rng, {b, 3, 96, 96});
+          EXPECT_TRUE(bitwise_equal(plan.run(x), oracle.forward(x))) << what;
+        }
       }
     }
   }

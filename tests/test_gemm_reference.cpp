@@ -2,12 +2,16 @@
 // naive reference across every trans/alpha/beta combination and odd sizes,
 // plus the substrate's headline guarantee — results are bitwise identical
 // for any worker count (NB_THREADS 1 vs 4 in-process via the pool override).
+// The int8 GEMM's requantize epilogue is held bit for bit to the int32
+// product followed by exporter::requantize_row on every instance.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "export/qmodel.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/rng.h"
@@ -300,6 +304,98 @@ TEST(GemmS8, SaturatedInputsAtMaxExactKStayExact) {
     gemm_s8_run_instance(i, m, n, k, a.data(), b.data(), c.data());
     EXPECT_EQ(std::memcmp(c.data(), expect, sizeof(expect)), 0)
         << gemm_s8_instance_name(i);
+  }
+}
+
+TEST(GemmS8, EpilogueMatchesInt32ProductThenRequantizeRowOnEveryInstance) {
+  // Every instance with the epilogue must store the same bits as the same
+  // instance's int32 product followed by requantize_row per row. M and N
+  // cover every micro-tile remainder plus several row blocks and the
+  // 1024-column stripe; K covers the empty reduction, the 4-wide packing
+  // remainder and one to four 256-deep K blocks, so the epilogue has to
+  // wait for the last one.
+  // Activation, bias mode (absent = +0.0f, random, -0.0f), K and the
+  // thread count of each side cycle with the case index. Odd rows get
+  // scales that push |acc * eff| past 2^24, so the multiply rounds and a
+  // fused multiply-add would differ; one row's scale is +inf, so
+  // 0 * inf = NaN reaches the clamps.
+  std::vector<int64_t> dims;
+  for (int64_t d = 1; d <= 17; ++d) dims.push_back(d);
+  dims.push_back(64);
+  dims.push_back(1025);
+  const int64_t ks[] = {0, 1, 3, 4, 5, 255, 256, 257, 513, 1024};
+  const exporter::FlatAct acts[] = {exporter::FlatAct::identity,
+                                    exporter::FlatAct::relu,
+                                    exporter::FlatAct::relu6};
+  ThreadPool one(0);
+  ThreadPool four(3);
+  Rng rng(20261018);
+  int case_idx = 0;
+  for (const int64_t m : dims) {
+    for (const int64_t n : dims) {
+      // Both sides large would cost ~1G MACs per run under sanitizers;
+      // each large side already meets every small one.
+      if (m >= 64 && n >= 64) continue;
+      const int64_t k = ks[case_idx % 10];
+      const exporter::FlatAct act = acts[case_idx % 3];
+      const int bias_mode = (case_idx / 3) % 3;
+      const bool epi_on_four = case_idx % 2 == 0;
+      ++case_idx;
+
+      std::vector<int8_t> a(static_cast<size_t>(m * k));
+      std::vector<uint8_t> b(static_cast<size_t>(k * n));
+      fill_levels_s8(a, rng);
+      fill_levels_u8(b, rng);
+      if (m > 2) {
+        // A zero row and a zero-level column: exact-zero accumulators,
+        // whose sign after the epilogue depends on eff's sign and bias.
+        std::fill(a.begin() + static_cast<size_t>(k),
+                  a.begin() + static_cast<size_t>(2 * k), int8_t{0});
+        for (int64_t p = 0; p < k; ++p) b[static_cast<size_t>(p * n)] = 128;
+      }
+      std::vector<float> eff(static_cast<size_t>(m));
+      std::vector<float> bias(static_cast<size_t>(m));
+      for (int64_t i = 0; i < m; ++i) {
+        const float sign = rng.randint(2) == 0 ? 1.0f : -1.0f;
+        eff[static_cast<size_t>(i)] =
+            sign * rng.uniform(0.5f, 1.5f) * (i % 2 == 0 ? 1e-3f : 4096.0f);
+        bias[static_cast<size_t>(i)] =
+            bias_mode == 2 ? -0.0f : rng.uniform(-8.0f, 8.0f);
+      }
+      if (m > 4) eff[4] = std::numeric_limits<float>::infinity();
+      const float* bias_ptr = bias_mode == 0 ? nullptr : bias.data();
+
+      GemmS8Epilogue epi;
+      epi.eff = eff.data();
+      epi.bias = bias_ptr;
+      epi.act = exporter::requant_act(act);
+      for (int inst = 0; inst < gemm_s8_instance_count(); ++inst) {
+        std::vector<int32_t> acc(static_cast<size_t>(m * n), -1);
+        std::vector<float> want(acc.size());
+        std::vector<float> got(acc.size(), -1.0f);
+        {
+          PoolOverride po(epi_on_four ? one : four);
+          gemm_s8_run_instance(inst, m, n, k, a.data(), b.data(), acc.data());
+        }
+        for (int64_t i = 0; i < m; ++i) {
+          exporter::requantize_row(
+              want.data() + i * n, acc.data() + i * n, n,
+              eff[static_cast<size_t>(i)],
+              bias_ptr == nullptr ? 0.0f : bias_ptr[i], act);
+        }
+        {
+          PoolOverride po(epi_on_four ? four : one);
+          gemm_s8_run_instance(inst, m, n, k, a.data(), b.data(), got.data(),
+                               epi);
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << gemm_s8_instance_name(inst) << " m=" << m << " n=" << n
+            << " k=" << k << " act=" << static_cast<int>(act)
+            << " bias_mode=" << bias_mode;
+      }
+    }
   }
 }
 

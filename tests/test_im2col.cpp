@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "tensor/im2col.h"
@@ -133,6 +137,159 @@ TEST(Im2colBatched, InterleavedInputAddressingMatchesNchw) {
   im2col_batched(inter.data(), n, h * w, n * h * w, c, h, w, k, k, 1, 1, 1,
                  1, b.data());
   EXPECT_EQ(a, b);
+}
+
+// Verbatim copies of the per-tap expansion loops im2col_batched and
+// im2col_s8_batched ran before their rows were split into
+// [pad | interior | pad] runs: the bitwise oracle for the split.
+void im2col_into_per_tap(const float* img, int64_t chan_stride,
+                         int64_t channels, int64_t height, int64_t width,
+                         int64_t kh, int64_t kw, int64_t stride_h,
+                         int64_t stride_w, int64_t pad_h, int64_t pad_w,
+                         float* cols, int64_t ld, int64_t col_off) {
+  const int64_t oh = conv_out_size(height, kh, stride_h, pad_h);
+  const int64_t ow = conv_out_size(width, kw, stride_w, pad_w);
+  for (int64_t c = 0; c < channels; ++c) {
+    const float* src = img + c * chan_stride;
+    for (int64_t ki = 0; ki < kh; ++ki) {
+      for (int64_t kj = 0; kj < kw; ++kj) {
+        float* dst = cols + ((c * kh + ki) * kw + kj) * ld + col_off;
+        for (int64_t oy = 0; oy < oh; ++oy) {
+          const int64_t iy = oy * stride_h + ki - pad_h;
+          if (iy < 0 || iy >= height) {
+            std::fill(dst, dst + ow, 0.0f);
+            dst += ow;
+            continue;
+          }
+          const float* srow = src + iy * width;
+          for (int64_t ox = 0; ox < ow; ++ox) {
+            const int64_t ix = ox * stride_w + kj - pad_w;
+            *dst++ = (ix >= 0 && ix < width) ? srow[ix] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void im2col_s8_into_per_tap(const uint8_t* img, int64_t chan_stride,
+                            int64_t channels, int64_t height, int64_t width,
+                            int64_t kh, int64_t kw, int64_t stride_h,
+                            int64_t stride_w, int64_t pad_h, int64_t pad_w,
+                            uint8_t* cols, int64_t ld, int64_t col_off) {
+  const int64_t oh = conv_out_size(height, kh, stride_h, pad_h);
+  const int64_t ow = conv_out_size(width, kw, stride_w, pad_w);
+  for (int64_t c = 0; c < channels; ++c) {
+    const uint8_t* src = img + c * chan_stride;
+    for (int64_t ki = 0; ki < kh; ++ki) {
+      for (int64_t kj = 0; kj < kw; ++kj) {
+        uint8_t* dst = cols + ((c * kh + ki) * kw + kj) * ld + col_off;
+        for (int64_t oy = 0; oy < oh; ++oy) {
+          const int64_t iy = oy * stride_h + ki - pad_h;
+          if (iy < 0 || iy >= height) {
+            std::fill(dst, dst + ow, static_cast<uint8_t>(128));
+            dst += ow;
+            continue;
+          }
+          const uint8_t* srow = src + iy * width;
+          for (int64_t ox = 0; ox < ow; ++ox) {
+            const int64_t ix = ox * stride_w + kj - pad_w;
+            *dst++ = (ix >= 0 && ix < width) ? srow[ix]
+                                             : static_cast<uint8_t>(128);
+          }
+        }
+      }
+    }
+  }
+}
+
+// One geometry through both batched expansions and both oracles, with
+// guard elements after each panel that no expansion may touch. Returns
+// false on the first mismatch (reported through gtest).
+template <class T>
+bool check_against_per_tap(Rng& rng, int64_t batch, bool interleaved,
+                           int64_t c, int64_t h, int64_t w, int64_t k,
+                           int64_t stride, int64_t pad) {
+  const int64_t plane = conv_out_size(h, k, stride, pad) *
+                        conv_out_size(w, k, stride, pad);
+  const int64_t img_stride = interleaved ? h * w : c * h * w;
+  const int64_t chan_stride = interleaved ? batch * h * w : h * w;
+  std::vector<T> imgs(static_cast<size_t>(batch * c * h * w));
+  for (T& v : imgs) {
+    if constexpr (std::is_same_v<T, float>) {
+      v = rng.normal();
+    } else {
+      v = static_cast<T>(rng.randint(256));
+    }
+  }
+  constexpr int64_t kGuard = 64;
+  const auto panel = static_cast<size_t>(c * k * k * batch * plane);
+  std::vector<T> want(panel + kGuard, T{77});
+  std::vector<T> got(panel + kGuard, T{77});
+  for (int64_t i = 0; i < batch; ++i) {
+    if constexpr (std::is_same_v<T, float>) {
+      im2col_into_per_tap(imgs.data() + i * img_stride, chan_stride, c, h, w,
+                          k, k, stride, stride, pad, pad, want.data(),
+                          batch * plane, i * plane);
+    } else {
+      im2col_s8_into_per_tap(imgs.data() + i * img_stride, chan_stride, c, h,
+                             w, k, k, stride, stride, pad, pad, want.data(),
+                             batch * plane, i * plane);
+    }
+  }
+  if constexpr (std::is_same_v<T, float>) {
+    im2col_batched(imgs.data(), batch, img_stride, chan_stride, c, h, w, k, k,
+                   stride, stride, pad, pad, got.data());
+  } else {
+    im2col_s8_batched(imgs.data(), batch, img_stride, chan_stride, c, h, w, k,
+                      k, stride, stride, pad, pad, got.data());
+  }
+  const bool same =
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(T)) == 0;
+  EXPECT_TRUE(same) << (std::is_same_v<T, float> ? "float" : "s8")
+                    << " batch=" << batch << " interleaved=" << interleaved
+                    << " h=" << h << " w=" << w << " k=" << k
+                    << " stride=" << stride << " pad=" << pad;
+  return same;
+}
+
+TEST(Im2colBatched, InteriorRunsMatchPerTapLoopsBitwise) {
+  // Every row of the panel is written as [pad | interior | pad]; the split
+  // must reproduce the per-tap loops on every geometry: kernels 1-7,
+  // strides 1-3, no / unit / k-1 / k padding, every H and W in 1..12 plus
+  // a 176-wide row, batch 1 and 3 over NCHW and batch-interleaved inputs.
+  Rng rng(20261018);
+  const int64_t c = 2;
+  std::vector<std::pair<int64_t, int64_t>> sizes;
+  for (int64_t h = 1; h <= 12; ++h) {
+    for (int64_t w = 1; w <= 12; ++w) sizes.emplace_back(h, w);
+  }
+  sizes.emplace_back(3, 176);
+  int64_t checked = 0;
+  for (const int64_t k : {1, 2, 3, 5, 7}) {
+    for (const int64_t stride : {1, 2, 3}) {
+      for (const int64_t pad : {int64_t{0}, int64_t{1}, k - 1, k}) {
+        for (const auto& [h, w] : sizes) {
+          if (conv_out_size(h, k, stride, pad) <= 0 ||
+              conv_out_size(w, k, stride, pad) <= 0) {
+            continue;
+          }
+          for (const int64_t batch : {1, 3}) {
+            for (const bool interleaved : {false, true}) {
+              if (!check_against_per_tap<float>(rng, batch, interleaved, c,
+                                                h, w, k, stride, pad) ||
+                  !check_against_per_tap<uint8_t>(rng, batch, interleaved, c,
+                                                  h, w, k, stride, pad)) {
+                return;
+              }
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace

@@ -74,14 +74,15 @@ def guard_serve(d):
 def guard_int8(d):
     # Guards on the MobileNetV2-flat b1 headline: the int8 backend
     # must stay memcmp-exact vs the QModel oracle, and must not fall
-    # behind the float fast path. Measured single-core with the
-    # phase-plane depthwise on both backends on a 4-core AVX-512 VNNI
-    # Xeon: 1.63x on mbv2_w100_r160 and 1.46x on mcunet_r176
-    # (BENCH_int8.json), and 1.03-1.75x over twenty consecutive runs
-    # of this --quick headline (mbv2_w035_r96), all passing. The
-    # report alternates int8 and fast windows of the same length and
-    # count, so both sides see the same host state; the spread comes
-    # from the short 50 ms timing windows on a shared host.
+    # behind the float fast path. Measured single-core on a 4-core
+    # AVX-512 VNNI Xeon with register-tiled int8 GEMM tiles that
+    # requantize in their final store: 1.88x on mbv2_w100_r160 and
+    # 1.63x on mcunet_r176 (BENCH_int8.json), and 1.11-1.59x over ten
+    # consecutive runs of this --quick headline (mbv2_w035_r96), all
+    # passing; before that change it read 1.05-1.14x, with one failing
+    # run at 0.796x. The report alternates int8 and fast windows of the
+    # same length and count, so both sides see the same host state; the
+    # spread comes from the short 50 ms timing windows on a shared host.
     h = d['mbv2_b1_t1']
     assert h['exact_vs_qmodel'], 'int8 backend diverged from QModel oracle'
     s = h['speedup_int8_vs_fast']
