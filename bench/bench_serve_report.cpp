@@ -7,8 +7,9 @@
 //     per-request p50/p99, and the owned-vs-shared memory split.
 //   * batching policy — closed-loop clients against an Engine under
 //     sequential (max_batch=1) and micro-batching (max_batch 4/8)
-//     policies, plus a workers {2,4} sweep of the micro-batch-8 policy:
-//     throughput, latency percentiles, achieved batch size.
+//     policies, plus a workers {2,4} sweep of the micro-batch-8 policy
+//     with 8 clients per worker: throughput, latency percentiles, achieved
+//     batch size.
 //   * workers sweep (open loop) — seeded Poisson arrivals at a FIXED
 //     offered load (fraction of measured capacity) with a mid-window burst,
 //     per-request SLO deadlines, workers {1,2,4}: goodput, shed rate and
@@ -447,7 +448,8 @@ void write_json(const std::string& path, bool quick,
                 const OpenLoopRow* overload,
                 const std::vector<MixedGeoRow>& mixed_geometry) {
   // Batching headlines, one per graph: best micro-batching policy
-  // (batch <= 8) vs sequential throughput ON THE SAME GRAPH. `mbv2_batching`
+  // (batch <= 8) vs sequential throughput ON THE SAME GRAPH, both at
+  // workers = 1. `mbv2_batching`
   // is the best MobileNetV2-flat geometry — with the batched one-GEMM-per-
   // conv lowering that is the small-resolution serving graph, whose
   // per-image GEMMs are too small to saturate the kernel alone (the
@@ -463,6 +465,8 @@ void write_json(const std::string& path, bool quick,
       headlines.push_back({r.graph, nullptr, nullptr});
       h = &headlines.back();
     }
+    // Policies compare at one worker; the workers sweep adds clients too.
+    if (r.workers != 1) continue;
     if (r.policy == "sequential") {
       h->seq = &r;
     } else if (h->best == nullptr ||
@@ -618,7 +622,8 @@ int main(int argc, char** argv) {
                    static_cast<long long>(r.shared_weight_bytes));
     }
     // Policy sweep at workers=1 (the historical baseline), then the
-    // micro-batch-8 policy across the workers sweep.
+    // micro-batch-8 policy across the workers sweep, with `clients` per
+    // worker so every worker can fill its batches.
     for (const auto& [policy, max_batch, wait_us, workers] :
          std::vector<std::tuple<std::string, int64_t, int64_t, int64_t>>{
              {"sequential", 1, 0, 1},
@@ -627,7 +632,7 @@ int main(int argc, char** argv) {
              {"microbatch8_w2", 8, 2000, 2},
              {"microbatch8_w4", 8, 2000, 4}}) {
       EngineResult r = bench_engine(name, model, policy, max_batch, wait_us,
-                                    clients, workers, window_s);
+                                    clients * workers, workers, window_s);
       engine_results.push_back(r);
       std::fprintf(stderr,
                    "  %s %s: %.1f images/s p50 %.3f ms p99 %.3f ms avg "
@@ -680,10 +685,8 @@ int main(int argc, char** argv) {
   // capacity it doubles is the closed-loop throughput of the overload
   // row's own engine (micro-batch 8, 2 ms wait, workers 2), with enough
   // clients to keep both workers' batches full, as an overloaded queue
-  // does. The workers=1 rows undercount two workers, and the batching
-  // table's microbatch8_w2 row (8 clients shared by two workers, batches of
-  // 4-5) measures even less, so doubling either one could leave the
-  // engine under capacity.
+  // does. The workers=1 rows undercount two workers, so doubling them
+  // could leave the engine under capacity.
   const int64_t ol_workers = 2;
   const int64_t ol_max_batch = 8;
   const double ol_capacity =

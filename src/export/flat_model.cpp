@@ -398,7 +398,9 @@ Tensor FlatModel::forward(const Tensor& input, Backend backend) const {
         saved.push_back(x.clone());
         break;
       case OpKind::add_saved:
-        NB_CHECK(!saved.empty(), "flat model: ADD without SAVE");
+        NB_CHECK(!saved.empty() && x.same_shape(saved.back()),
+                 saved.empty() ? "flat model: ADD without SAVE"
+                               : "flat model: residual shape mismatch at ADD");
         x.add_(saved.back());
         saved.pop_back();
         break;

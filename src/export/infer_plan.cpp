@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "export/plan_verify.h"
 #include "export/qmodel.h"
@@ -38,7 +40,239 @@ void store_row(float* row, int64_t count, float scale, float b, FlatAct act) {
   }
 }
 
+/// One float buffer: `floats` live from step `first` through step `last`
+/// (both inclusive), placed at `off`.
+struct LiveRange {
+  int64_t floats = 0, first = 0, last = 0;
+  int64_t off = 0;
+};
+
+/// Greedy by size (Pisarchyk & Lee 2020): largest buffer first (ties in
+/// creation order), each into the smallest gap that fits among the placed
+/// buffers whose ranges overlap its own, else above the highest of them.
+/// Returns the arena size.
+int64_t place_greedy_by_size(std::vector<LiveRange>& bufs) {
+  std::vector<size_t> order(bufs.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return bufs[a].floats > bufs[b].floats;
+  });
+  std::vector<size_t> placed;  // by ascending offset
+  int64_t arena = 0;
+  for (const size_t id : order) {
+    LiveRange& b = bufs[id];
+    int64_t best = -1, best_gap = 0, top = 0;
+    for (const size_t p : placed) {
+      const LiveRange& q = bufs[p];
+      if (q.last < b.first || b.last < q.first) continue;  // never co-live
+      const int64_t gap = q.off - top;
+      if (gap >= b.floats && (best < 0 || gap < best_gap)) {
+        best = top;
+        best_gap = gap;
+      }
+      top = std::max(top, q.off + q.floats);
+    }
+    b.off = best >= 0 ? best : top;
+    arena = std::max(arena, b.off + b.floats);
+    placed.insert(std::upper_bound(placed.begin(), placed.end(), b.off,
+                                   [&](int64_t off, size_t p) {
+                                     return off < bufs[p].off;
+                                   }),
+                  id);
+  }
+  return arena;
+}
+
 }  // namespace
+
+PlanTables plan_program(const FlatModel& model, int64_t batch,
+                        int64_t channels, int64_t in_h, int64_t in_w,
+                        Backend backend) {
+  NB_CHECK(batch > 0 && channels > 0 && in_h > 0 && in_w > 0,
+           "infer plan: bad input geometry");
+  NB_CHECK(!model.ops().empty(), "flat model: empty program");
+  NB_CHECK(backend != Backend::reference,
+           "infer plan: the reference interpreter has no plan");
+  const bool i8 = backend == Backend::int8;
+  if (i8) {
+    std::string reason;
+    NB_CHECK(int8_compatible(model, &reason),
+             "infer plan: program not int8-compatible: " + reason);
+  }
+
+  PlanTables t;
+  t.backend = backend;
+  t.batch = batch;
+  t.channels = channels;
+  t.in_h = in_h;
+  t.in_w = in_w;
+  t.ops = static_cast<int64_t>(model.ops().size());
+
+  // Symbolic walk. Every buffer gets a live range; each step records the
+  // buffers it reads and writes (indices into `bufs`), resolved to offsets
+  // once placement is done. Every step reads the current activation, so
+  // the last one stays live through the last step.
+  struct Uses {
+    size_t in = 0, out = 0;
+    int64_t cols = -1, save = -1;  // buffer index, or -1
+  };
+  struct Saved {
+    size_t buf;
+    int64_t c, h, w;
+  };
+  std::vector<LiveRange> bufs;
+  std::vector<Uses> uses;
+  std::vector<Saved> saves;  // the residual stack
+  uses.reserve(model.ops().size());
+  bool spatial = true;
+  int64_t c = channels, h = in_h, w = in_w;
+  size_t cur = 0;
+  bufs.push_back({batch * c * h * w, 0, 0});  // the entry input
+  int64_t cols_max = 0;
+  // Largest conv/linear input in elements — the int8 plan's quantized-input
+  // byte region must hold any of them (one byte per element).
+  int64_t qin_max = 0;
+
+  for (size_t op_i = 0; op_i < model.ops().size(); ++op_i) {
+    const FlatOp& op = model.ops()[op_i];
+    const auto step = static_cast<int64_t>(op_i);
+    const auto produce = [&](int64_t floats) {
+      bufs.push_back({floats, step, step});
+      return bufs.size() - 1;
+    };
+    StepTable s;
+    s.kind = op.kind;
+    s.in_c = c;
+    s.in_h = h;
+    s.in_w = w;
+    s.in_floats = bufs[cur].floats;
+    bufs[cur].last = step;
+    Uses u{cur, cur};
+    switch (op.kind) {
+      case OpKind::save:
+        u.save = static_cast<int64_t>(produce(s.in_floats));
+        saves.push_back({static_cast<size_t>(u.save), c, h, w});
+        break;
+      case OpKind::add_saved: {
+        NB_CHECK(!saves.empty(), "flat model: ADD without SAVE");
+        const Saved& top = saves.back();
+        NB_CHECK(top.c == c && top.h == h && top.w == w,
+                 "flat model: residual shape mismatch at ADD");
+        u.save = static_cast<int64_t>(top.buf);
+        bufs[top.buf].last = step;
+        saves.pop_back();
+        break;
+      }
+      case OpKind::conv: {
+        const FlatConv& cv = op.conv;
+        NB_CHECK(spatial, "flat conv: input must be NCHW");
+        NB_CHECK(c == cv.cin, "flat conv: channel mismatch");
+        const int64_t oh = conv_out_size(h, cv.kernel, cv.stride, cv.pad);
+        const int64_t ow = conv_out_size(w, cv.kernel, cv.stride, cv.pad);
+        NB_CHECK(oh > 0 && ow > 0, "flat conv: empty output plane");
+        s.stride = cv.stride;
+        s.pad = cv.pad;
+        s.groups = cv.groups;
+        s.cout = cv.cout;
+        s.cin = cv.cin;
+        s.kernel = cv.kernel;
+        s.act_scale = cv.act_scale;
+        s.depthwise = cv.groups == cv.cin && cv.groups == cv.cout;
+        if (i8) {
+          NB_CHECK((cv.cin / cv.groups) * cv.kernel * cv.kernel <=
+                       kGemmS8MaxK,
+                   "infer plan: conv reduction exceeds the int32-exact "
+                   "bound of the int8 backend");
+          qin_max = std::max(qin_max, s.in_floats);
+          s.eff_count = cv.cout;
+        }
+        s.out_h = oh;
+        s.out_w = ow;
+        u.out = produce(batch * cv.cout * oh * ow);
+        if (!s.depthwise) {
+          // Columns of the whole micro-batch side by side (x batch): ONE
+          // GEMM per group lowers every image at once, and its output is
+          // already the batch-interleaved layout of the next activation.
+          const int64_t cols =
+              (cv.cin / cv.groups) * cv.kernel * cv.kernel * batch * oh * ow;
+          cols_max = std::max(cols_max, cols);
+          const bool direct = cv.kernel == 1 && cv.stride == 1 && cv.pad == 0;
+          // An int8 plan's panel lives in the byte arena.
+          if (!i8 && !direct) u.cols = static_cast<int64_t>(produce(cols));
+        }
+        c = cv.cout;
+        h = oh;
+        w = ow;
+        break;
+      }
+      case OpKind::gap:
+        NB_CHECK(spatial, "flat gap: input must be NCHW");
+        u.out = produce(batch * c);
+        spatial = false;
+        h = 0;
+        w = 0;
+        break;
+      case OpKind::linear: {
+        const FlatLinear& ln = op.linear;
+        NB_CHECK(!spatial, "flat linear: input must be 2-D (run GAP first)");
+        NB_CHECK(c == ln.in, "flat linear: input feature mismatch");
+        s.cin = ln.in;
+        s.cout = ln.out;
+        s.act_scale = ln.act_scale;
+        if (i8) {
+          NB_CHECK(ln.in <= kGemmS8MaxK,
+                   "infer plan: linear reduction exceeds the int32-exact "
+                   "bound of the int8 backend");
+          qin_max = std::max(qin_max, s.in_floats);
+          s.eff_count = ln.out;
+        }
+        u.out = produce(batch * ln.out);
+        c = ln.out;
+        break;
+      }
+    }
+    s.out_floats = bufs[u.out].floats;
+    cur = u.out;
+    t.steps.push_back(s);
+    uses.push_back(u);
+  }
+
+  t.arena_floats = place_greedy_by_size(bufs);
+  for (int64_t step = 0; step < t.ops; ++step) {
+    int64_t live = 0;
+    for (const LiveRange& b : bufs) {
+      if (b.first <= step && step <= b.last) live += b.floats;
+    }
+    t.peak_live_floats = std::max(t.peak_live_floats, live);
+  }
+  for (const LiveRange& b : bufs) t.no_reuse_floats += b.floats;
+  const auto off = [&](int64_t buf) {
+    return buf < 0 ? 0 : bufs[static_cast<size_t>(buf)].off;
+  };
+  for (size_t i = 0; i < t.steps.size(); ++i) {
+    StepTable& s = t.steps[i];
+    s.in_off = bufs[uses[i].in].off;
+    s.out_off = bufs[uses[i].out].off;
+    s.cols_off = off(uses[i].cols);
+    s.save_off = off(uses[i].save);
+  }
+  t.in_off = bufs.front().off;
+  t.out_off = bufs[cur].off;
+  t.out_shape = spatial ? std::vector<int64_t>{batch, c, h, w}
+                        : std::vector<int64_t>{batch, c};
+  if (i8) {
+    // The byte arena: [ quantized input | byte cols ]. Accumulators need no
+    // region of their own: int32 sums live in the float out region they
+    // are requantized over (4 bytes either way).
+    t.arena_int8_bytes = qin_max + cols_max;
+    t.qcols_off = qin_max;
+  } else {
+    t.cols_floats = cols_max;
+  }
+  return t;
+}
+
+const PlanTables& plan_tables(const InferPlan& plan) { return plan.tables_; }
 
 InferPlan::InferPlan(const FlatModel& model, int64_t batch, int64_t channels,
                      int64_t in_h, int64_t in_w, Backend backend)
@@ -49,245 +283,36 @@ InferPlan::InferPlan(const FlatModel& model,
                      std::shared_ptr<const WeightPanels> panels, int64_t batch,
                      int64_t channels, int64_t in_h, int64_t in_w,
                      Backend backend)
-    : panels_(std::move(panels)) {
-  NB_CHECK(batch > 0 && channels > 0 && in_h > 0 && in_w > 0,
-           "infer plan: bad input geometry");
-  NB_CHECK(!model.ops().empty(), "flat model: empty program");
+    : panels_(std::move(panels)),
+      tables_(plan_program(model, batch, channels, in_h, in_w, backend)) {
   NB_CHECK(panels_ != nullptr && panels_->op_count() == model.ops().size(),
            "infer plan: weight panels do not match the program");
-  NB_CHECK(backend != Backend::reference,
-           "infer plan: the reference interpreter has no plan");
   NB_CHECK(panels_->backend() == backend,
            backend == Backend::int8
                ? "infer plan: weight panels lack the int8 backend's encoding"
                : "infer plan: weight panels lack the fast backend's encoding");
-  if (backend == Backend::int8) {
-    std::string reason;
-    NB_CHECK(int8_compatible(model, &reason),
-             "infer plan: program not int8-compatible: " + reason);
-  }
-
-  stats_.backend = backend;
-  stats_.batch = batch;
-  stats_.channels = channels;
-  stats_.in_h = in_h;
-  stats_.in_w = in_w;
-  stats_.ops = static_cast<int64_t>(model.ops().size());
-
-  // Symbolic walk: current activation shape, ping-pong region, residual
-  // stack. Region ids and save depths are recorded per step and resolved to
-  // concrete arena offsets once every region's high-water mark is known.
-  bool spatial = true;
-  int64_t c = channels, h = in_h, w = in_w;
-  int64_t cur = batch * c * h * w;
-  int region = 0;
-  int64_t ping[2] = {cur, 0};
-  std::vector<int64_t> save_sizes;   // high-water mark per nesting depth
-  std::vector<int64_t> save_stack;   // numel of each live residual copy
-  int64_t saved_total = 0;
-  int64_t cols_max = 0;
-  // Largest conv/linear input in elements — the int8 plan's quantized-input
-  // byte region must hold any of them (one byte per element).
-  int64_t qin_max = 0;
-  std::vector<int> in_region, out_region, save_depth;
-
-  stats_.no_reuse_floats = cur;  // the executor's own copy of the input
-  stats_.peak_live_floats = cur;
-
-  for (size_t op_i = 0; op_i < model.ops().size(); ++op_i) {
-    const FlatOp& op = model.ops()[op_i];
-    const OpPanel& panel = panels_->at(op_i);
-    Step s;
-    s.kind = op.kind;
-    s.in_c = c;
-    s.in_h = h;
-    s.in_w = w;
-    s.in_floats = cur;
-    int in_reg = region, out_reg = region, depth = -1;
-    switch (op.kind) {
-      case OpKind::save: {
-        depth = static_cast<int>(save_stack.size());
-        if (static_cast<size_t>(depth) == save_sizes.size()) {
-          save_sizes.push_back(0);
-        }
-        save_sizes[static_cast<size_t>(depth)] =
-            std::max(save_sizes[static_cast<size_t>(depth)], cur);
-        save_stack.push_back(cur);
-        saved_total += cur;
-        s.out_floats = cur;
-        stats_.no_reuse_floats += cur;
-        break;
-      }
-      case OpKind::add_saved: {
-        NB_CHECK(!save_stack.empty(), "flat model: ADD without SAVE");
-        NB_CHECK(save_stack.back() == cur,
-                 "flat model: residual shape mismatch at ADD");
-        saved_total -= save_stack.back();
-        save_stack.pop_back();
-        depth = static_cast<int>(save_stack.size());
-        s.out_floats = cur;
-        break;
-      }
-      case OpKind::conv: {
-        const FlatConv& cv = op.conv;
-        NB_CHECK(spatial, "flat conv: input must be NCHW");
-        NB_CHECK(c == cv.cin, "flat conv: channel mismatch");
-        const int64_t oh = conv_out_size(h, cv.kernel, cv.stride, cv.pad);
-        const int64_t ow = conv_out_size(w, cv.kernel, cv.stride, cv.pad);
-        NB_CHECK(oh > 0 && ow > 0, "flat conv: empty output plane");
-        s.act = cv.act;
-        s.stride = cv.stride;
-        s.pad = cv.pad;
-        s.groups = cv.groups;
-        s.cout = cv.cout;
-        s.cin = cv.cin;
-        s.kernel = cv.kernel;
-        s.act_scale = cv.act_scale;
-        s.act_bits = cv.act_bits;
-        s.depthwise = cv.groups == cv.cin && cv.groups == cv.cout;
-        s.wf = panel.wf.data();
-        s.wq = panel.wq.data();
-        s.scales = panel.scales.data();
-        s.bias = panel.bias.empty() ? nullptr : panel.bias.data();
-        if (backend == Backend::int8) {
-          NB_CHECK((cv.cin / cv.groups) * cv.kernel * cv.kernel <=
-                       kGemmS8MaxK,
-                   "infer plan: conv reduction exceeds the int32-exact "
-                   "bound of the int8 backend");
-          qin_max = std::max(qin_max, s.in_floats);
-          s.eff.resize(static_cast<size_t>(cv.cout));
-          for (int64_t o = 0; o < cv.cout; ++o) {
-            s.eff[static_cast<size_t>(o)] =
-                panel.scales[static_cast<size_t>(o)] * cv.act_scale;
-          }
-        }
-        s.out_h = oh;
-        s.out_w = ow;
-        const int64_t out = batch * cv.cout * oh * ow;
-        s.out_floats = out;
-        int64_t cols = 0;
-        if (!s.depthwise) {
-          // Columns of the whole micro-batch side by side (x batch): ONE
-          // GEMM per group lowers every image at once, and its output is
-          // already the batch-interleaved layout of the next activation.
-          cols = (cv.cin / cv.groups) * cv.kernel * cv.kernel * batch * oh * ow;
-          cols_max = std::max(cols_max, cols);
-        }
-        out_reg = 1 - region;
-        region = out_reg;
-        ping[region] = std::max(ping[region], out);
-        // An int8 plan's cols panel lives in the byte arena.
-        const int64_t float_cols = backend == Backend::fast ? cols : 0;
-        stats_.peak_live_floats = std::max(
-            stats_.peak_live_floats, saved_total + cur + out + float_cols);
-        stats_.no_reuse_floats += out + cols;
-        c = cv.cout;
-        h = oh;
-        w = ow;
-        cur = out;
-        break;
-      }
-      case OpKind::gap: {
-        NB_CHECK(spatial, "flat gap: input must be NCHW");
-        const int64_t out = batch * c;
-        s.out_floats = out;
-        out_reg = 1 - region;
-        region = out_reg;
-        ping[region] = std::max(ping[region], out);
-        stats_.peak_live_floats =
-            std::max(stats_.peak_live_floats, saved_total + cur + out);
-        stats_.no_reuse_floats += out;
-        spatial = false;
-        h = 0;
-        w = 0;
-        cur = out;
-        break;
-      }
-      case OpKind::linear: {
-        const FlatLinear& ln = op.linear;
-        NB_CHECK(!spatial, "flat linear: input must be 2-D (run GAP first)");
-        NB_CHECK(c == ln.in, "flat linear: input feature mismatch");
-        s.cin = ln.in;
-        s.cout = ln.out;
-        s.act_scale = ln.act_scale;
-        s.act_bits = ln.act_bits;
-        s.wf = panel.wf.data();
-        s.wq = panel.wq.data();
-        s.scales = panel.scales.data();
-        s.bias = panel.bias.empty() ? nullptr : panel.bias.data();
-        if (backend == Backend::int8) {
-          NB_CHECK(ln.in <= kGemmS8MaxK,
-                   "infer plan: linear reduction exceeds the int32-exact "
-                   "bound of the int8 backend");
-          qin_max = std::max(qin_max, s.in_floats);
-          s.eff.resize(static_cast<size_t>(ln.out));
-          for (int64_t o = 0; o < ln.out; ++o) {
-            s.eff[static_cast<size_t>(o)] =
-                panel.scales[static_cast<size_t>(o)] * ln.act_scale;
-          }
-        }
-        const int64_t out = batch * ln.out;
-        s.out_floats = out;
-        out_reg = 1 - region;
-        region = out_reg;
-        ping[region] = std::max(ping[region], out);
-        stats_.peak_live_floats =
-            std::max(stats_.peak_live_floats, saved_total + cur + out);
-        stats_.no_reuse_floats += out;
-        c = ln.out;
-        cur = out;
-        break;
-      }
-    }
-    stats_.peak_live_floats =
-        std::max(stats_.peak_live_floats, saved_total + cur);
-    in_region.push_back(in_reg);
-    out_region.push_back(out_reg);
-    save_depth.push_back(depth);
-    steps_.push_back(std::move(s));
-  }
-  stats_.peak_live_floats =
-      std::max(stats_.peak_live_floats, saved_total + cur);
-  stats_.save_depth = static_cast<int64_t>(save_sizes.size());
-  stats_.weight_cache_floats = panels_->total_floats();
-
-  // Resolve the layout: [ ping | pong | save slots by depth | cols ].
-  const int64_t base[2] = {0, ping[0]};
-  std::vector<int64_t> save_base(save_sizes.size());
-  int64_t off = ping[0] + ping[1];
-  for (size_t d = 0; d < save_sizes.size(); ++d) {
-    save_base[d] = off;
-    off += save_sizes[d];
-  }
-  const int64_t cols_base = off;
-  if (backend == Backend::int8) {
-    // The int8 plan never touches the float cols region — its im2col panel
-    // is the byte qarena instead, alongside the quantized-input region.
-    // Accumulators need no region of their own: int32 sums live in the
-    // float out region they are requantized over (4 bytes either way).
-    stats_.cols_floats = 0;
-    stats_.arena_floats = off;
-    stats_.arena_int8_bytes = qin_max + cols_max;
-    qcols_off_ = qin_max;
-    qarena_.resize(static_cast<size_t>(stats_.arena_int8_bytes));
-  } else {
-    stats_.cols_floats = cols_max;
-    stats_.arena_floats = off + cols_max;
-  }
-
+  tables_.weight_cache_floats = panels_->total_floats();
+  steps_.resize(tables_.steps.size());
   for (size_t i = 0; i < steps_.size(); ++i) {
+    const FlatOp& op = model.ops()[i];
+    if (op.kind != OpKind::conv && op.kind != OpKind::linear) continue;
+    const bool conv = op.kind == OpKind::conv;
+    const OpPanel& panel = panels_->at(i);
+    const StepTable& t = tables_.steps[i];
     Step& s = steps_[i];
-    s.in_off = base[in_region[i]];
-    s.out_off = base[out_region[i]];
-    s.cols_off = cols_base;
-    if (save_depth[i] >= 0) {
-      s.save_off = save_base[static_cast<size_t>(save_depth[i])];
+    s.act = conv ? op.conv.act : FlatAct::identity;
+    s.act_bits = conv ? op.conv.act_bits : op.linear.act_bits;
+    s.wf = panel.wf.data();
+    s.wq = panel.wq.data();
+    s.scales = panel.scales.data();
+    s.bias = panel.bias.empty() ? nullptr : panel.bias.data();
+    s.eff.resize(static_cast<size_t>(t.eff_count));
+    for (size_t o = 0; o < s.eff.size(); ++o) {
+      s.eff[o] = panel.scales[o] * t.act_scale;
     }
   }
-  out_shape_ = spatial ? std::vector<int64_t>{batch, c, h, w}
-                       : std::vector<int64_t>{batch, c};
-  out_off_ = base[region];
-  arena_.resize(static_cast<size_t>(stats_.arena_floats));
+  arena_.resize(static_cast<size_t>(tables_.arena_floats));
+  qarena_.resize(static_cast<size_t>(tables_.arena_int8_bytes));
 #ifndef NDEBUG
   // Debug builds prove every freshly-built plan safe before it can run:
   // live-range disjointness, dataflow, bounds, epilogue legality — see
@@ -297,18 +322,18 @@ InferPlan::InferPlan(const FlatModel& model,
 #endif
 }
 
-void InferPlan::run_conv(const Step& s, const float* in, float* out,
-                         float* cols) const {
-  const int64_t n = stats_.batch;
-  const int64_t in_hw = s.in_h * s.in_w;
-  const int64_t plane = s.out_h * s.out_w;  // one image's output plane
+void InferPlan::run_conv(const StepTable& t, const Step& s, const float* in,
+                         float* out, float* cols) const {
+  const int64_t n = tables_.batch;
+  const int64_t in_hw = t.in_h * t.in_w;
+  const int64_t plane = t.out_h * t.out_w;  // one image's output plane
   const int64_t row = n * plane;  // one channel's batch-interleaved row
-  const int64_t k = s.kernel;
-  if (s.depthwise) {
+  const int64_t k = t.kernel;
+  if (t.depthwise) {
     // One (channel, image) plane per work item, epilogue fused in. In the
     // batch-interleaved layout channel ch of image i reads the contiguous
     // plane at ch*n*in_hw + i*in_hw and writes ch*row + i*plane.
-    const int64_t planes = s.cout * n;
+    const int64_t planes = t.cout * n;
     const int64_t grain =
         std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(plane, 1));
     parallel_for(planes, grain, [&](int64_t p0, int64_t p1) {
@@ -317,7 +342,7 @@ void InferPlan::run_conv(const Step& s, const float* in, float* out,
         const int64_t i = pl % n;
         float* orow = out + ch * row + i * plane;
         depthwise_plane(in + (ch * n + i) * in_hw, s.wf + ch * k * k, orow,
-                        s.in_h, s.in_w, s.out_h, s.out_w, k, s.stride, s.pad,
+                        t.in_h, t.in_w, t.out_h, t.out_w, k, t.stride, t.pad,
                         0.0f);
         const float b = s.bias == nullptr ? 0.0f : s.bias[ch];
         store_row(orow, plane, s.scales[ch], b, s.act);
@@ -330,21 +355,21 @@ void InferPlan::run_conv(const Step& s, const float* in, float* out,
   // whole micro-batch — the columns of every image sit side by side in a
   // [col_rows, n*plane] panel, so weight-panel packing and micro-kernel
   // fringes amortize across the batch, and the [cout_g, n*plane] output
-  // lands directly in ping/pong as the next activation's layout (no
+  // lands directly in the output buffer as the next activation's layout (no
   // staging, no scatter). The GEMM's per-element rounding is independent
   // of M/N (one continuous ascending K chain), so every element is bitwise
   // identical to a per-image lowering. A direct (1x1, stride 1, pad 0) conv
   // skips im2col: the group's slice of the batch-interleaved input already
   // is that panel, value for value.
-  const int64_t cin_g = s.cin / s.groups;
-  const int64_t cout_g = s.cout / s.groups;
+  const int64_t cin_g = t.cin / t.groups;
+  const int64_t cout_g = t.cout / t.groups;
   const int64_t col_rows = cin_g * k * k;
-  const bool direct = k == 1 && s.stride == 1 && s.pad == 0;
-  for (int64_t g = 0; g < s.groups; ++g) {
+  const bool direct = k == 1 && t.stride == 1 && t.pad == 0;
+  for (int64_t g = 0; g < t.groups; ++g) {
     const float* panel = in + g * cin_g * n * in_hw;
     if (!direct) {
-      im2col_batched(panel, n, in_hw, n * in_hw, cin_g, s.in_h, s.in_w, k, k,
-                     s.stride, s.stride, s.pad, s.pad, cols);
+      im2col_batched(panel, n, in_hw, n * in_hw, cin_g, t.in_h, t.in_w, k, k,
+                     t.stride, t.stride, t.pad, t.pad, cols);
       panel = cols;
     }
     gemm(false, false, cout_g, row, col_rows, 1.0f,
@@ -354,7 +379,7 @@ void InferPlan::run_conv(const Step& s, const float* in, float* out,
   // per-channel scale/bias covers the whole row).
   const int64_t grain =
       std::max<int64_t>(1, 4096 / std::max<int64_t>(row, 1));
-  parallel_for(s.cout, grain, [&](int64_t o0, int64_t o1) {
+  parallel_for(t.cout, grain, [&](int64_t o0, int64_t o1) {
     for (int64_t o = o0; o < o1; ++o) {
       float* orow = out + o * row;
       const float b = s.bias == nullptr ? 0.0f : s.bias[o];
@@ -363,7 +388,8 @@ void InferPlan::run_conv(const Step& s, const float* in, float* out,
   });
 }
 
-void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
+void InferPlan::run_conv_s8(const StepTable& t, const Step& s,
+                            const uint8_t* in, float* out,
                             uint8_t* cols) const {
   // Mirror of run_conv over integer levels. Every float it stores comes
   // from the one requantize expression (tensor/requantize.h) that the
@@ -373,13 +399,13 @@ void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
   // rewrites them as floats IN PLACE — element i is read before it is
   // written, so the aliasing is benign; lowered convs requantize inside
   // the GEMM's final store.
-  const int64_t n = stats_.batch;
-  const int64_t in_hw = s.in_h * s.in_w;
-  const int64_t plane = s.out_h * s.out_w;
+  const int64_t n = tables_.batch;
+  const int64_t in_hw = t.in_h * t.in_w;
+  const int64_t plane = t.out_h * t.out_w;
   const int64_t row = n * plane;
-  const int64_t k = s.kernel;
-  if (s.depthwise) {
-    const int64_t planes = s.cout * n;
+  const int64_t k = t.kernel;
+  if (t.depthwise) {
+    const int64_t planes = t.cout * n;
     const int64_t grain =
         std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(plane, 1));
     parallel_for(planes, grain, [&](int64_t p0, int64_t p1) {
@@ -389,8 +415,8 @@ void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
         float* orow = out + ch * row + i * plane;
         int32_t* acc = reinterpret_cast<int32_t*>(orow);
         depthwise_plane_s8(in + (ch * n + i) * in_hw, s.wq + ch * k * k, acc,
-                           s.in_h, s.in_w, s.out_h, s.out_w, k, s.stride,
-                           s.pad);
+                           t.in_h, t.in_w, t.out_h, t.out_w, k, t.stride,
+                           t.pad);
         const float b = s.bias == nullptr ? 0.0f : s.bias[ch];
         requantize_row(orow, acc, plane, s.eff[static_cast<size_t>(ch)], b,
                        s.act);
@@ -407,15 +433,15 @@ void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
   // epilogue requantizes each tile on its final K block and stores the
   // group's floats straight into the out region (earlier K blocks park
   // their int32 partial sums there).
-  const int64_t cin_g = s.cin / s.groups;
-  const int64_t cout_g = s.cout / s.groups;
+  const int64_t cin_g = t.cin / t.groups;
+  const int64_t cout_g = t.cout / t.groups;
   const int64_t col_rows = cin_g * k * k;
-  const bool direct = k == 1 && s.stride == 1 && s.pad == 0;
-  for (int64_t g = 0; g < s.groups; ++g) {
+  const bool direct = k == 1 && t.stride == 1 && t.pad == 0;
+  for (int64_t g = 0; g < t.groups; ++g) {
     const uint8_t* panel = in + g * cin_g * n * in_hw;
     if (!direct) {
-      im2col_s8_batched(panel, n, in_hw, n * in_hw, cin_g, s.in_h, s.in_w, k,
-                        k, s.stride, s.stride, s.pad, s.pad, cols);
+      im2col_s8_batched(panel, n, in_hw, n * in_hw, cin_g, t.in_h, t.in_w, k,
+                        k, t.stride, t.stride, t.pad, t.pad, cols);
       panel = cols;
     }
     GemmS8Epilogue epi;
@@ -427,13 +453,13 @@ void InferPlan::run_conv_s8(const Step& s, const uint8_t* in, float* out,
   }
 }
 
-void InferPlan::run_gap(const Step& s, const float* in, float* out) const {
+void InferPlan::run_gap(const StepTable& t, const float* in, float* out) const {
   // Reads the batch-interleaved input and emits standard [batch, channels]
   // rows — the layout the linear head consumes — so GAP doubles as the
   // exit from the interleaved world for classifier programs.
-  const int64_t hw = s.in_h * s.in_w;
-  const int64_t n = stats_.batch;
-  const int64_t planes = s.in_c * n;
+  const int64_t hw = t.in_h * t.in_w;
+  const int64_t n = tables_.batch;
+  const int64_t planes = t.in_c * n;
   const int64_t grain =
       std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(hw, 1));
   parallel_for(planes, grain, [&](int64_t p0, int64_t p1) {
@@ -443,29 +469,30 @@ void InferPlan::run_gap(const Step& s, const float* in, float* out) const {
       const float* plane = in + pl * hw;
       double acc = 0.0;
       for (int64_t t = 0; t < hw; ++t) acc += plane[t];
-      out[i * s.in_c + ch] = static_cast<float>(acc / static_cast<double>(hw));
+      out[i * t.in_c + ch] = static_cast<float>(acc / static_cast<double>(hw));
     }
   });
 }
 
-void InferPlan::run_linear(const Step& s, const float* in, float* out) const {
+void InferPlan::run_linear(const StepTable& t, const Step& s, const float* in,
+                           float* out) const {
   // Double accumulation in ascending k, exactly the reference interpreter's
   // order, so fast and reference logits agree bitwise here. Four output
   // rows share each pass over the input row: their chains are independent,
   // so the adds overlap instead of each waiting on the last, while every
   // row still sums its own products in the same order.
-  const int64_t features = s.cin;
-  const int64_t quads = (s.cout + 3) / 4;
+  const int64_t features = t.cin;
+  const int64_t quads = (t.cout + 3) / 4;
   const auto store = [&](int64_t i, int64_t o, double acc) {
     const float b = s.bias == nullptr ? 0.0f : s.bias[o];
-    out[i * s.cout + o] = static_cast<float>(acc) * s.scales[o] + b;
+    out[i * t.cout + o] = static_cast<float>(acc) * s.scales[o] + b;
   };
-  parallel_for(stats_.batch * quads, 4, [&](int64_t g0, int64_t g1) {
+  parallel_for(tables_.batch * quads, 4, [&](int64_t g0, int64_t g1) {
     for (int64_t g = g0; g < g1; ++g) {
       const int64_t i = g / quads;
       const int64_t o0 = (g % quads) * 4;
       const float* xrow = in + i * features;
-      if (o0 + 4 <= s.cout) {
+      if (o0 + 4 <= t.cout) {
         const float* w0 = s.wf + o0 * features;
         const float* w1 = w0 + features;
         const float* w2 = w1 + features;
@@ -484,7 +511,7 @@ void InferPlan::run_linear(const Step& s, const float* in, float* out) const {
         store(i, o0 + 3, a3);
         continue;
       }
-      for (int64_t o = o0; o < s.cout; ++o) {  // the last cout % 4 rows
+      for (int64_t o = o0; o < t.cout; ++o) {  // the last cout % 4 rows
         const float* wrow = s.wf + o * features;
         double acc = 0.0;
         for (int64_t t = 0; t < features; ++t) {
@@ -496,19 +523,19 @@ void InferPlan::run_linear(const Step& s, const float* in, float* out) const {
   });
 }
 
-void InferPlan::run_linear_s8(const Step& s, const uint8_t* in,
-                              float* out) const {
+void InferPlan::run_linear_s8(const StepTable& t, const Step& s,
+                              const uint8_t* in, float* out) const {
   // Exact int32 dot products staged over the out region (the head is tiny:
   // batch * classes rows over <= 2^17 features), then one shared epilogue
   // per image row — scalar loops suffice, and integer exactness keeps the
   // result thread-invariant for free.
-  const int64_t features = s.cin;
-  const int64_t total = stats_.batch * s.cout;
+  const int64_t features = t.cin;
+  const int64_t total = tables_.batch * t.cout;
   int32_t* acc = reinterpret_cast<int32_t*>(out);
   parallel_for(total, 16, [&](int64_t r0, int64_t r1) {
     for (int64_t idx = r0; idx < r1; ++idx) {
-      const int64_t i = idx / s.cout;
-      const int64_t o = idx % s.cout;
+      const int64_t i = idx / t.cout;
+      const int64_t o = idx % t.cout;
       const int8_t* wrow = s.wq + o * features;
       const uint8_t* xrow = in + i * features;
       int32_t a = 0;
@@ -519,26 +546,27 @@ void InferPlan::run_linear_s8(const Step& s, const uint8_t* in,
       acc[idx] = a;
     }
   });
-  for (int64_t i = 0; i < stats_.batch; ++i) {
-    requantize_linear_row(out + i * s.cout, acc + i * s.cout, s.eff.data(),
-                          s.bias, s.cout);
+  for (int64_t i = 0; i < tables_.batch; ++i) {
+    requantize_linear_row(out + i * t.cout, acc + i * t.cout, s.eff.data(),
+                          s.bias, t.cout);
   }
 }
 
 Tensor InferPlan::run(const Tensor& input) const {
-  NB_CHECK(input.dim() == 4 && input.size(0) == stats_.batch &&
-               input.size(1) == stats_.channels &&
-               input.size(2) == stats_.in_h && input.size(3) == stats_.in_w,
+  const PlanTables& pt = tables_;
+  NB_CHECK(input.dim() == 4 && input.size(0) == pt.batch &&
+               input.size(1) == pt.channels && input.size(2) == pt.in_h &&
+               input.size(3) == pt.in_w,
            "infer plan: input " + input.shape_str() +
                " does not match the planned geometry");
   float* arena = arena_.data();
   // Entry: NCHW -> batch-interleaved gather (a plain copy at batch == 1,
   // where the layouts coincide).
-  const int64_t n = stats_.batch;
+  const int64_t n = pt.batch;
   {
-    const int64_t c = stats_.channels;
-    const int64_t hw = stats_.in_h * stats_.in_w;
-    float* entry = arena + steps_.front().in_off;
+    const int64_t c = pt.channels;
+    const int64_t hw = pt.in_h * pt.in_w;
+    float* entry = arena + pt.in_off;
     if (n == 1) {
       std::memcpy(entry, input.data(),
                   static_cast<size_t>(input.numel()) * sizeof(float));
@@ -557,71 +585,73 @@ Tensor InferPlan::run(const Tensor& input) const {
     }
   }
 
-  for (const Step& s : steps_) {
-    switch (s.kind) {
+  for (size_t i = 0; i < pt.steps.size(); ++i) {
+    const StepTable& t = pt.steps[i];
+    const Step& s = steps_[i];
+    switch (t.kind) {
       case OpKind::save:
-        std::memcpy(arena + s.save_off, arena + s.in_off,
-                    static_cast<size_t>(s.in_floats) * sizeof(float));
+        std::memcpy(arena + t.save_off, arena + t.in_off,
+                    static_cast<size_t>(t.in_floats) * sizeof(float));
         break;
       case OpKind::add_saved: {
-        float* cur = arena + s.in_off;
-        const float* sv = arena + s.save_off;
-        parallel_for(s.in_floats, int64_t{1} << 14,
+        float* cur = arena + t.in_off;
+        const float* sv = arena + t.save_off;
+        parallel_for(t.in_floats, int64_t{1} << 14,
                      [&](int64_t b, int64_t e) {
-                       for (int64_t t = b; t < e; ++t) cur[t] += sv[t];
+                       for (int64_t j = b; j < e; ++j) cur[j] += sv[j];
                      });
         break;
       }
       case OpKind::conv:
       case OpKind::linear: {
-        float* in = arena + s.in_off;
-        if (stats_.backend == Backend::int8) {
+        float* in = arena + t.in_off;
+        if (pt.backend == Backend::int8) {
           // True int8: quantize the float activation to offset-u8 levels
           // (the same rounding fake_quant_buffer applies, via the shared
           // quantize_levels_u8) and run the integer kernels. The float
           // input region is left untouched — it is dead after this op.
           uint8_t* qin = qarena_.data();
-          parallel_for(s.in_floats, int64_t{1} << 14,
+          parallel_for(t.in_floats, int64_t{1} << 14,
                        [&](int64_t b, int64_t e) {
                          quant::quantize_levels_u8(in + b, qin + b, e - b,
-                                                   s.act_scale, s.act_bits);
+                                                   t.act_scale, s.act_bits);
                        });
-          if (s.kind == OpKind::conv) {
-            run_conv_s8(s, qin, arena + s.out_off,
-                        qarena_.data() + qcols_off_);
+          if (t.kind == OpKind::conv) {
+            run_conv_s8(t, s, qin, arena + t.out_off,
+                        qarena_.data() + pt.qcols_off);
           } else {
-            run_linear_s8(s, qin, arena + s.out_off);
+            run_linear_s8(t, s, qin, arena + t.out_off);
           }
           break;
         }
-        if (s.act_scale > 0.0f) {
-          parallel_for(s.in_floats, int64_t{1} << 14,
+        if (t.act_scale > 0.0f) {
+          parallel_for(t.in_floats, int64_t{1} << 14,
                        [&](int64_t b, int64_t e) {
-                         quant::fake_quant_buffer(in + b, e - b, s.act_scale,
+                         quant::fake_quant_buffer(in + b, e - b, t.act_scale,
                                                   s.act_bits);
                        });
         }
-        if (s.kind == OpKind::conv) {
-          run_conv(s, in, arena + s.out_off, arena + s.cols_off);
+        if (t.kind == OpKind::conv) {
+          run_conv(t, s, in, arena + t.out_off, arena + t.cols_off);
         } else {
-          run_linear(s, in, arena + s.out_off);
+          run_linear(t, s, in, arena + t.out_off);
         }
         break;
       }
       case OpKind::gap:
-        run_gap(s, arena + s.in_off, arena + s.out_off);
+        run_gap(t, arena + t.in_off, arena + t.out_off);
         break;
     }
   }
 
-  Tensor out(out_shape_);
-  if (out_shape_.size() == 4 && n > 1) {
+  Tensor out(pt.out_shape);
+  const float* res = arena + pt.out_off;
+  if (pt.out_shape.size() == 4 && n > 1) {
     // The program ended spatially: scatter the batch-interleaved result
     // back to NCHW. (GAP already emitted [batch, channels] rows, so
     // classifier programs skip this.)
-    const int64_t c = out_shape_[1];
-    const int64_t hw = out_shape_[2] * out_shape_[3];
-    const float* res = arena + out_off_;
+    const int64_t c = pt.out_shape[1];
+    const int64_t hw = pt.out_shape[2] * pt.out_shape[3];
     float* dst = out.data();
     const int64_t grain =
         std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(hw, 1));
@@ -634,7 +664,7 @@ Tensor InferPlan::run(const Tensor& input) const {
       }
     });
   } else {
-    std::memcpy(out.data(), arena + out_off_,
+    std::memcpy(out.data(), res,
                 static_cast<size_t>(out.numel()) * sizeof(float));
   }
   return out;
@@ -642,11 +672,11 @@ Tensor InferPlan::run(const Tensor& input) const {
 
 PlanValidRegion InferPlan::valid_output_region(int64_t valid_h,
                                                int64_t valid_w) const {
-  NB_CHECK(valid_h >= 1 && valid_h <= stats_.in_h && valid_w >= 1 &&
-               valid_w <= stats_.in_w,
+  NB_CHECK(valid_h >= 1 && valid_h <= tables_.in_h && valid_w >= 1 &&
+               valid_w <= tables_.in_w,
            "infer plan: valid region must be within the planned geometry");
   PlanValidRegion v{valid_h, valid_w, true};
-  for (const Step& s : steps_) {
+  for (const StepTable& s : tables_.steps) {
     switch (s.kind) {
       case OpKind::conv: {
         // Output index x reads input taps [x*stride - pad,

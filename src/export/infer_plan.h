@@ -2,32 +2,31 @@
 // backend of the deployment runtime.
 //
 // A plan is built once per (batch, channels, height, width) input geometry.
-// Building it walks the op list symbolically, computes every intermediate
-// activation shape, and lays all of them out in ONE reusable float arena the
-// way a TinyML memory planner would:
-//
-//   [ ping | pong | save slot 0..D-1 | im2col cols ]
-//
-//   * ping/pong — two regions sized to the largest activation that ever
-//     lands in them; consecutive ops alternate, in-place ops (activation
-//     fake-quant, residual add) do not flip.
-//   * save slots — residual `save`/`add_saved` markers form a stack, so one
-//     region per nesting depth suffices and is reused by every residual at
-//     that depth.
-//   * cols — the im2col panel for the largest lowered convolution, sized
-//     x batch: the columns of every image in the micro-batch sit side by
-//     side ([K, batch*out_h*out_w]) so ONE packed GEMM per conv (per group)
-//     lowers the whole batch, amortizing weight-panel packing and
-//     micro-kernel fringes across it.
+// plan_program() walks the op list once, shapes every intermediate, and
+// gives each float buffer a live range [first step, last step]: the entry
+// input; each op output (conv, GAP and linear write a new buffer, residual
+// add and activation fake-quant work in place); one copy per residual
+// `save`, live until its `add_saved`; and, on the fast backend, one im2col
+// panel per non-direct lowered conv, live for its step. The panel holds the
+// columns of every image side by side ([K, batch*out_h*out_w]), so ONE
+// packed GEMM per conv (per group) lowers the whole batch. Buffers are
+// placed in ONE reusable arena greedy by size (Pisarchyk & Lee 2020, the
+// TFLite planner): largest first, each into the best-fitting gap among the
+// placed buffers it is live with. Sizes scale with the batch and placement
+// only compares them, so arena(batch) == batch * arena(1) exactly;
+// PlanStats::peak_live_floats sums the same ranges, and on the shipped
+// graphs the arena equals it. `save` copies instead of aliasing because the
+// conv after it fake-quantizes its input in place, and the residual must
+// add the value from before that.
 //
 // Direct 1x1 lowering: for a 1x1, stride-1, unpadded conv the group's
 // slice of the batch-interleaved input already IS that panel, value for
-// value, so the GEMM reads the input region as its B operand and no im2col
-// runs (on int8, the quantized byte region). The cols region is still
-// sized over every lowered conv, direct ones included: PlanStats'
-// cols_floats and arena_int8_bytes keep their meaning, which the
-// repository benchmark's kernel replay (perfbench/replay.cpp), lowering
-// every conv through a panel, checks against the panel it sizes.
+// value, so the GEMM reads the input region as its B operand, no im2col
+// runs (on int8, the quantized byte region) and no panel is placed.
+// PlanStats::cols_floats and arena_int8_bytes still size a panel for
+// every lowered conv, direct ones included: the repository benchmark's
+// kernel replay (perfbench/replay.cpp), lowering every conv through a
+// panel, checks them against the panel it sizes.
 //
 // Batched activation layout: inside the arena every spatial activation is
 // kept BATCH-INTERLEAVED — [channels, batch*H*W], each channel holding the
@@ -66,15 +65,15 @@
 // requantize_linear_row for the head (see qmodel.h). Int32 accumulators
 // live IN the float arena's output region (4 bytes per element either
 // way); the plan additionally owns a small byte arena
-// [ quantized input | byte cols ] and drops the float cols region
-// entirely. Because every accumulation is an exact
-// integer sum, thread-count and batched-vs-sequential invariance are
-// bitwise by construction, and the whole backend is memcmp-equal to the
-// scalar QModel oracle (enforced in tests/test_infer_runtime.cpp).
+// [ quantized input | byte cols ] and places no float panels. Because
+// every accumulation is an exact integer sum, thread-count and
+// batched-vs-sequential invariance are bitwise by construction, and the
+// whole backend is memcmp-equal to the scalar QModel oracle (enforced in
+// tests/test_infer_runtime.cpp).
 //
 // A plan BORROWS its weight panels (it holds a shared_ptr keeping them
 // alive but owns no weight copies); what it owns is only the per-geometry
-// arena and step table, so building one plan per concurrent stream costs
+// arena and step tables, so building one plan per concurrent stream costs
 // arena memory, never weight memory. run() reuses the arena, so a single
 // plan must not be invoked from two threads at once — runtime::Session
 // wraps one plan cache per stream.
@@ -88,12 +87,6 @@
 #include "export/weight_panels.h"
 
 namespace nb::exporter {
-
-class InferPlan;
-struct PlanTables;
-/// Declared in plan_verify.h; friend of InferPlan so the static verifier
-/// can snapshot the region/step tables it proves safe.
-PlanTables plan_tables(const InferPlan& plan);
 
 /// The output spatial extent provably untouched by bucket padding — see
 /// InferPlan::valid_output_region. `spatial` flips false once a GAP or
@@ -117,39 +110,32 @@ struct PlanStats {
   int64_t in_h = 0;
   int64_t in_w = 0;
   int64_t ops = 0;
-  /// Total planned activation arena (ping + pong + save slots + cols) —
-  /// the memory the plan OWNS. Every region holds the whole micro-batch,
-  /// so the arena scales exactly x batch (assertable:
-  /// arena_floats(batch) == batch * arena_floats(1)).
+  /// The float arena every buffer is placed in — the memory the plan
+  /// OWNS. Every buffer holds the whole micro-batch, so the arena scales
+  /// exactly x batch (assertable: arena_floats(batch) ==
+  /// batch * arena_floats(1)).
   int64_t arena_floats = 0;
-  /// The im2col cols region: the largest lowered conv's column panel with
-  /// every image side by side — scales exactly x batch. Sized over every
-  /// lowered conv, including the direct 1x1 ones that never fill it (see
-  /// the header comment). The batched GEMM
-  /// writes straight into ping/pong (its [cout, batch*oh*ow] output IS the
-  /// batch-interleaved activation layout), so no staging region exists.
+  /// The largest im2col B panel any lowered conv reads, with every image
+  /// side by side — scales exactly x batch. A direct 1x1 conv's panel is
+  /// its input, and it counts here too (see the header comment). Zero on
+  /// int8 plans, whose panels live in the byte arena.
   int64_t cols_floats = 0;
-  /// What a no-reuse executor allocates: input clone + every op output +
-  /// every residual copy + per-conv im2col scratch.
+  /// What a no-reuse executor allocates: every buffer the plan places
+  /// (input copy, op outputs, residual copies, im2col panels), summed.
   int64_t no_reuse_floats = 0;
-  /// Max floats simultaneously live at any single step — a lower bound for
-  /// any planner's float arena; arena_floats must land between this and
-  /// no_reuse_floats. An int8 plan's cols panel is not counted: it lives in
-  /// the byte arena (arena_int8_bytes).
+  /// Max floats simultaneously live at any single step, summed from the
+  /// buffers' live ranges — a lower bound for any planner's float arena;
+  /// arena_floats lands between this and no_reuse_floats.
   int64_t peak_live_floats = 0;
   /// Weight-panel floats the plan executes against (dequantized levels on
   /// fast panels, scales and bias on both). BORROWED from the shared
   /// WeightPanels, not owned: every plan (and session) on the same compiled
   /// model reports the same figure for the same bytes.
   int64_t weight_cache_floats = 0;
-  /// Max residual save/add nesting depth.
-  int64_t save_depth = 0;
   /// Byte arena owned by an int8 plan on top of the float arena: the
   /// quantized-input region (largest conv/linear input, one byte per
-  /// element) plus the byte im2col cols panel (which REPLACES the float
-  /// cols region — cols_floats is 0 for int8 plans, so the int8 arena is
-  /// smaller overall: the 4-byte cols region becomes 1-byte). Zero for
-  /// float plans.
+  /// element) plus the byte im2col cols panel (largest lowered conv, the
+  /// direct ones included). Zero for float plans.
   int64_t arena_int8_bytes = 0;
 
   int64_t arena_bytes() const { return arena_floats * 4; }
@@ -157,19 +143,64 @@ struct PlanStats {
   int64_t peak_live_bytes() const { return peak_live_floats * 4; }
 };
 
+/// One step's row of the plan tables: plain values, no borrowed pointers,
+/// so verification — and the mutation tests that corrupt rows — operate
+/// on data.
+struct StepTable {
+  OpKind kind = OpKind::save;
+  bool depthwise = false;
+  int64_t stride = 1, pad = 0, groups = 1, cout = 0, cin = 0, kernel = 1;
+  float act_scale = 0.0f;
+  int64_t eff_count = 0;  // per-channel requantize scales (int8 plans)
+  // Input/output activation geometry (out_h/out_w unused for 2-D shapes).
+  int64_t in_c = 0, in_h = 0, in_w = 0;
+  int64_t out_h = 0, out_w = 0;
+  int64_t in_floats = 0, out_floats = 0;
+  // Float-arena offsets: the activation read and written (equal for
+  // in-place steps), the fast plan's own im2col panel (non-direct lowered
+  // convs only, else 0) and the residual copy a `save` writes and its
+  // `add_saved` reads (else 0).
+  int64_t in_off = 0, out_off = 0, cols_off = 0, save_off = 0;
+};
+
+/// What plan_program computes: the published accounting, where the entry
+/// input and the final activation sit, and one row per program op.
+struct PlanTables : PlanStats {
+  int64_t in_off = 0;     // float offset of the entry input
+  int64_t out_off = 0;    // float offset of the final activation
+  int64_t qcols_off = 0;  // byte offset of the int8 cols panel in qarena
+  std::vector<int64_t> out_shape;
+  std::vector<StepTable> steps;
+};
+
+/// The planner: shapes `model` for an [batch, channels, in_h, in_w] input
+/// and places every float buffer by live range (see the header comment),
+/// allocating no arena. Throws on geometry mismatches (e.g. first conv
+/// cin != channels, an op producing an empty spatial output, a residual
+/// join of two shapes), on Backend::reference (plans ARE the
+/// non-reference runtime) and, for Backend::int8, on a program that is not
+/// int8_compatible (naming the offending op). weight_cache_floats is left
+/// 0: the tables know no panels.
+PlanTables plan_program(const FlatModel& model, int64_t batch,
+                        int64_t channels, int64_t in_h, int64_t in_w,
+                        Backend backend = Backend::fast);
+
+class InferPlan;
+/// A built plan's tables — what it runs from and what plan_verify.h
+/// proves safe.
+const PlanTables& plan_tables(const InferPlan& plan);
+
 class InferPlan {
  public:
-  /// Shapes the whole program for an [batch, channels, in_h, in_w] input
-  /// against an existing set of shared weight panels (the zero-copy path
-  /// used by runtime::Session); throws on geometry mismatches (e.g. first
-  /// conv cin != channels, an op producing an empty spatial output).
-  /// `backend` selects the execution mode: Backend::fast runs the float
-  /// fast path over dequantized weight levels; Backend::int8 runs the true
-  /// integer path (quantized activations, gemm_s8, fused requantize) and
-  /// requires an int8_compatible program (throws otherwise, naming the
-  /// offending op). Backend::reference is rejected — plans ARE the
-  /// non-reference runtime — and so are panels built for another backend
-  /// (they lack this backend's weight encoding).
+  /// Plans the whole program for an [batch, channels, in_h, in_w] input
+  /// (plan_program, which throws on what it rejects) against an existing
+  /// set of shared weight panels (the zero-copy path used by
+  /// runtime::Session) and allocates the arena. `backend` selects the
+  /// execution mode: Backend::fast runs the float fast path over
+  /// dequantized weight levels; Backend::int8 runs the true integer path
+  /// (quantized activations, gemm_s8, fused requantize). Panels built for
+  /// another backend are rejected (they lack this backend's weight
+  /// encoding).
   InferPlan(const FlatModel& model,
             std::shared_ptr<const WeightPanels> panels, int64_t batch,
             int64_t channels, int64_t in_h, int64_t in_w,
@@ -183,7 +214,7 @@ class InferPlan {
   /// Reuses the internal arena; not safe to call concurrently on one plan.
   Tensor run(const Tensor& input) const;
 
-  const PlanStats& stats() const { return stats_; }
+  const PlanStats& stats() const { return tables_; }
 
   /// Valid-region epilogue arithmetic for pad-to-bucket serving: given
   /// that only the top-left (valid_h, valid_w) window of the planned
@@ -205,15 +236,12 @@ class InferPlan {
   }
 
  private:
-  friend PlanTables plan_tables(const InferPlan& plan);
+  friend const PlanTables& plan_tables(const InferPlan& plan);
 
+  // What running a step needs beyond its table row.
   struct Step {
-    OpKind kind = OpKind::save;
     FlatAct act = FlatAct::identity;
-    int64_t stride = 1, pad = 0, groups = 1, cout = 0, cin = 0, kernel = 1;
-    float act_scale = 0.0f;
     int act_bits = 8;
-    bool depthwise = false;
     // Borrowed views into the shared WeightPanels (kept alive by panels_).
     const float* wf = nullptr;      // int8 levels as exact float integers
     const int8_t* wq = nullptr;     // the same levels raw (int8 panels only)
@@ -223,34 +251,28 @@ class InferPlan {
     // float plans). Owned by the step: per-plan, not per-panel, because it
     // folds in the per-op activation scale.
     std::vector<float> eff;
-    // Input/output activation geometry (out_h/out_w unused for 2-D shapes).
-    int64_t in_c = 0, in_h = 0, in_w = 0;
-    int64_t out_h = 0, out_w = 0;
-    int64_t in_floats = 0, out_floats = 0;
-    // Float offsets into the arena, resolved after the shape walk.
-    int64_t in_off = 0, out_off = 0, cols_off = 0, save_off = 0;
   };
 
-  void run_conv(const Step& s, const float* in, float* out, float* cols) const;
-  void run_gap(const Step& s, const float* in, float* out) const;
-  void run_linear(const Step& s, const float* in, float* out) const;
+  void run_conv(const StepTable& t, const Step& s, const float* in,
+                float* out, float* cols) const;
+  void run_gap(const StepTable& t, const float* in, float* out) const;
+  void run_linear(const StepTable& t, const Step& s, const float* in,
+                  float* out) const;
   // Int8 twins: `in` is the quantized offset-u8 activation, the int32
   // accumulators land in (and are requantized in place over) the float
   // arena's output region, and `cols` is the byte im2col panel.
-  void run_conv_s8(const Step& s, const uint8_t* in, float* out,
-                   uint8_t* cols) const;
-  void run_linear_s8(const Step& s, const uint8_t* in, float* out) const;
+  void run_conv_s8(const StepTable& t, const Step& s, const uint8_t* in,
+                   float* out, uint8_t* cols) const;
+  void run_linear_s8(const StepTable& t, const Step& s, const uint8_t* in,
+                     float* out) const;
 
   std::shared_ptr<const WeightPanels> panels_;
-  std::vector<Step> steps_;
-  std::vector<int64_t> out_shape_;
-  int64_t out_off_ = 0;  // where the final activation lands in the arena
+  PlanTables tables_;
+  std::vector<Step> steps_;  // one per tables_.steps row
   mutable std::vector<float> arena_;
   // Byte arena for Backend::int8: [ quantized input | byte im2col cols ].
   // Empty for float plans.
   mutable std::vector<uint8_t> qarena_;
-  int64_t qcols_off_ = 0;  // byte offset of the cols region in qarena_
-  PlanStats stats_;
 };
 
 }  // namespace nb::exporter

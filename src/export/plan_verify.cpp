@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "export/infer_plan.h"
 #include "tensor/im2col.h"  // conv_out_size
 
 namespace nb::exporter {
@@ -35,49 +34,6 @@ const char* to_string(PlanDiag diag) {
   return "?";
 }
 
-PlanTables plan_tables(const InferPlan& plan) {
-  const PlanStats& st = plan.stats();
-  PlanTables t;
-  t.backend = st.backend;
-  t.batch = st.batch;
-  t.channels = st.channels;
-  t.in_h = st.in_h;
-  t.in_w = st.in_w;
-  t.arena_floats = st.arena_floats;
-  t.cols_floats = st.cols_floats;
-  t.arena_int8_bytes = st.arena_int8_bytes;
-  t.qcols_off = plan.qcols_off_;
-  t.out_off = plan.out_off_;
-  t.out_shape = plan.out_shape_;
-  t.steps.reserve(plan.steps_.size());
-  for (const auto& s : plan.steps_) {
-    StepTable row;
-    row.kind = s.kind;
-    row.depthwise = s.depthwise;
-    row.stride = s.stride;
-    row.pad = s.pad;
-    row.groups = s.groups;
-    row.cout = s.cout;
-    row.cin = s.cin;
-    row.kernel = s.kernel;
-    row.act_scale = s.act_scale;
-    row.eff_count = static_cast<int64_t>(s.eff.size());
-    row.in_c = s.in_c;
-    row.in_h = s.in_h;
-    row.in_w = s.in_w;
-    row.out_h = s.out_h;
-    row.out_w = s.out_w;
-    row.in_floats = s.in_floats;
-    row.out_floats = s.out_floats;
-    row.in_off = s.in_off;
-    row.out_off = s.out_off;
-    row.cols_off = s.cols_off;
-    row.save_off = s.save_off;
-    t.steps.push_back(row);
-  }
-  return t;
-}
-
 namespace {
 
 bool intervals_overlap(int64_t a_off, int64_t a_len, int64_t b_off,
@@ -86,7 +42,7 @@ bool intervals_overlap(int64_t a_off, int64_t a_len, int64_t b_off,
          b_off < a_off + a_len;
 }
 
-/// Im2col panel elements a lowered conv needs (0 for depthwise and
+/// Im2col B panel elements a lowered conv reads (0 for depthwise and
 /// non-conv steps). Callers validate groups > 0 first.
 int64_t cols_need(const StepTable& s, int64_t batch) {
   if (s.kind != OpKind::conv || s.depthwise || s.groups <= 0) return 0;
@@ -126,12 +82,13 @@ VerifyReport verify_tables(const PlanTables& t) {
   bool spatial = true;
   int64_t c = t.channels, h = t.in_h, w = t.in_w;
   int64_t cur = t.batch * c * h * w;
-  // The entry activation is planted at float-arena offset 0 (the layout is
-  // [ping | pong | saves | cols] with ping based at 0, and the input is
-  // copied into ping). Anchoring here rather than trusting the first
+  // Anchoring at the published entry offset rather than trusting the first
   // step's own in_off makes a corrupted FIRST step detectable too.
-  int64_t cur_off = 0;
-  std::vector<std::pair<int64_t, int64_t>> live_saves;  // (off, floats)
+  int64_t cur_off = t.in_off;
+  struct Saved {
+    int64_t off, floats, c, h, w;
+  };
+  std::vector<Saved> live_saves;
   int64_t max_cols = 0;  // high-water mark over lowered convs
   int64_t max_qin = 0;   // high-water mark of quantized-input bytes
 
@@ -219,7 +176,10 @@ VerifyReport verify_tables(const PlanTables& t) {
     check_bounds(s.out_off, s.out_floats, "output");
     const int64_t cols = cols_need(s, t.batch);
     max_cols = std::max(max_cols, cols);
-    if (cols > 0 && !i8) check_bounds(s.cols_off, cols, "im2col panel");
+    // The float panel this step writes; a direct conv's panel is its input.
+    const bool direct = s.kernel == 1 && s.stride == 1 && s.pad == 0;
+    const int64_t own_cols = i8 || direct ? 0 : cols;
+    check_bounds(s.cols_off, own_cols, "im2col panel");
     if (cols > 0 && i8) {
       // Byte cols live in the qarena, after the quantized-input region
       // (the float cols_off is unused on int8 plans).
@@ -249,43 +209,43 @@ VerifyReport verify_tables(const PlanTables& t) {
            "input " + iv(s.in_off, s.in_floats) + " overlaps output " +
                iv(s.out_off, s.out_floats));
     }
-    if (cols > 0 && !i8) {
-      if (intervals_overlap(s.cols_off, cols, s.in_off, s.in_floats) ||
-          intervals_overlap(s.cols_off, cols, s.out_off, s.out_floats)) {
-        fail(PlanDiag::region_overlap, idx,
-             "im2col panel overlaps the activation regions");
-      }
+    if (intervals_overlap(s.cols_off, own_cols, s.in_off, s.in_floats) ||
+        intervals_overlap(s.cols_off, own_cols, s.out_off, s.out_floats)) {
+      fail(PlanDiag::region_overlap, idx,
+           "im2col panel overlaps the activation regions");
     }
 
     // -- residual save stack: liveness simulation.
     if (s.kind == OpKind::save) {
-      // The copy's source and destination must be disjoint, and the slot
-      // must not sit on another live save.
+      // The copy's source and destination must be disjoint, and the copy
+      // must not sit on another live one.
       if (intervals_overlap(s.save_off, s.in_floats, s.in_off, s.in_floats)) {
         fail(PlanDiag::region_overlap, idx,
-             "save slot overlaps the activation it copies");
+             "residual copy overlaps the activation it copies");
       }
-      if (s.save_off < 0 || s.save_off + s.in_floats > t.arena_floats) {
-        fail(PlanDiag::offset_out_of_bounds, idx,
-             "save slot " + iv(s.save_off, s.in_floats) + " escapes arena");
-      }
-      for (const auto& [off, len] : live_saves) {
-        if (intervals_overlap(s.save_off, s.in_floats, off, len)) {
+      check_bounds(s.save_off, s.in_floats, "residual copy");
+      for (const Saved& sv : live_saves) {
+        if (intervals_overlap(s.save_off, s.in_floats, sv.off, sv.floats)) {
           fail(PlanDiag::save_clobbered, idx,
-               "save slot overlaps a live residual at " + iv(off, len));
+               "residual copy overlaps a live one at " +
+                   iv(sv.off, sv.floats));
         }
       }
-      live_saves.emplace_back(s.save_off, s.in_floats);
+      live_saves.push_back({s.save_off, s.in_floats, c, h, w});
     } else if (s.kind == OpKind::add_saved) {
       if (live_saves.empty()) {
         fail(PlanDiag::save_stack_broken, idx, "add_saved on an empty stack");
       } else {
-        const auto [off, len] = live_saves.back();
+        const Saved sv = live_saves.back();
         live_saves.pop_back();
-        if (off != s.save_off || len != s.in_floats) {
+        if (sv.off != s.save_off || sv.floats != s.in_floats) {
           fail(PlanDiag::save_stack_broken, idx,
                "add_saved reads " + iv(s.save_off, s.in_floats) +
-                   " but the top save is " + iv(off, len));
+                   " but the top save is " + iv(sv.off, sv.floats));
+        }
+        if (sv.c != c || sv.h != h || sv.w != w) {
+          fail(PlanDiag::save_stack_broken, idx,
+               "residual join of two different shapes");
         }
         if (intervals_overlap(s.save_off, s.in_floats, s.in_off,
                               s.in_floats)) {
@@ -295,14 +255,16 @@ VerifyReport verify_tables(const PlanTables& t) {
       }
     } else {
       // A producing step must not write over any LIVE residual copy.
-      for (const auto& [off, len] : live_saves) {
-        if (intervals_overlap(s.out_off, s.out_floats, off, len)) {
+      for (const Saved& sv : live_saves) {
+        if (intervals_overlap(s.out_off, s.out_floats, sv.off, sv.floats)) {
           fail(PlanDiag::save_clobbered, idx,
-               "output overwrites a live residual at " + iv(off, len));
+               "output overwrites a live residual at " +
+                   iv(sv.off, sv.floats));
         }
-        if (cols > 0 && !i8 && intervals_overlap(s.cols_off, cols, off, len)) {
+        if (intervals_overlap(s.cols_off, own_cols, sv.off, sv.floats)) {
           fail(PlanDiag::save_clobbered, idx,
-               "im2col panel overwrites a live residual at " + iv(off, len));
+               "im2col panel overwrites a live residual at " +
+                   iv(sv.off, sv.floats));
         }
       }
     }
@@ -374,7 +336,8 @@ VerifyReport verify_tables(const PlanTables& t) {
         (i8 ? " + " + std::to_string(t.arena_int8_bytes) + " int8 bytes"
             : ""));
     r.proved.push_back(
-        "disjointness: in/out/cols/live-save regions never alias per step");
+        "disjointness: in/out/cols/live residual regions never alias per "
+        "step");
     if (i8) {
       r.proved.push_back(
           "epilogue: in-place requantize+clamp covers exactly its "

@@ -1,28 +1,32 @@
 // Static verifier for InferPlan — proves the memory planner's safety
-// contract from the plan's region/step tables alone, without executing a
-// single kernel.
+// contract from the plan's tables alone, without executing a single
+// kernel.
 //
-// An InferPlan is a little compiler: it lays every intermediate activation,
-// residual copy and im2col panel into ONE reusable arena, and the int8
-// backend additionally requantizes int32 accumulators IN PLACE over the
-// float output region. Each of those decisions is an aliasing proof
-// obligation the executor silently relies on. This verifier discharges
-// them explicitly:
+// An InferPlan is a little compiler: it places every intermediate
+// activation, residual copy and im2col panel in ONE reusable arena by live
+// range, and the int8 backend additionally requantizes int32 accumulators
+// IN PLACE over the float output region. Each of those decisions is an
+// aliasing proof obligation the executor silently relies on. This verifier
+// discharges them without trusting the planner's live ranges: it walks the
+// steps and tracks what is live itself (the current activation and the
+// residual copies on the save stack):
 //
 //   * geometry      — every step's recorded shapes follow from the conv
 //                     arithmetic (out = (in + 2p - k)/s + 1) and the input
 //                     geometry; float counts match batch*C*H*W.
-//   * dataflow      — each step consumes exactly the region the previous
-//                     step produced (produced-before-consumed, no step
-//                     reads a region nothing wrote).
+//   * dataflow      — the first step reads the entry input at
+//                     PlanTables::in_off, and each later step consumes
+//                     exactly the region the previous step produced.
 //   * bounds        — every [offset, offset+size) interval (inputs,
-//                     outputs, save slots, cols panels, the quantized-input
-//                     byte region) lies inside PlanStats::arena_floats /
-//                     arena_int8_bytes.
+//                     outputs, residual copies, im2col panels, the
+//                     quantized-input byte region) lies inside
+//                     PlanStats::arena_floats / arena_int8_bytes.
 //   * disjointness  — per step, the regions it reads and writes do not
-//                     overlap (in vs out, cols vs both), and no write
-//                     clobbers a LIVE residual save slot (the save stack is
-//                     simulated across the whole program).
+//                     overlap (in vs out, its own im2col panel vs both; a
+//                     direct 1x1 conv's panel is its input), and no write
+//                     clobbers a LIVE residual copy.
+//   * save stack    — save/add_saved pair LIFO, and each join adds two
+//                     activations of one shape (c, h, w).
 //   * epilogue      — the int8 in-place requantize+clamp is legal: the
 //                     rewrite covers exactly the accumulator region it
 //                     reads (same offset, same float count) and carries a
@@ -31,7 +35,7 @@
 //                     arena_int8_bytes split) are consistent with the step
 //                     tables, so accounting cannot drift from reality.
 //   * batch scaling — arena(batch) == batch * arena(1), exactly (checked
-//                     against a separately extracted batch-1 table).
+//                     against a separately planned batch-1 table).
 //
 // Debug builds run check_plan() automatically at the end of every plan
 // construction; `flat_infer --verify` and SessionOptions::verify_plans run
@@ -44,11 +48,9 @@
 #include <string>
 #include <vector>
 
-#include "export/flat_model.h"
+#include "export/infer_plan.h"
 
 namespace nb::exporter {
-
-class InferPlan;
 
 /// Failure classes. One per independently-corruptible property of the
 /// tables, so a mutation test can pin the diagnostic it expects.
@@ -57,8 +59,8 @@ enum class PlanDiag {
   dataflow_broken,       // step consumes a region nothing produced
   offset_out_of_bounds,  // float-arena interval escapes arena_floats
   region_overlap,        // read and write regions of one step alias
-  save_clobbered,        // a write lands on a live residual save slot
-  save_stack_broken,     // save/add_saved pairing or size mismatch
+  save_clobbered,        // a write lands on a live residual copy
+  save_stack_broken,     // save/add_saved pairing or shape mismatch
   epilogue_broken,       // int8 in-place requantize not provably legal
   qarena_out_of_bounds,  // byte-arena interval escapes arena_int8_bytes
   stats_inconsistent,    // PlanStats disagrees with the step tables
@@ -94,43 +96,12 @@ class PlanVerifyError : public std::runtime_error {
   PlanDiag diag_;
 };
 
-/// Pure-data snapshot of one step's table row (no borrowed pointers), so
-/// verification — and the mutation tests that corrupt rows — operate on
-/// plain values.
-struct StepTable {
-  OpKind kind = OpKind::save;
-  bool depthwise = false;
-  int64_t stride = 1, pad = 0, groups = 1, cout = 0, cin = 0, kernel = 1;
-  float act_scale = 0.0f;
-  int64_t eff_count = 0;  // per-channel requantize scales (int8 plans)
-  int64_t in_c = 0, in_h = 0, in_w = 0;
-  int64_t out_h = 0, out_w = 0;
-  int64_t in_floats = 0, out_floats = 0;
-  int64_t in_off = 0, out_off = 0, cols_off = 0, save_off = 0;
-};
-
-/// Everything verification needs, snapshotted out of a built plan.
-struct PlanTables {
-  Backend backend = Backend::fast;
-  int64_t batch = 0, channels = 0, in_h = 0, in_w = 0;
-  int64_t arena_floats = 0;
-  int64_t cols_floats = 0;
-  int64_t arena_int8_bytes = 0;
-  int64_t qcols_off = 0;
-  int64_t out_off = 0;
-  std::vector<int64_t> out_shape;
-  std::vector<StepTable> steps;
-};
-
-/// Extracts the verifiable tables from a built plan (friend of InferPlan).
-PlanTables plan_tables(const InferPlan& plan);
-
 /// The verifier proper: pure function over the tables. Checks every
 /// property listed in the header comment except batch scaling (which needs
 /// a second geometry — see verify_batch_scaling).
 VerifyReport verify_tables(const PlanTables& t);
 
-/// Convenience: snapshot + verify.
+/// Convenience: verify_tables(plan_tables(plan)).
 VerifyReport verify_plan(const InferPlan& plan);
 
 /// Exact arena(batch) == batch * arena(1) scaling, `unit` being the tables

@@ -243,7 +243,9 @@ Tensor QModel::forward(const Tensor& input) const {
         saved.push_back(x.clone());
         break;
       case OpKind::add_saved:
-        NB_CHECK(!saved.empty(), "qmodel: ADD without SAVE");
+        NB_CHECK(!saved.empty() && x.same_shape(saved.back()),
+                 saved.empty() ? "qmodel: ADD without SAVE"
+                               : "qmodel: residual shape mismatch at ADD");
         x.add_(saved.back());
         saved.pop_back();
         break;

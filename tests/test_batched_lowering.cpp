@@ -4,9 +4,10 @@
 // the GEMM output is directly the next conv's input), and the result must
 // be BITWISE identical to running each image through a batch-1 plan — the
 // invariant Engine micro-batching and Session batching rest on. Also pins
-// the arena planner's batched accounting: every region scales exactly
-// x batch (cols panel included, no staging region), peak-live covered by
-// the arena, and one shared weight copy across batched sessions.
+// the arena planner's batched accounting: every buffer scales exactly
+// x batch (cols panels included, no staging buffer), the arena equals
+// peak-live on the shipped graphs, and one shared weight copy serves
+// batched sessions.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -189,10 +190,11 @@ TEST(BatchedLowering, ArenaScalesAsDocumentedWithBatch) {
   for (const int64_t b : {2, 4, 8}) {
     const InferPlan planb(m, panels, b, 4, 13, 11);
     const PlanStats& sb = planb.stats();
-    // Every region holds the whole micro-batch: ping/pong/save slots and
-    // the side-by-side cols panel all scale exactly x batch, and because
-    // the batched GEMM writes the next activation's layout directly there
-    // is NO staging region — the arena is exactly batch x the batch-1 plan.
+    // Every buffer holds the whole micro-batch: activations, residual
+    // copies and the side-by-side cols panels all scale exactly x batch,
+    // and because the batched GEMM writes the next activation's layout
+    // directly there is NO staging buffer — the arena is exactly batch x
+    // the batch-1 plan.
     EXPECT_EQ(sb.cols_floats, b * s1.cols_floats) << "batch=" << b;
     EXPECT_EQ(sb.arena_floats, b * s1.arena_floats) << "batch=" << b;
     // Planner invariants hold at every batch: the arena covers peak-live
@@ -347,31 +349,46 @@ TEST(BatchedLowering, Int8ArenaScalesAsDocumentedWithBatch) {
 }
 
 TEST(BatchedLowering, ArenaCoversPeakLiveOnSynthGraphsAndBothBackends) {
-  // peak_live_floats bounds the float arena from below on both backends.
-  // An int8 plan's im2col panel lives in its byte arena, so it must not
-  // count toward the float peak. The int8 plans must also stay
-  // memcmp-equal to QModel on these real-shaped graphs; mbv2's K = 336
-  // projection convs span two 256-deep GEMM K blocks, so the GEMM's
-  // requantize epilogue runs after resumed partial sums (mcunet_r96's
-  // largest reduction, 192, fits one block).
+  // Live-range placement reaches the peak-live lower bound exactly on the
+  // shipped graph shapes, on both backends and at every batch. An int8
+  // plan's im2col panel lives in its byte arena, so it must not count
+  // toward the float peak.
+  struct Graph {
+    std::string name;
+    FlatModel model;
+    int64_t res;
+  };
   Rng rng(20260730);
-  const FlatModel mbv2 = synth::make_mbv2_flat(rng, 0.35f, 96, 100);
-  const FlatModel mcunet = synth::make_mcunet_flat(rng, 96, 100);
-  for (const FlatModel* m : {&mbv2, &mcunet}) {
-    const QModel oracle(*m);
+  std::vector<Graph> graphs;
+  graphs.push_back({"mbv2_w035_r96", synth::make_mbv2_flat(rng, 0.35f, 96, 100),
+                    96});
+  graphs.push_back({"mcunet_r96", synth::make_mcunet_flat(rng, 96, 100), 96});
+  graphs.push_back({"mbv2_w100_r160",
+                    synth::make_mbv2_flat(rng, 1.0f, 160, 1000), 160});
+  graphs.push_back({"mcunet_r176", synth::make_mcunet_flat(rng, 176, 1000),
+                    176});
+  for (const Graph& g : graphs) {
     for (const Backend backend : {Backend::fast, Backend::int8}) {
       for (const int64_t b : {1, 8}) {
-        const InferPlan plan(*m, b, 3, 96, 96, backend);
-        const PlanStats& st = plan.stats();
-        const std::string what = std::string(m == &mbv2 ? "mbv2" : "mcunet") +
-                                 (backend == Backend::int8 ? " int8" : " fast") +
-                                 " b" + std::to_string(b);
-        EXPECT_GE(st.arena_floats, st.peak_live_floats) << what;
-        if (backend == Backend::int8) {
-          const Tensor x = random_input(rng, {b, 3, 96, 96});
-          EXPECT_TRUE(bitwise_equal(plan.run(x), oracle.forward(x))) << what;
-        }
+        const PlanStats st =
+            plan_tables(InferPlan(g.model, b, 3, g.res, g.res, backend));
+        EXPECT_EQ(st.arena_floats, st.peak_live_floats)
+            << g.name << (backend == Backend::int8 ? " int8" : " fast")
+            << " b" << b;
       }
+    }
+  }
+  // The int8 plans must also stay memcmp-equal to QModel on real-shaped
+  // graphs; mbv2's K = 336 projection convs span two 256-deep GEMM K
+  // blocks, so the GEMM's requantize epilogue runs after resumed partial
+  // sums (mcunet_r96's largest reduction, 192, fits one block).
+  for (size_t i = 0; i < 2; ++i) {
+    const QModel oracle(graphs[i].model);
+    for (const int64_t b : {1, 8}) {
+      const InferPlan plan(graphs[i].model, b, 3, 96, 96, Backend::int8);
+      const Tensor x = random_input(rng, {b, 3, 96, 96});
+      EXPECT_TRUE(bitwise_equal(plan.run(x), oracle.forward(x)))
+          << graphs[i].name << " b" << b;
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,7 +167,6 @@ TEST(InferPlan, ArenaIsSmallerThanPerOpAllocationsAndCoversPeak) {
   EXPECT_LT(st.arena_bytes(), st.no_reuse_bytes());
   // ...while still covering the largest set of simultaneously-live buffers.
   EXPECT_GE(st.arena_floats, st.peak_live_floats);
-  EXPECT_EQ(st.save_depth, 1);
   EXPECT_EQ(st.ops, static_cast<int64_t>(m.ops().size()));
 
   // Batch scales every activation buffer; the plan must track it.
@@ -202,6 +202,34 @@ TEST(InferPlan, RejectsGeometryMismatches) {
   FlatModel bad;
   bad.push(make_marker(OpKind::add_saved));
   EXPECT_THROW(InferPlan(bad, 1, 3, 8, 8), std::runtime_error);
+}
+
+TEST(InferPlan, ResidualJoinChecksShapeNotElementCount) {
+  // save at [16,8,8] -> 1x1 stride-2 conv 16->64 -> add_saved at [64,4,4]:
+  // both sides hold 1,024 elements per image, but at batch > 1 the
+  // batch-interleaved layout would pair other elements than NCHW does.
+  // Every backend and the QModel oracle must refuse the join.
+  Rng rng(23, 1);
+  FlatModel m;
+  m.push(make_marker(OpKind::save));
+  m.push(make_conv(rng, 16, 64, 1, 2, 1, FlatAct::identity, true));
+  m.push(make_marker(OpKind::add_saved));
+  const Tensor x = random_input(rng, {2, 16, 8, 8});
+  const auto refuses = [](const auto& run) {
+    try {
+      run();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what()).find("residual shape mismatch at ADD") !=
+             std::string::npos;
+    }
+    return false;
+  };
+  for (const Backend backend :
+       {Backend::reference, Backend::fast, Backend::int8}) {
+    EXPECT_TRUE(refuses([&] { (void)m.forward(x, backend); }))
+        << "backend " << static_cast<int>(backend);
+  }
+  EXPECT_TRUE(refuses([&] { (void)QModel(m).forward(x); }));
 }
 
 TEST(InferPlan, ForwardAfterPushRunsTheLongerProgram) {
@@ -453,8 +481,8 @@ TEST(Int8Plan, StatsReportBackendAndByteArena) {
   InferPlan q(m, 2, 3, 16, 16, Backend::int8);
   EXPECT_EQ(q.stats().backend, Backend::int8);
   EXPECT_GT(q.stats().arena_int8_bytes, 0);
-  // The float cols region is replaced by the byte panel: the int8 plan's
-  // float arena is strictly smaller.
+  // The int8 plan's panels live in its byte arena, so its float arena
+  // places fewer buffers: on this graph it is strictly smaller.
   EXPECT_EQ(q.stats().cols_floats, 0);
   EXPECT_LT(q.stats().arena_floats, f.stats().arena_floats);
 }

@@ -159,7 +159,7 @@ TEST_F(PlanVerifyMutation, RejectsInputOutputAliasing) {
 
 TEST_F(PlanVerifyMutation, RejectsWriteClobberingLiveResidual) {
   // Find a conv sitting strictly between a save and its add_saved, then
-  // aim its output at the live save slot.
+  // aim its output at the live residual copy.
   const int64_t save = find_step(
       tables_, [](const StepTable& s) { return s.kind == OpKind::save; });
   ASSERT_GE(save, 0);
@@ -191,6 +191,24 @@ TEST_F(PlanVerifyMutation, RejectsMismatchedSaveStack) {
   EXPECT_TRUE(has_diag(r, PlanDiag::save_stack_broken)) << diag_list(r);
 }
 
+TEST_F(PlanVerifyMutation, RejectsEntryInputMovedOffTheFirstStep) {
+  tables_.in_off += 1;  // the input copy lands where step 0 does not read
+  const VerifyReport r = verify_tables(tables_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(has_diag(r, PlanDiag::dataflow_broken)) << diag_list(r);
+}
+
+TEST_F(PlanVerifyMutation, RejectsResidualCopyOverTheActivationItCopies) {
+  const int64_t save = find_step(
+      tables_, [](const StepTable& s) { return s.kind == OpKind::save; });
+  ASSERT_GE(save, 0);
+  StepTable& s = tables_.steps[static_cast<size_t>(save)];
+  s.save_off = s.in_off;
+  const VerifyReport r = verify_tables(tables_);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(has_diag(r, PlanDiag::region_overlap)) << diag_list(r);
+}
+
 TEST_F(PlanVerifyMutation, RejectsInconsistentPublishedStats) {
   tables_.cols_floats += 1;
   const VerifyReport r = verify_tables(tables_);
@@ -205,6 +223,57 @@ TEST_F(PlanVerifyMutation, RejectsBrokenBatchScaling) {
   const VerifyReport r = verify_batch_scaling(tables_, u);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(has_diag(r, PlanDiag::batch_scaling_broken)) << diag_list(r);
+}
+
+TEST(PlanVerify, RejectsIm2colPanelOverLiveResidualCopy) {
+  // A 3x3 conv inside a residual body: its own im2col panel is live
+  // together with the residual copy, so aiming it there must be caught.
+  Rng rng(42, 3);
+  FlatModel m;
+  m.push(synth::make_conv(rng, 3, 8, 3, 1, 1, FlatAct::relu6, true,
+                          synth::kStemActScale));
+  m.push(synth::make_marker(OpKind::save));
+  m.push(synth::make_conv(rng, 8, 8, 3, 1, 1, FlatAct::identity, true,
+                          synth::kRelu6ActScale));
+  m.push(synth::make_marker(OpKind::add_saved));
+  PlanTables t = plan_tables(InferPlan(m, 2, 3, 12, 12, Backend::fast));
+  ASSERT_TRUE(verify_tables(t).ok()) << diag_list(verify_tables(t));
+  t.steps[2].cols_off = t.steps[1].save_off;
+  const VerifyReport r = verify_tables(t);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(has_diag(r, PlanDiag::save_clobbered)) << diag_list(r);
+}
+
+TEST(PlanVerify, RejectsResidualJoinOfTwoShapes) {
+  // save at [16,8,8] -> 1x1 stride-2 conv 16->64 -> add_saved at [64,4,4]:
+  // equal element counts, different shapes. The planner refuses the
+  // program, so splice the two markers around the conv's own tables, with
+  // the copy in fresh arena space: the join is the only thing wrong.
+  Rng rng(43, 3);
+  FlatModel m;
+  m.push(synth::make_conv(rng, 16, 64, 1, 2, 1, FlatAct::identity, true,
+                          synth::kRelu6ActScale));
+  PlanTables t = plan_tables(InferPlan(m, 1, 16, 8, 8, Backend::fast));
+  const StepTable conv = t.steps.front();
+  StepTable save;
+  save.kind = OpKind::save;
+  save.in_c = 16;
+  save.in_h = 8;
+  save.in_w = 8;
+  save.in_floats = save.out_floats = conv.in_floats;
+  save.in_off = save.out_off = conv.in_off;
+  save.save_off = t.arena_floats;
+  StepTable add = save;
+  add.kind = OpKind::add_saved;
+  add.in_c = 64;
+  add.in_h = 4;
+  add.in_w = 4;
+  add.in_off = add.out_off = conv.out_off;
+  t.arena_floats += conv.in_floats;
+  t.steps = {save, conv, add};
+  const VerifyReport r = verify_tables(t);
+  ASSERT_EQ(r.findings.size(), 1u) << diag_list(r);
+  EXPECT_EQ(r.findings.front().diag, PlanDiag::save_stack_broken);
 }
 
 // Int8-specific mutation classes: the byte arena and the in-place

@@ -152,13 +152,11 @@ int main(int argc, char** argv) {
   const InferPlan plan(model, panels, batch, channels, res, res,
                        plan_backend);
   const PlanStats& st = plan.stats();
-  std::printf("planner:      arena %lld B (peak live %lld B, no-reuse %lld B, "
-              "%lld save slot%s)\n",
+  std::printf("planner:      arena %lld B, peak live %lld B (no-reuse %lld "
+              "B)\n",
               static_cast<long long>(st.arena_bytes()),
               static_cast<long long>(st.peak_live_bytes()),
-              static_cast<long long>(st.no_reuse_bytes()),
-              static_cast<long long>(st.save_depth),
-              st.save_depth == 1 ? "" : "s");
+              static_cast<long long>(st.no_reuse_bytes()));
   std::printf("weight cache: %lld B (%s panels, shared across sessions)\n",
               static_cast<long long>(panels->total_bytes()),
               plan_backend == Backend::int8 ? "int8" : "dequantized float");
