@@ -19,9 +19,10 @@
 //     bounded queue with deadlines: the engine must shed (typed
 //     rejections) while p99 of ACCEPTED requests stays within the SLO and
 //     every future resolves. This is the graceful-degradation contract.
-//   * mixed geometry — the same seeded arrival schedule drawing from eight
-//     near-32x32 geometries, run twice: once with a {32,32} bucket ladder
-//     (pad-to-bucket coalescing) and once without. Near capacity the
+//   * mixed geometry — the same seeded arrival schedules drawing from
+//     sixteen near-32x32 geometries, replayed against two engines in
+//     alternating rounds: one with a {32,32} bucket ladder (pad-to-bucket
+//     coalescing) and one without. Near capacity the
 //     bucketed engine forms cross-geometry batches inside the wait window
 //     while the unbucketed one fragments into per-geometry singles and
 //     thrashes its plan cache, so bucketed goodput must be strictly
@@ -37,6 +38,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +70,8 @@ struct SessionResult {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   int64_t owned_arena_bytes_per_session = 0;
+  // Every weight byte the compiled model holds, counted once
+  // (WeightPanels::total_bytes).
   int64_t shared_weight_bytes = 0;
 };
 
@@ -317,34 +321,23 @@ const std::vector<std::pair<int64_t, int64_t>> kMixedGeometries{
     {30, 29}, {30, 30}, {30, 31}, {30, 32}, {31, 29}, {31, 30},
     {31, 31}, {31, 32}, {32, 27}, {32, 32}};
 
-MixedGeoRow bench_mixed_geometry(std::shared_ptr<const CompiledModel> model,
-                                 bool bucketed, double offered_per_s,
-                                 double capacity_per_s, int64_t queue_depth,
-                                 int64_t slo_ms, double window_s,
-                                 uint64_t seed) {
-  EngineOptions opts;
-  opts.batching.max_batch = 8;
-  opts.batching.max_wait_us = 2000;
-  opts.workers = 1;
-  opts.default_qos.max_queue_depth = queue_depth;
-  // Same cache budget for both rows: the unbucketed row genuinely pays
-  // for eight geometry x batch-size plan families under this budget.
-  opts.session.max_cached_plans = 16;
-  if (bucketed) {
-    opts.default_qos.bucketing.ladder = {{32, 32}};
-    opts.default_qos.bucketing.max_pad_ratio = 1.2;
-  }
-
+/// One engine of the mixed-geometry comparison, warmed and ready to replay.
+struct MixedGeoEngine {
   MixedGeoRow row;
-  row.bucketed = bucketed;
-  row.workers = opts.workers;
-  row.queue_depth = queue_depth;
-  row.slo_ms = slo_ms;
-  row.offered_per_s = offered_per_s;
-  row.capacity_per_s = capacity_per_s;
+  std::unique_ptr<Engine> engine;
+  OpenLoopResult total;  // summed over rounds
+};
 
-  Engine engine(opts);
-  engine.register_model("m", model);
+/// The bucketed and unbucketed rows over the same seeded schedules, in
+/// `rounds` alternating rounds of window_s / rounds each (the side that
+/// goes first alternates), so both rows see the same host state. Round r
+/// replays seed + r on both engines; each row's counts and wall time sum
+/// over its rounds, and its batch and latency figures are its engine's
+/// over all of them.
+std::vector<MixedGeoRow> bench_mixed_geometry(
+    const std::shared_ptr<const CompiledModel>& model, double offered_per_s,
+    double capacity_per_s, int64_t queue_depth, int64_t slo_ms,
+    double window_s, int64_t rounds, uint64_t seed) {
   Rng rng(42);
   std::vector<Tensor> geo_images;
   for (const auto& [h, w] : kMixedGeometries) {
@@ -352,32 +345,82 @@ MixedGeoRow bench_mixed_geometry(std::shared_ptr<const CompiledModel> model,
     fill_uniform(t, rng, -1.0f, 1.0f);
     geo_images.push_back(std::move(t));
   }
-  // Warm every geometry's batch-1 plan in BOTH rows so the measured
-  // window compares steady-state batching, not first-arrival compiles.
-  for (const Tensor& t : geo_images) (void)engine.submit("m", t).get();
+  std::vector<MixedGeoEngine> sides(2);
+  for (size_t i = 0; i < sides.size(); ++i) {
+    const bool bucketed = i == 0;
+    EngineOptions opts;
+    opts.batching.max_batch = 8;
+    opts.batching.max_wait_us = 2000;
+    opts.workers = 1;
+    opts.default_qos.max_queue_depth = queue_depth;
+    // Same cache budget for both rows: the unbucketed row genuinely pays
+    // for eight geometry x batch-size plan families under this budget.
+    opts.session.max_cached_plans = 16;
+    if (bucketed) {
+      opts.default_qos.bucketing.ladder = {{32, 32}};
+      opts.default_qos.bucketing.max_pad_ratio = 1.2;
+    }
+    MixedGeoRow& row = sides[i].row;
+    row.bucketed = bucketed;
+    row.workers = opts.workers;
+    row.queue_depth = queue_depth;
+    row.slo_ms = slo_ms;
+    row.offered_per_s = offered_per_s;
+    row.capacity_per_s = capacity_per_s;
+    sides[i].engine = std::make_unique<Engine>(opts);
+    sides[i].engine->register_model("m", model);
+    // Warm every geometry's batch-1 plan in BOTH rows so the measured
+    // windows compare steady-state batching, not first-arrival compiles.
+    for (const Tensor& t : geo_images) {
+      (void)sides[i].engine->submit("m", t).get();
+    }
+  }
 
-  OpenLoopSpec spec;
-  spec.rate_per_s = offered_per_s;
-  spec.duration_s = window_s;
-  spec.seed = seed;
-  spec.geo_weights.assign(kMixedGeometries.size(), 1.0);
-  const OpenLoopResult r = run_open_loop(
-      engine, {{"m", geo_images.front(), geo_images}}, spec, slo_ms * 1000);
-  const Engine::Stats st = engine.stats();
+  for (int64_t r = 0; r < rounds; ++r) {
+    OpenLoopSpec spec;
+    spec.rate_per_s = offered_per_s;
+    spec.duration_s = window_s / static_cast<double>(rounds);
+    spec.seed = seed + static_cast<uint64_t>(r);
+    spec.geo_weights.assign(kMixedGeometries.size(), 1.0);
+    for (size_t k = 0; k < sides.size(); ++k) {
+      MixedGeoEngine& side = sides[(k + static_cast<size_t>(r)) % 2];
+      const OpenLoopResult o =
+          run_open_loop(*side.engine, {{"m", geo_images.front(), geo_images}},
+                        spec, slo_ms * 1000);
+      OpenLoopResult& t = side.total;
+      t.offered += o.offered;
+      t.rejected_queue_full += o.rejected_queue_full;
+      t.rejected_deadline += o.rejected_deadline;
+      t.rejected_shutdown += o.rejected_shutdown;
+      t.rejected_other += o.rejected_other;
+      t.completed += o.completed;
+      t.dropped_deadline += o.dropped_deadline;
+      t.dropped_shutdown += o.dropped_shutdown;
+      t.faulted += o.faulted;
+      t.wall_s += o.wall_s;
+    }
+  }
 
-  row.offered = r.offered;
-  row.completed = r.completed;
-  row.shed = r.shed();
-  row.unresolved = r.offered - r.completed - r.shed() - r.faulted;
-  row.padded_accepted = st.padded_accepted;
-  row.mixed_geometry_batches = st.mixed_geometry_batches;
-  row.batches = st.batches;
-  row.avg_batch = st.avg_batch;
-  row.goodput_per_s = r.goodput_per_s();
-  row.shed_rate = r.shed_rate();
-  row.p50_accepted_ms = st.p50_ms;
-  row.p99_accepted_ms = st.p99_ms;
-  return row;
+  std::vector<MixedGeoRow> rows;
+  for (MixedGeoEngine& side : sides) {
+    const OpenLoopResult& r = side.total;
+    const Engine::Stats st = side.engine->stats();
+    MixedGeoRow row = side.row;
+    row.offered = r.offered;
+    row.completed = r.completed;
+    row.shed = r.shed();
+    row.unresolved = r.offered - r.completed - r.shed() - r.faulted;
+    row.padded_accepted = st.padded_accepted;
+    row.mixed_geometry_batches = st.mixed_geometry_batches;
+    row.batches = st.batches;
+    row.avg_batch = st.avg_batch;
+    row.goodput_per_s = r.goodput_per_s();
+    row.shed_rate = r.shed_rate();
+    row.p50_accepted_ms = st.p50_ms;
+    row.p99_accepted_ms = st.p99_ms;
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 void write_mixed_geo_row(JsonWriter& w, const MixedGeoRow& r) {
@@ -721,18 +764,19 @@ int main(int argc, char** argv) {
       100, static_cast<int64_t>(4.0 * 1000.0 *
                                 static_cast<double>(mg_depth) /
                                 std::max(capacity, 1.0)));
-  std::vector<MixedGeoRow> mixed_geometry;
-  for (const bool bucketed : {true, false}) {
-    MixedGeoRow r =
-        bench_mixed_geometry(ol_model, bucketed, 1.1 * capacity, capacity,
-                             mg_depth, mg_slo_ms, open_loop_window_s,
-                             seed + 2);
-    mixed_geometry.push_back(r);
+  // Both modes replay 3 s per row in four alternating rounds: the margin
+  // is ~1.2x once batch-1 plans stop packing weights per call, and one
+  // 1 s window per row, run back to back, read below 1.0 in 3 of 10
+  // --quick runs on a shared host.
+  const std::vector<MixedGeoRow> mixed_geometry = bench_mixed_geometry(
+      ol_model, 1.1 * capacity, capacity, mg_depth, mg_slo_ms,
+      /*window_s=*/3.0, /*rounds=*/4, seed + 2);
+  for (const MixedGeoRow& r : mixed_geometry) {
     std::fprintf(stderr,
                  "  mixed-geometry %s %.0f/s: goodput %.1f/s shed %.1f%% "
                  "avg batch %.2f (%lld padded, %lld mixed batches, "
                  "unresolved %lld)\n",
-                 bucketed ? "BUCKETED" : "unbucketed", 1.1 * capacity,
+                 r.bucketed ? "BUCKETED" : "unbucketed", 1.1 * capacity,
                  r.goodput_per_s, r.shed_rate * 100.0, r.avg_batch,
                  static_cast<long long>(r.padded_accepted),
                  static_cast<long long>(r.mixed_geometry_batches),

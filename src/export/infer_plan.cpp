@@ -1,6 +1,7 @@
 #include "export/infer_plan.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -39,6 +40,18 @@ void store_row(float* row, int64_t count, float scale, float b, FlatAct act) {
       return;
   }
 }
+
+/// Every int8 level as a double, indexed by level + 128. The fast head
+/// multiplies each weight through one load from this table: the same exact
+/// value as converting the level, without an int-to-double convert per
+/// weight (two micro-ops on the ports the head's multiplies and adds need;
+/// the table loop ran in half the time of either convert loop, float or
+/// int8, in a standalone 1280x1000 head).
+constexpr std::array<double, 256> kLevelAsDouble = [] {
+  std::array<double, 256> v{};
+  for (int l = 0; l < 256; ++l) v[static_cast<size_t>(l)] = l - 128;
+  return v;
+}();
 
 /// One float buffer: `floats` live from step `first` through step `last`
 /// (both inclusive), placed at `off`.
@@ -304,6 +317,7 @@ InferPlan::InferPlan(const FlatModel& model,
     s.act_bits = conv ? op.conv.act_bits : op.linear.act_bits;
     s.wf = panel.wf.data();
     s.wq = panel.wq.data();
+    s.packed = panel.packed.data();
     s.scales = panel.scales.data();
     s.bias = panel.bias.empty() ? nullptr : panel.bias.data();
     s.eff.resize(static_cast<size_t>(t.eff_count));
@@ -429,13 +443,13 @@ void InferPlan::run_conv_s8(const StepTable& t, const Step& s,
   // micro-batch, exactly like the float path — and because the GEMM is
   // integer-exact, batched-vs-sequential and thread-count invariance hold
   // bitwise by construction rather than by rounding-order discipline. A
-  // direct conv reads the quantized input region as its panel. The GEMM's
-  // epilogue requantizes each tile on its final K block and stores the
-  // group's floats straight into the out region (earlier K blocks park
-  // their int32 partial sums there).
+  // direct conv reads the quantized input region as its panel. The
+  // group's weights were packed once, when the panels were built, so no
+  // A panel is packed here. The GEMM's epilogue requantizes each tile on
+  // its final K block and stores the group's floats straight into the out
+  // region (earlier K blocks park their int32 partial sums there).
   const int64_t cin_g = t.cin / t.groups;
   const int64_t cout_g = t.cout / t.groups;
-  const int64_t col_rows = cin_g * k * k;
   const bool direct = k == 1 && t.stride == 1 && t.pad == 0;
   for (int64_t g = 0; g < t.groups; ++g) {
     const uint8_t* panel = in + g * cin_g * n * in_hw;
@@ -448,8 +462,7 @@ void InferPlan::run_conv_s8(const StepTable& t, const Step& s,
     epi.eff = s.eff.data() + g * cout_g;
     epi.bias = s.bias == nullptr ? nullptr : s.bias + g * cout_g;
     epi.act = requant_act(s.act);
-    gemm_s8(cout_g, row, col_rows, s.wq + g * cout_g * col_rows, panel,
-            out + g * cout_g * row, epi);
+    gemm_s8(s.packed[g], row, panel, out + g * cout_g * row, epi);
   }
 }
 
@@ -477,12 +490,15 @@ void InferPlan::run_gap(const StepTable& t, const float* in, float* out) const {
 void InferPlan::run_linear(const StepTable& t, const Step& s, const float* in,
                            float* out) const {
   // Double accumulation in ascending k, exactly the reference interpreter's
-  // order, so fast and reference logits agree bitwise here. Four output
+  // order, so fast and reference logits agree bitwise here; the weights are
+  // the program's int8 levels, read in place and mapped through
+  // kLevelAsDouble to the exact value the reference multiplies. Four output
   // rows share each pass over the input row: their chains are independent,
   // so the adds overlap instead of each waiting on the last, while every
   // row still sums its own products in the same order.
   const int64_t features = t.cin;
   const int64_t quads = (t.cout + 3) / 4;
+  const double* level = kLevelAsDouble.data() + 128;
   const auto store = [&](int64_t i, int64_t o, double acc) {
     const float b = s.bias == nullptr ? 0.0f : s.bias[o];
     out[i * t.cout + o] = static_cast<float>(acc) * s.scales[o] + b;
@@ -493,17 +509,17 @@ void InferPlan::run_linear(const StepTable& t, const Step& s, const float* in,
       const int64_t o0 = (g % quads) * 4;
       const float* xrow = in + i * features;
       if (o0 + 4 <= t.cout) {
-        const float* w0 = s.wf + o0 * features;
-        const float* w1 = w0 + features;
-        const float* w2 = w1 + features;
-        const float* w3 = w2 + features;
+        const int8_t* w0 = s.wq + o0 * features;
+        const int8_t* w1 = w0 + features;
+        const int8_t* w2 = w1 + features;
+        const int8_t* w3 = w2 + features;
         double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
         for (int64_t t = 0; t < features; ++t) {
           const double x = xrow[t];
-          a0 += static_cast<double>(w0[t]) * x;
-          a1 += static_cast<double>(w1[t]) * x;
-          a2 += static_cast<double>(w2[t]) * x;
-          a3 += static_cast<double>(w3[t]) * x;
+          a0 += level[w0[t]] * x;
+          a1 += level[w1[t]] * x;
+          a2 += level[w2[t]] * x;
+          a3 += level[w3[t]] * x;
         }
         store(i, o0, a0);
         store(i, o0 + 1, a1);
@@ -512,10 +528,10 @@ void InferPlan::run_linear(const StepTable& t, const Step& s, const float* in,
         continue;
       }
       for (int64_t o = o0; o < t.cout; ++o) {  // the last cout % 4 rows
-        const float* wrow = s.wf + o * features;
+        const int8_t* wrow = s.wq + o * features;
         double acc = 0.0;
         for (int64_t t = 0; t < features; ++t) {
-          acc += static_cast<double>(wrow[t]) * xrow[t];
+          acc += level[wrow[t]] * xrow[t];
         }
         store(i, o, acc);
       }

@@ -46,11 +46,12 @@
 // tests/test_batched_lowering.cpp).
 //
 // Weights come from a shared WeightPanels built for the plan's backend
-// (the constructor checks): for Backend::fast, int8 levels dequantized once
-// to exact float integers (scales are NOT folded in), so the packed nb::gemm
-// over them produces the same products as the reference int8 interpreter
-// and the per-channel scale + bias + activation clamp are applied in one
-// fused pass over the output store. Depthwise groups run through the direct
+// (the constructor checks): for Backend::fast, conv levels dequantized once
+// to exact float integers (scales are NOT folded in), which nb::gemm reads
+// in place as its A operand, so it produces the same products as the
+// reference int8 interpreter, and the per-channel scale + bias + activation
+// clamp are applied in one fused pass over the output store; the linear
+// head reads the program's int8 levels. Depthwise groups run through the direct
 // nb::depthwise_plane path; everything parallelizes over output rows /
 // (image, channel) planes via the threadpool, and because nb::gemm is
 // bitwise thread-invariant the whole plan is too.
@@ -58,7 +59,8 @@
 // Backend::int8 builds the same plan over the TRUE integer path: before
 // each conv/linear the float activation is quantized once to offset-u8
 // levels (shared quantize_levels_u8, the same rounding fake-quant applies),
-// the byte im2col + gemm_s8 accumulate exact int32, and the requantize
+// the byte im2col + gemm_s8 over weights packed once at panel build time
+// accumulate exact int32, and the requantize
 // expression — one inline definition (tensor/requantize.h), the one the
 // QModel oracle runs — rescales per channel: inside gemm_s8's final store
 // for lowered convs, through requantize_row in place for the depthwise and
@@ -127,8 +129,8 @@ struct PlanStats {
   /// buffers' live ranges — a lower bound for any planner's float arena;
   /// arena_floats lands between this and no_reuse_floats.
   int64_t peak_live_floats = 0;
-  /// Weight-panel floats the plan executes against (dequantized levels on
-  /// fast panels, scales and bias on both). BORROWED from the shared
+  /// Weight-panel floats the plan executes against (dequantized conv
+  /// levels on fast panels, scales and bias on both). BORROWED from the shared
   /// WeightPanels, not owned: every plan (and session) on the same compiled
   /// model reports the same figure for the same bytes.
   int64_t weight_cache_floats = 0;
@@ -243,8 +245,9 @@ class InferPlan {
     FlatAct act = FlatAct::identity;
     int act_bits = 8;
     // Borrowed views into the shared WeightPanels (kept alive by panels_).
-    const float* wf = nullptr;      // int8 levels as exact float integers
-    const int8_t* wq = nullptr;     // the same levels raw (int8 panels only)
+    const float* wf = nullptr;   // fast convs: levels as exact float integers
+    const int8_t* wq = nullptr;  // the int8 levels, row-major (both backends)
+    const GemmS8PackedA* packed = nullptr;  // int8 lowered convs, per group
     const float* scales = nullptr;  // per output channel
     const float* bias = nullptr;    // nullptr => zero bias
     // Int8 effective requantize scales, scales[o] * act_scale (empty for

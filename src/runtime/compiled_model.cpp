@@ -17,10 +17,11 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(
     NB_CHECK(exporter::int8_compatible(model, &reason),
              "compiled model: program not int8-compatible: " + reason);
   }
-  std::shared_ptr<const exporter::WeightPanels> panels =
-      exporter::WeightPanels::build(model, backend);
-  return std::shared_ptr<const CompiledModel>(
-      new CompiledModel(std::move(model), std::move(panels), backend));
+  return std::shared_ptr<const CompiledModel>(new CompiledModel(
+      exporter::WeightPanels::build(
+          std::make_shared<const exporter::FlatModel>(std::move(model)),
+          backend),
+      backend));
 }
 
 std::shared_ptr<const CompiledModel> CompiledModel::compile_file(

@@ -3,9 +3,12 @@
 // Compiling takes a FlatModel (from an NBFM file, an in-memory buffer, or a
 // writer-produced program), validates it, and freezes it together with the
 // weight panels built exactly once, in the one encoding its backend reads
-// (float levels for fast, raw int8 levels for int8) — CompiledModel is the
-// only owner of compiled weights in the serving stack (a FlatModel is a
-// plain program value and holds none). The result is handed around
+// (float levels for fast convs, packed int8 panels for int8 lowered convs;
+// everything else reads the program's own levels in place). The program is
+// held once: the panels share it and program() returns that copy.
+// CompiledModel is the only owner of compiled weights in the serving stack
+// (a FlatModel is a plain program value and holds none). The result is
+// handed around
 // as shared_ptr<const CompiledModel>: any number of Sessions (and Engine
 // registry entries) execute against the same panels, so serving N
 // concurrent streams costs N small arenas and ONE copy of the weights —
@@ -51,8 +54,8 @@ class CompiledModel {
       exporter::Backend backend = exporter::Backend::fast);
 
   /// The frozen op program (const access only; a CompiledModel never
-  /// mutates after compile()).
-  const exporter::FlatModel& program() const { return program_; }
+  /// mutates after compile()) — the one copy the panels read in place.
+  const exporter::FlatModel& program() const { return panels_->program(); }
 
   /// The shared weight panels, built for backend(). Identity-comparable:
   /// every Session on this model borrows exactly this object.
@@ -60,14 +63,16 @@ class CompiledModel {
     return panels_;
   }
 
-  /// Shared weight-panel memory, paid once regardless of session count.
+  /// Shared weight memory, paid once regardless of session count: the
+  /// floats plans execute against, and every weight byte the model holds,
+  /// counted once (WeightPanels::total_bytes).
   int64_t weight_panel_floats() const { return panels_->total_floats(); }
   int64_t weight_panel_bytes() const { return panels_->total_bytes(); }
 
-  int64_t input_resolution() const { return program_.input_resolution(); }
-  int64_t input_channels() const { return program_.input_channels(); }
+  int64_t input_resolution() const { return program().input_resolution(); }
+  int64_t input_channels() const { return program().input_channels(); }
   int64_t op_count() const {
-    return static_cast<int64_t>(program_.ops().size());
+    return static_cast<int64_t>(program().ops().size());
   }
 
   /// The execution mode this model was compiled for; every Session plan
@@ -75,14 +80,10 @@ class CompiledModel {
   exporter::Backend backend() const { return backend_; }
 
  private:
-  CompiledModel(exporter::FlatModel program,
-                std::shared_ptr<const exporter::WeightPanels> panels,
+  CompiledModel(std::shared_ptr<const exporter::WeightPanels> panels,
                 exporter::Backend backend)
-      : program_(std::move(program)),
-        panels_(std::move(panels)),
-        backend_(backend) {}
+      : panels_(std::move(panels)), backend_(backend) {}
 
-  exporter::FlatModel program_;
   std::shared_ptr<const exporter::WeightPanels> panels_;
   exporter::Backend backend_ = exporter::Backend::fast;
 };

@@ -10,6 +10,7 @@
 // batched sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "export/qmodel.h"
 #include "runtime/compiled_model.h"
 #include "runtime/session.h"
+#include "tensor/gemm_s8.h"
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
 #include "tensor/threadpool.h"
@@ -241,28 +243,60 @@ TEST(BatchedLowering, BatchedSessionsShareOneWeightCopy) {
 }
 
 TEST(WeightPanels, HoldOnlyTheirBackendsEncoding) {
-  // A fast model's panels carry float levels only and an int8 model's raw
-  // int8 levels only; scales and bias are kept for both.
+  // Both backends read the program's int8 levels, scales and biases in
+  // place, from the one program copy the compiled model holds. A fast
+  // model adds float levels for its convs only (its linear head reads the
+  // int8 levels); an int8 model adds packed panels for its lowered convs
+  // only, one per group, tagged with the dispatched instance.
   const FlatModel m = random_graph(23);
   const auto fast = runtime::CompiledModel::compile(m, Backend::fast);
   const auto int8 = runtime::CompiledModel::compile(m, Backend::int8);
   int64_t levels = 0;
+  int64_t conv_levels = 0;
+  int64_t packed_bytes = 0;
   int64_t side = 0;  // scale and bias floats
+  bool saw_grouped = false;
   for (size_t i = 0; i < m.ops().size(); ++i) {
+    const FlatOp& op = int8->program().ops()[i];
     const OpPanel& f = fast->panels()->at(i);
     const OpPanel& q = int8->panels()->at(i);
-    EXPECT_TRUE(f.wq.empty()) << "op " << i;
+    EXPECT_TRUE(std::ranges::equal(f.wq, q.wq)) << "op " << i;
+    EXPECT_TRUE(std::ranges::equal(f.scales, q.scales)) << "op " << i;
+    EXPECT_TRUE(std::ranges::equal(f.bias, q.bias)) << "op " << i;
     EXPECT_TRUE(q.wf.empty()) << "op " << i;
-    EXPECT_EQ(f.wf.size(), q.wq.size()) << "op " << i;
-    EXPECT_EQ(f.scales, q.scales) << "op " << i;
-    EXPECT_EQ(f.bias, q.bias) << "op " << i;
+    EXPECT_TRUE(f.packed.empty()) << "op " << i;
+    if (op.kind == OpKind::conv) {
+      const FlatConv& c = op.conv;
+      EXPECT_EQ(q.wq.data(), c.weights.data()) << "op " << i;
+      EXPECT_EQ(f.wf.size(), f.wq.size()) << "op " << i;
+      const bool depthwise = c.groups == c.cin && c.groups == c.cout;
+      EXPECT_EQ(q.packed.size(),
+                depthwise ? 0u : static_cast<size_t>(c.groups))
+          << "op " << i;
+      saw_grouped = saw_grouped || (!depthwise && c.groups > 1);
+      conv_levels += static_cast<int64_t>(f.wf.size());
+    } else {
+      EXPECT_TRUE(f.wf.empty()) << "op " << i;
+      EXPECT_TRUE(q.packed.empty()) << "op " << i;
+    }
+    if (op.kind == OpKind::linear) {
+      EXPECT_EQ(q.wq.data(), op.linear.weights.data()) << "op " << i;
+    }
+    for (const GemmS8PackedA& g : q.packed) {
+      EXPECT_STREQ(g.instance(), gemm_s8_kernel_name()) << "op " << i;
+      packed_bytes += g.bytes();
+    }
     levels += static_cast<int64_t>(q.wq.size());
     side += static_cast<int64_t>(q.scales.size() + q.bias.size());
   }
-  ASSERT_GT(levels, 0);
-  // No float level is counted in an int8 model's panel bytes.
-  EXPECT_EQ(int8->weight_panel_bytes(), levels + 4 * side);
-  EXPECT_EQ(fast->weight_panel_bytes(), 4 * (levels + side));
+  ASSERT_GT(levels, conv_levels);  // the linear head has levels too
+  ASSERT_GT(packed_bytes, 0);
+  EXPECT_TRUE(saw_grouped);
+  // Every byte counted once: the borrowed views add nothing.
+  EXPECT_EQ(int8->weight_panel_bytes(), levels + packed_bytes + 4 * side);
+  EXPECT_EQ(fast->weight_panel_bytes(), levels + 4 * (conv_levels + side));
+  EXPECT_EQ(int8->panels()->borrowed_bytes(), levels + 4 * side);
+  EXPECT_EQ(fast->panels()->built_bytes(), 4 * conv_levels);
 }
 
 TEST(WeightPanels, PlanRejectsPanelsWithoutItsBackendsEncoding) {

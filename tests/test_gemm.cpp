@@ -354,6 +354,20 @@ TEST(GemmInstances, EveryInstanceMatchesTheStagedKernelBitwise) {
         }
       }
     }
+    // A read in place (no transpose, alpha 1) across K blocks and the
+    // forked path, with fringe row blocks whose padded rows alias row 0.
+    for (int64_t m : {9, 13, 17}) {
+      for (int64_t k : {257, 513}) {
+        for (int64_t n : {100, 1025}) {
+          for (int t = 0; t < 2; ++t) {
+            const InstanceCase tc{false, t != 0, m,    n,
+                                  k,     1.0f,  betas[(m + k + n + t) % 3],
+                                  false};
+            ASSERT_TRUE(matches_staged(inst, oracle, tc, ++seed));
+          }
+        }
+      }
+    }
     // NaN, +-inf and -0.0 in A, B and C, on tiles, fringes and K blocks.
     for (int64_t m : {1, 7, 8, 13}) {
       for (int64_t n : {1, 6, 8, 17}) {

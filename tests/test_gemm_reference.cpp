@@ -308,8 +308,9 @@ TEST(GemmS8, SaturatedInputsAtMaxExactKStayExact) {
 }
 
 TEST(GemmS8, EpilogueMatchesInt32ProductThenRequantizeRowOnEveryInstance) {
-  // Every instance with the epilogue must store the same bits as the same
-  // instance's int32 product followed by requantize_row per row. M and N
+  // Every instance with the epilogue (over A packed once for it) must store
+  // the same bits as the same instance's int32 product followed by
+  // requantize_row per row. M and N
   // cover every micro-tile remainder plus several row blocks and the
   // 1024-column stripe; K covers the empty reduction, the 4-wide packing
   // remainder and one to four 256-deep K blocks, so the epilogue has to
@@ -385,8 +386,9 @@ TEST(GemmS8, EpilogueMatchesInt32ProductThenRequantizeRowOnEveryInstance) {
         }
         {
           PoolOverride po(epi_on_four ? four : one);
-          gemm_s8_run_instance(inst, m, n, k, a.data(), b.data(), got.data(),
-                               epi);
+          const GemmS8PackedA packed =
+              gemm_s8_pack_instance(inst, m, k, a.data());
+          gemm_s8_run_instance(inst, packed, n, b.data(), got.data(), epi);
         }
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               got.size() * sizeof(float)),
@@ -399,11 +401,137 @@ TEST(GemmS8, EpilogueMatchesInt32ProductThenRequantizeRowOnEveryInstance) {
   }
 }
 
+TEST(GemmS8, PackedPanelsMatchPerCallPackingOnEveryInstance) {
+  // Each instance packs A once; every call on that one object must store
+  // the same bytes as the same instance's raw-A call, which packs A's
+  // panels itself: the int32 product, and with the epilogue, that product
+  // requantized per row. M and N cover every micro-tile remainder, several
+  // row blocks, the conv shapes N = 25 and 100 and the 1024-column stripe;
+  // K covers the 4-wide packing tail and one to four 256-deep K blocks, so
+  // each K block's row-sum compensation is checked. Each (m, k) object
+  // serves the n values assigned to that k (every (m, n) meets one k),
+  // with the packed and raw calls on 1 and 4 threads alternately. Panels
+  // run only on the instance whose tag they carry.
+  std::vector<int64_t> ms;
+  std::vector<int64_t> ns;
+  for (int64_t d = 1; d <= 17; ++d) {
+    ms.push_back(d);
+    ns.push_back(d);
+  }
+  ms.insert(ms.end(), {64, 1025});
+  ns.insert(ns.end(), {25, 100, 1025});
+  const int64_t ks[] = {1, 3, 4, 5, 27, 255, 256, 257, 513, 1024};
+  constexpr size_t kKs = sizeof(ks) / sizeof(ks[0]);
+  ThreadPool one(0);
+  ThreadPool four(3);
+  Rng rng(20261019);
+  int case_idx = 0;
+  for (size_t mi = 0; mi < ms.size(); ++mi) {
+    const int64_t m = ms[mi];
+    for (size_t ki = 0; ki < kKs; ++ki) {
+      const int64_t k = ks[ki];
+      std::vector<int8_t> a(static_cast<size_t>(m * k));
+      fill_levels_s8(a, rng);
+      if (m > 2) {
+        std::fill(a.begin() + static_cast<size_t>(k),
+                  a.begin() + static_cast<size_t>(2 * k), int8_t{0});
+      }
+      std::vector<float> eff(static_cast<size_t>(m));
+      std::vector<float> bias(static_cast<size_t>(m));
+      for (int64_t i = 0; i < m; ++i) {
+        eff[static_cast<size_t>(i)] =
+            rng.uniform(-1.5f, 1.5f) * (i % 2 == 0 ? 1e-3f : 4096.0f);
+        bias[static_cast<size_t>(i)] = rng.uniform(-8.0f, 8.0f);
+      }
+      const exporter::FlatAct act =
+          static_cast<exporter::FlatAct>(case_idx % 3);
+      GemmS8Epilogue epi;
+      epi.eff = eff.data();
+      epi.bias = bias.data();
+      epi.act = exporter::requant_act(act);
+      for (int inst = 0; inst < gemm_s8_instance_count(); ++inst) {
+        const GemmS8PackedA packed =
+            gemm_s8_pack_instance(inst, m, k, a.data());
+        ASSERT_EQ(packed.rows(), m);
+        ASSERT_EQ(packed.depth(), k);
+        ASSERT_STREQ(packed.instance(), gemm_s8_instance_name(inst));
+        for (size_t ni = 0; ni < ns.size(); ++ni) {
+          const int64_t n = ns[ni];
+          // Each large side already meets every small one.
+          if ((mi + ni) % kKs != ki || (m >= 64 && n >= 100)) continue;
+          const bool packed_on_four = case_idx++ % 2 == 0;
+          std::vector<uint8_t> b(static_cast<size_t>(k * n));
+          fill_levels_u8(b, rng);
+          std::vector<int32_t> want(static_cast<size_t>(m * n), -1);
+          {
+            PoolOverride po(packed_on_four ? one : four);
+            gemm_s8_run_instance(inst, m, n, k, a.data(), b.data(),
+                                 want.data());
+          }
+          std::vector<float> want_f(want.size());
+          for (int64_t i = 0; i < m; ++i) {
+            exporter::requantize_row(want_f.data() + i * n,
+                                     want.data() + i * n, n,
+                                     eff[static_cast<size_t>(i)],
+                                     bias[static_cast<size_t>(i)], act);
+          }
+          std::vector<int32_t> got(want.size(), -2);
+          std::vector<float> got_f(want.size(), -2.0f);
+          {
+            PoolOverride po(packed_on_four ? four : one);
+            gemm_s8_run_instance(inst, packed, n, b.data(), got.data());
+            gemm_s8_run_instance(inst, packed, n, b.data(), got_f.data(),
+                                 epi);
+          }
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(int32_t)),
+                    0)
+              << gemm_s8_instance_name(inst) << " m=" << m << " n=" << n
+              << " k=" << k;
+          EXPECT_EQ(std::memcmp(got_f.data(), want_f.data(),
+                                got_f.size() * sizeof(float)),
+                    0)
+              << gemm_s8_instance_name(inst) << " epilogue m=" << m
+              << " n=" << n << " k=" << k;
+        }
+      }
+    }
+  }
+
+  // The tag: panels packed for one instance run on no other, and the
+  // dispatched entry runs only the dispatched instance's panels.
+  const int64_t m = 9, n = 11, k = 300;
+  std::vector<int8_t> a(static_cast<size_t>(m * k), 3);
+  std::vector<uint8_t> b(static_cast<size_t>(k * n), 131);
+  std::vector<int32_t> c(static_cast<size_t>(m * n));
+  const int last = gemm_s8_instance_count() - 1;
+  for (int packed_for = 0; packed_for <= last; ++packed_for) {
+    const GemmS8PackedA packed =
+        gemm_s8_pack_instance(packed_for, m, k, a.data());
+    for (int run_on = 0; run_on <= last; ++run_on) {
+      if (run_on == packed_for) continue;
+      EXPECT_THROW(gemm_s8_run_instance(run_on, packed, n, b.data(), c.data()),
+                   std::runtime_error)
+          << gemm_s8_instance_name(packed_for) << " panels ran on "
+          << gemm_s8_instance_name(run_on);
+    }
+    if (packed_for != last) {
+      EXPECT_THROW(gemm_s8(packed, n, b.data(), c.data()), std::runtime_error);
+    }
+  }
+  EXPECT_THROW(gemm_s8(GemmS8PackedA{}, n, b.data(), c.data()),
+               std::runtime_error);
+  gemm_s8(gemm_s8_pack(m, k, a.data()), n, b.data(), c.data());
+  EXPECT_EQ(c[0], 3 * 3 * k);
+}
+
 TEST(GemmS8, RejectsKBeyondExactBound) {
   std::vector<int8_t> a(static_cast<size_t>(kGemmS8MaxK + 1), 1);
   std::vector<uint8_t> b(static_cast<size_t>(kGemmS8MaxK + 1), 200);
   int32_t c = 0;
   EXPECT_THROW(gemm_s8(1, 1, kGemmS8MaxK + 1, a.data(), b.data(), &c),
+               std::runtime_error);
+  EXPECT_THROW((void)gemm_s8_pack(1, kGemmS8MaxK + 1, a.data()),
                std::runtime_error);
 }
 

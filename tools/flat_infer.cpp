@@ -157,9 +157,15 @@ int main(int argc, char** argv) {
               static_cast<long long>(st.arena_bytes()),
               static_cast<long long>(st.peak_live_bytes()),
               static_cast<long long>(st.no_reuse_bytes()));
-  std::printf("weight cache: %lld B (%s panels, shared across sessions)\n",
+  std::printf("weights:      %lld B, shared across sessions = %lld B "
+              "borrowed (the program's levels, scales, biases) + %lld B "
+              "owned (%s)\n",
               static_cast<long long>(panels->total_bytes()),
-              plan_backend == Backend::int8 ? "int8" : "dequantized float");
+              static_cast<long long>(panels->borrowed_bytes()),
+              static_cast<long long>(panels->built_bytes()),
+              plan_backend == Backend::int8
+                  ? "int8 conv panels packed once"
+                  : "conv levels as floats");
   if (plan_backend == Backend::int8) {
     std::printf("int8 arena:   %lld B (quantized activations + byte im2col; "
                 "kernel %s, depthwise %s)\n",

@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
       geo_images.push_back(std::move(gi));
     }
     traffic.push_back({s.name, std::move(image), std::move(geo_images)});
-    std::printf("model %-9s %s (%lld ops, %lld B shared weight panels)\n",
+    std::printf("model %-9s %s (%lld ops, %lld B shared weights)\n",
                 s.name.c_str(),
                 synth ? "synthetic mbv2-flat w0.35" : path.c_str(),
                 static_cast<long long>(s.model->op_count()),
