@@ -19,28 +19,6 @@ namespace nb::exporter {
 
 namespace {
 
-/// Fused epilogue, in place over one contiguous output row: per-channel
-/// rescale of the raw integer-level accumulator, bias, and the activation
-/// clamp, all in the same store. Scalar expressions match the reference
-/// interpreter's `acc * scale + b` followed by apply_act_ exactly.
-void store_row(float* row, int64_t count, float scale, float b, FlatAct act) {
-  switch (act) {
-    case FlatAct::identity:
-      for (int64_t p = 0; p < count; ++p) row[p] = row[p] * scale + b;
-      return;
-    case FlatAct::relu:
-      for (int64_t p = 0; p < count; ++p) {
-        row[p] = std::max(row[p] * scale + b, 0.0f);
-      }
-      return;
-    case FlatAct::relu6:
-      for (int64_t p = 0; p < count; ++p) {
-        row[p] = std::clamp(row[p] * scale + b, 0.0f, 6.0f);
-      }
-      return;
-  }
-}
-
 /// Every int8 level as a double, indexed by level + 128. The fast head
 /// multiplies each weight through one load from this table: the same exact
 /// value as converting the level, without an int-to-double convert per
@@ -343,8 +321,11 @@ void InferPlan::run_conv(const StepTable& t, const Step& s, const float* in,
   const int64_t plane = t.out_h * t.out_w;  // one image's output plane
   const int64_t row = n * plane;  // one channel's batch-interleaved row
   const int64_t k = t.kernel;
+  const EpilogueAct act = epilogue_act(s.act);
   if (t.depthwise) {
-    // One (channel, image) plane per work item, epilogue fused in. In the
+    // One (channel, image) plane per work item; the plane stores each
+    // output through the channel's epilogue (per-channel rescale of the
+    // integer-level accumulator, bias, activation clamp). In the
     // batch-interleaved layout channel ch of image i reads the contiguous
     // plane at ch*n*in_hw + i*in_hw and writes ch*row + i*plane.
     const int64_t planes = t.cout * n;
@@ -354,12 +335,11 @@ void InferPlan::run_conv(const StepTable& t, const Step& s, const float* in,
       for (int64_t pl = p0; pl < p1; ++pl) {
         const int64_t ch = pl / n;
         const int64_t i = pl % n;
-        float* orow = out + ch * row + i * plane;
-        depthwise_plane(in + (ch * n + i) * in_hw, s.wf + ch * k * k, orow,
-                        t.in_h, t.in_w, t.out_h, t.out_w, k, t.stride, t.pad,
-                        0.0f);
-        const float b = s.bias == nullptr ? 0.0f : s.bias[ch];
-        store_row(orow, plane, s.scales[ch], b, s.act);
+        const DepthwiseEpilogue epi{
+            s.scales[ch], s.bias == nullptr ? 0.0f : s.bias[ch], act};
+        depthwise_plane(in + (ch * n + i) * in_hw, s.wf + ch * k * k,
+                        out + ch * row + i * plane, t.in_h, t.in_w, t.out_h,
+                        t.out_w, k, t.stride, t.pad, 0.0f, &epi);
       }
     });
     return;
@@ -374,7 +354,9 @@ void InferPlan::run_conv(const StepTable& t, const Step& s, const float* in,
   // of M/N (one continuous ascending K chain), so every element is bitwise
   // identical to a per-image lowering. A direct (1x1, stride 1, pad 0) conv
   // skips im2col: the group's slice of the batch-interleaved input already
-  // is that panel, value for value.
+  // is that panel, value for value. The GEMM's epilogue applies each
+  // channel's rescale, bias and activation clamp in the tile's final
+  // store, so no pass over the output follows.
   const int64_t cin_g = t.cin / t.groups;
   const int64_t cout_g = t.cout / t.groups;
   const int64_t col_rows = cin_g * k * k;
@@ -386,20 +368,13 @@ void InferPlan::run_conv(const StepTable& t, const Step& s, const float* in,
                      t.stride, t.stride, t.pad, t.pad, cols);
       panel = cols;
     }
-    gemm(false, false, cout_g, row, col_rows, 1.0f,
-         s.wf + g * cout_g * col_rows, panel, 0.0f, out + g * cout_g * row);
+    GemmEpilogue epi;
+    epi.scale = s.scales + g * cout_g;
+    epi.bias = s.bias == nullptr ? nullptr : s.bias + g * cout_g;
+    epi.act = act;
+    gemm(cout_g, row, col_rows, s.wf + g * cout_g * col_rows, panel,
+         out + g * cout_g * row, epi);
   }
-  // Fused epilogue, one batch-interleaved channel row at a time (the
-  // per-channel scale/bias covers the whole row).
-  const int64_t grain =
-      std::max<int64_t>(1, 4096 / std::max<int64_t>(row, 1));
-  parallel_for(t.cout, grain, [&](int64_t o0, int64_t o1) {
-    for (int64_t o = o0; o < o1; ++o) {
-      float* orow = out + o * row;
-      const float b = s.bias == nullptr ? 0.0f : s.bias[o];
-      store_row(orow, row, s.scales[o], b, s.act);
-    }
-  });
 }
 
 void InferPlan::run_conv_s8(const StepTable& t, const Step& s,
@@ -461,7 +436,7 @@ void InferPlan::run_conv_s8(const StepTable& t, const Step& s,
     GemmS8Epilogue epi;
     epi.eff = s.eff.data() + g * cout_g;
     epi.bias = s.bias == nullptr ? nullptr : s.bias + g * cout_g;
-    epi.act = requant_act(s.act);
+    epi.act = epilogue_act(s.act);
     gemm_s8(s.packed[g], row, panel, out + g * cout_g * row, epi);
   }
 }

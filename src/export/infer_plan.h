@@ -50,8 +50,8 @@
 // to exact float integers (scales are NOT folded in), which nb::gemm reads
 // in place as its A operand, so it produces the same products as the
 // reference int8 interpreter, and the per-channel scale + bias + activation
-// clamp are applied in one fused pass over the output store; the linear
-// head reads the program's int8 levels. Depthwise groups run through the direct
+// clamp are applied in the kernels' own output stores (the GEMM's and the
+// depthwise plane's epilogues); the linear head reads the int8 levels. Depthwise groups run through the direct
 // nb::depthwise_plane path; everything parallelizes over output rows /
 // (image, channel) planes via the threadpool, and because nb::gemm is
 // bitwise thread-invariant the whole plan is too.

@@ -17,7 +17,7 @@ namespace {
 
 // One loop per activation: with the activation a constant, its test folds
 // out of the loop.
-template <RequantAct kAct>
+template <EpilogueAct kAct>
 void requantize_scalar(float* out, const int32_t* acc, int64_t n, float scale,
                        float bias) {
   for (int64_t i = 0; i < n; ++i) {
@@ -147,13 +147,13 @@ void requantize_row(float* out, const int32_t* acc, int64_t n, float scale,
 #endif
   switch (act) {
     case FlatAct::identity:
-      requantize_scalar<RequantAct::identity>(out, acc, n, scale, bias);
+      requantize_scalar<EpilogueAct::identity>(out, acc, n, scale, bias);
       return;
     case FlatAct::relu:
-      requantize_scalar<RequantAct::relu>(out, acc, n, scale, bias);
+      requantize_scalar<EpilogueAct::relu>(out, acc, n, scale, bias);
       return;
     case FlatAct::relu6:
-      requantize_scalar<RequantAct::relu6>(out, acc, n, scale, bias);
+      requantize_scalar<EpilogueAct::relu6>(out, acc, n, scale, bias);
       return;
   }
 }
@@ -163,7 +163,7 @@ void requantize_linear_row(float* out, const int32_t* acc, const float* eff,
   for (int64_t i = 0; i < n; ++i) {
     out[i] = requantize<ScalarLanes>(acc[i], eff[i],
                                      bias == nullptr ? 0.0f : bias[i],
-                                     RequantAct::identity);
+                                     EpilogueAct::identity);
   }
 }
 

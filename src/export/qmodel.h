@@ -50,16 +50,16 @@ void requantize_row(float* out, const int32_t* acc, int64_t n, float scale,
 void requantize_linear_row(float* out, const int32_t* acc, const float* eff,
                            const float* bias, int64_t n);
 
-/// The requantize activation for a program activation (same values).
-inline RequantAct requant_act(FlatAct act) {
+/// The epilogue activation for a program activation (same values).
+inline EpilogueAct epilogue_act(FlatAct act) {
   static_assert(static_cast<int>(FlatAct::identity) ==
-                        static_cast<int>(RequantAct::identity) &&
+                        static_cast<int>(EpilogueAct::identity) &&
                     static_cast<int>(FlatAct::relu) ==
-                        static_cast<int>(RequantAct::relu) &&
+                        static_cast<int>(EpilogueAct::relu) &&
                     static_cast<int>(FlatAct::relu6) ==
-                        static_cast<int>(RequantAct::relu6),
-                "FlatAct and RequantAct must share their values");
-  return static_cast<RequantAct>(act);
+                        static_cast<int>(EpilogueAct::relu6),
+                "FlatAct and EpilogueAct must share their values");
+  return static_cast<EpilogueAct>(act);
 }
 
 /// Whether every conv/linear in `model` can run on the true int8 backend:

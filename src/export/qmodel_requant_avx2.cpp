@@ -15,7 +15,7 @@ namespace {
 
 // One loop per activation: with the activation a constant, its test folds
 // out of the loop.
-template <RequantAct kAct>
+template <EpilogueAct kAct>
 void requantize_lanes(float* out, const int32_t* acc, int64_t n, float scale,
                       float bias) {
   const __m256 vs = Avx2Lanes::splat(scale);
@@ -37,13 +37,13 @@ void requantize_row_avx2(float* out, const int32_t* acc, int64_t n,
                          float scale, float bias, FlatAct act) {
   switch (act) {
     case FlatAct::identity:
-      requantize_lanes<RequantAct::identity>(out, acc, n, scale, bias);
+      requantize_lanes<EpilogueAct::identity>(out, acc, n, scale, bias);
       return;
     case FlatAct::relu:
-      requantize_lanes<RequantAct::relu>(out, acc, n, scale, bias);
+      requantize_lanes<EpilogueAct::relu>(out, acc, n, scale, bias);
       return;
     case FlatAct::relu6:
-      requantize_lanes<RequantAct::relu6>(out, acc, n, scale, bias);
+      requantize_lanes<EpilogueAct::relu6>(out, acc, n, scale, bias);
       return;
   }
 }

@@ -259,7 +259,7 @@ Tensor Conv2d::backward_depthwise(const Tensor& grad_out) {
         for (int64_t oy = 0; oy < oh; ++oy) {
           for (int64_t ox = 0; ox < ow; ++ox) {
             // No zero-skip on gv: 0 * NaN must stay NaN in both gradients
-            // (same accumulation policy as gemm/gemv, see gemm.h).
+            // (same accumulation policy as gemm, see gemm.h).
             const f32x8 gv = lane(gout, oy * ow + ox);
             for (int64_t ki = 0; ki < k; ++ki) {
               const int64_t iy = oy * stride + ki - pad;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "tensor/depthwise_kernel.h"
+#include "tensor/requantize.h"
 
 namespace nb {
 
@@ -11,10 +12,12 @@ namespace {
 
 // K is a compile-time constant for the common kernels so the tap loops fully
 // unroll; KRT carries the runtime size for the generic instantiation (K==0).
-template <int K>
+// `store` maps each finished chain to the value written: the chain itself,
+// or its epilogue.
+template <int K, class Store>
 void dw_plane(const float* img, const float* ker, float* out, int64_t h,
               int64_t w, int64_t oh, int64_t ow, int64_t krt, int64_t s,
-              int64_t pad, float bias) {
+              int64_t pad, float bias, const Store& store) {
   const int64_t k = K > 0 ? K : krt;
   // Output columns whose every horizontal tap is in bounds. The last such
   // column satisfies ox*s - pad + k - 1 <= w - 1; the numerator can be
@@ -38,7 +41,7 @@ void dw_plane(const float* img, const float* ker, float* out, int64_t h,
           if (ix >= 0 && ix < w) acc += krow[kj] * srow[ix];
         }
       }
-      orow[ox] = acc;
+      orow[ox] = store(acc);
     };
     for (int64_t ox = 0; ox < ox_lo; ++ox) edge(ox);
     for (int64_t ox = ox_hi; ox < ow; ++ox) edge(ox);
@@ -54,7 +57,7 @@ void dw_plane(const float* img, const float* ker, float* out, int64_t h,
           acc += krow[kj] * srow[kj];
         }
       }
-      orow[ox] = acc;
+      orow[ox] = store(acc);
     }
   }
 }
@@ -105,24 +108,42 @@ void dw_plane_s8(const uint8_t* img, const int8_t* ker, int32_t* out,
   }
 }
 
+template <class Store>
+void dw_plane_any(const float* img, const float* ker, float* out, int64_t h,
+                  int64_t w, int64_t oh, int64_t ow, int64_t k, int64_t s,
+                  int64_t pad, float bias, const Store& store) {
+  switch (k) {
+    case 3:
+      dw_plane<3>(img, ker, out, h, w, oh, ow, k, s, pad, bias, store);
+      break;
+    case 5:
+      dw_plane<5>(img, ker, out, h, w, oh, ow, k, s, pad, bias, store);
+      break;
+    default:
+      dw_plane<0>(img, ker, out, h, w, oh, ow, k, s, pad, bias, store);
+      break;
+  }
+}
+
 }  // namespace
 
 namespace detail {
 
 void depthwise_plane_generic(const float* img, const float* ker, float* out,
                              int64_t h, int64_t w, int64_t oh, int64_t ow,
-                             int64_t k, int64_t s, int64_t pad, float bias) {
-  switch (k) {
-    case 3:
-      dw_plane<3>(img, ker, out, h, w, oh, ow, k, s, pad, bias);
-      break;
-    case 5:
-      dw_plane<5>(img, ker, out, h, w, oh, ow, k, s, pad, bias);
-      break;
-    default:
-      dw_plane<0>(img, ker, out, h, w, oh, ow, k, s, pad, bias);
-      break;
+                             int64_t k, int64_t s, int64_t pad, float bias,
+                             const DepthwiseEpilogue* epi) {
+  if (epi == nullptr) {
+    dw_plane_any(img, ker, out, h, w, oh, ow, k, s, pad, bias,
+                 [](float acc) { return acc; });
+    return;
   }
+  const DepthwiseEpilogue e = *epi;
+  dw_plane_any(img, ker, out, h, w, oh, ow, k, s, pad, bias,
+               [e](float acc) {
+                 return scale_bias_act<ScalarLanes>(acc, e.scale, e.bias,
+                                                    e.act);
+               });
 }
 
 void depthwise_plane_s8_generic(const uint8_t* img, const int8_t* ker,
@@ -147,7 +168,8 @@ void depthwise_plane_s8_generic(const uint8_t* img, const int8_t* ker,
 namespace {
 
 using DwFn = void (*)(const float*, const float*, float*, int64_t, int64_t,
-                      int64_t, int64_t, int64_t, int64_t, int64_t, float);
+                      int64_t, int64_t, int64_t, int64_t, int64_t, float,
+                      const DepthwiseEpilogue*);
 using DwS8Fn = void (*)(const uint8_t*, const int8_t*, int32_t*, int64_t,
                         int64_t, int64_t, int64_t, int64_t, int64_t, int64_t);
 
@@ -218,9 +240,10 @@ constexpr int64_t kScalarMaxOutputs = 8;
 
 void depthwise_plane(const float* img, const float* ker, float* out,
                      int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t k,
-                     int64_t s, int64_t pad, float bias) {
+                     int64_t s, int64_t pad, float bias,
+                     const DepthwiseEpilogue* epi) {
   dw_instances()[static_cast<size_t>(depthwise_route(oh, ow))].fn(
-      img, ker, out, h, w, oh, ow, k, s, pad, bias);
+      img, ker, out, h, w, oh, ow, k, s, pad, bias, epi);
 }
 
 const char* depthwise_kernel_name() {
@@ -238,9 +261,9 @@ const char* depthwise_instance_name(int i) {
 void depthwise_run_instance(int i, const float* img, const float* ker,
                             float* out, int64_t h, int64_t w, int64_t oh,
                             int64_t ow, int64_t k, int64_t s, int64_t pad,
-                            float bias) {
+                            float bias, const DepthwiseEpilogue* epi) {
   dw_instances()[static_cast<size_t>(i)].fn(img, ker, out, h, w, oh, ow, k, s,
-                                            pad, bias);
+                                            pad, bias, epi);
 }
 
 int depthwise_route(int64_t oh, int64_t ow) {

@@ -8,7 +8,17 @@
 
 #include <cstdint>
 
+#include "tensor/gemm.h"  // EpilogueAct
+
 namespace nb {
+
+/// One plane's epilogue: every output stores act(acc * scale + bias), the
+/// float GEMM's epilogue expression (tensor/requantize.h) for one channel.
+struct DepthwiseEpilogue {
+  float scale = 1.0f;
+  float bias = 0.0f;
+  EpilogueAct act = EpilogueAct::identity;
+};
 
 /// out[oh, ow] = bias + sum_{ki,kj} ker[ki,kj] * img[oy*s+ki-pad, ox*s+kj-pad]
 /// with zero padding. `ker` is a k*k row-major kernel.
@@ -24,13 +34,19 @@ namespace nb {
 /// h*w inputs and writes exactly the oh*ow outputs; temporaries live in the
 /// calling thread's scratch arena.
 ///
+/// Epilogue: with `epi`, each output's chain is mapped through it as the
+/// output is written, so no second pass over the plane follows; the result
+/// is bit-identical to the plane without `epi` followed by the epilogue
+/// per output, on every instance.
+///
 /// Dispatch: the AVX2 instance runs the zero-bordered phase-plane layout
 /// and takes every plane shape on which it beats the scalar template
 /// (depthwise_route); the scalar template, with 3x3 and 5x5 kernels fully
 /// unrolled, runs the rest and every plane on a CPU without AVX2.
 void depthwise_plane(const float* img, const float* ker, float* out,
                      int64_t h, int64_t w, int64_t oh, int64_t ow, int64_t k,
-                     int64_t s, int64_t pad, float bias);
+                     int64_t s, int64_t pad, float bias,
+                     const DepthwiseEpilogue* epi = nullptr);
 
 /// Name of the depthwise_plane vector instance chosen at runtime
 /// ("dw-f32-avx2", or "dw-f32-generic" without one); surfaced by the float
@@ -45,7 +61,8 @@ const char* depthwise_instance_name(int i);
 void depthwise_run_instance(int i, const float* img, const float* ker,
                             float* out, int64_t h, int64_t w, int64_t oh,
                             int64_t ow, int64_t k, int64_t s, int64_t pad,
-                            float bias);
+                            float bias,
+                            const DepthwiseEpilogue* epi = nullptr);
 
 /// Index of the instance depthwise_plane runs for an oh x ow output plane:
 /// the dispatched one above 8 outputs (one vector), the scalar template up

@@ -32,13 +32,20 @@
 // Slack. A vector at flat output f0 reads eight floats at (tap offset <
 // s*s*plane) + f0, f0 + 8 <= round8(len), so round8(len) floats of slack
 // past the phase planes keep every load inside the buffer.
+//
+// Epilogue. When the caller passes one, compaction maps each valid output
+// through act(acc * scale + bias) (tensor/requantize.h) as it writes it,
+// eight at a time; the scalar template applies the same expression in its
+// own store, so both routes and both fallbacks keep every output's bits.
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
 #include "tensor/depthwise_kernel.h"
 #include "tensor/depthwise_phase.h"
+#include "tensor/requantize.h"
 #include "tensor/scratch.h"
 
 namespace nb::detail {
@@ -48,6 +55,10 @@ constexpr int64_t kLanes = 8;  // floats per ymm
 // Taps per plane the table holds (k <= 16); wider kernels, which no graph
 // runs, take the scalar instance.
 constexpr int64_t kMaxTaps = 256;
+// Lane masks for rows narrower than a vector: kLaneMask + kLanes - n
+// enables lanes [0, n).
+constexpr int32_t kLaneMask[2 * kLanes] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                           0,  0,  0,  0,  0,  0,  0,  0};
 
 // NB vectors of 8 consecutive flat outputs starting at f0, one independent
 // accumulator chain each.
@@ -105,12 +116,42 @@ void flat_conv(const float* buf, const int64_t* off, const float* ker,
   }
 }
 
+// compact_rows with the epilogue: the first ow of every wq flat chains,
+// each mapped as it is written. A row of at least one vector runs whole
+// vectors, the last moved back to overlap the one before (acc and out
+// never alias, so it rewrites identical values); a narrower row moves
+// with lane masks, so nothing past it is read or written.
+template <EpilogueAct kAct>
+void compact_rows_epilogue(const float* acc, float* out, int64_t oh,
+                           int64_t ow, int64_t wq,
+                           const DepthwiseEpilogue& e) {
+  const __m256 scale = _mm256_set1_ps(e.scale);
+  const __m256 bias = _mm256_set1_ps(e.bias);
+  const auto map = [&](__m256 v) {
+    return scale_bias_act<Avx2Lanes>(v, scale, bias, kAct);
+  };
+  const __m256i mask = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+      kLaneMask + kLanes - std::min(ow, kLanes)));
+  for (int64_t oy = 0; oy < oh; ++oy) {
+    const float* src = acc + oy * wq;
+    float* dst = out + oy * ow;
+    if (ow < kLanes) {
+      _mm256_maskstore_ps(dst, mask, map(_mm256_maskload_ps(src, mask)));
+      continue;
+    }
+    for (int64_t x = 0; x + kLanes < ow; x += kLanes) {
+      _mm256_storeu_ps(dst + x, map(_mm256_loadu_ps(src + x)));
+    }
+    _mm256_storeu_ps(dst + ow - kLanes, map(_mm256_loadu_ps(src + ow - kLanes)));
+  }
+}
+
 // The kernel for stride S (S == 0: runtime stride `srt`); strides 1 and 2
 // are compile-time so the phase arithmetic is shifts and masks.
 template <int S>
 void phase_plane(const float* img, const float* ker, float* out, int64_t h,
                  int64_t w, int64_t oh, int64_t ow, int64_t k, int64_t srt,
-                 int64_t pad, float bias) {
+                 int64_t pad, float bias, const DepthwiseEpilogue* epi) {
   const int64_t s = S > 0 ? S : srt;
   const PhaseLayout l = phase_layout(h, w, oh, ow, k, s, pad);
 
@@ -129,7 +170,22 @@ void phase_plane(const float* img, const float* ker, float* out, int64_t h,
   float* acc = scratch_acquire(ScratchSlot::kDwAcc,
                                static_cast<size_t>(padded_len));
   flat_conv(buf, off, ker, k * k, bias, l.len, acc);
-  compact_rows(acc, out, oh, ow, l.wq);
+  if (epi == nullptr) {
+    compact_rows(acc, out, oh, ow, l.wq);
+    return;
+  }
+  switch (epi->act) {
+    case EpilogueAct::identity:
+      compact_rows_epilogue<EpilogueAct::identity>(acc, out, oh, ow, l.wq,
+                                                   *epi);
+      break;
+    case EpilogueAct::relu:
+      compact_rows_epilogue<EpilogueAct::relu>(acc, out, oh, ow, l.wq, *epi);
+      break;
+    case EpilogueAct::relu6:
+      compact_rows_epilogue<EpilogueAct::relu6>(acc, out, oh, ow, l.wq, *epi);
+      break;
+  }
 }
 
 // True when a +0.0 border tap is an exact no-op on every chain of this
@@ -146,25 +202,27 @@ bool border_taps_are_noops(const float* ker, int64_t k, float bias) {
 
 void depthwise_plane_avx2(const float* img, const float* ker, float* out,
                           int64_t h, int64_t w, int64_t oh, int64_t ow,
-                          int64_t k, int64_t s, int64_t pad, float bias) {
+                          int64_t k, int64_t s, int64_t pad, float bias,
+                          const DepthwiseEpilogue* epi) {
   if (oh <= 0 || ow <= 0) return;
   // The phase layout needs k, s >= 1 and pad >= 0; any other geometry, a
   // kernel past the tap table, and the two chains a zero border tap would
   // change keep the scalar instance's behaviour.
   if (k < 1 || s < 1 || pad < 0 || k * k > kMaxTaps ||
       !border_taps_are_noops(ker, k, bias)) {
-    depthwise_plane_generic(img, ker, out, h, w, oh, ow, k, s, pad, bias);
+    depthwise_plane_generic(img, ker, out, h, w, oh, ow, k, s, pad, bias,
+                            epi);
     return;
   }
   switch (s) {
     case 1:
-      phase_plane<1>(img, ker, out, h, w, oh, ow, k, s, pad, bias);
+      phase_plane<1>(img, ker, out, h, w, oh, ow, k, s, pad, bias, epi);
       break;
     case 2:
-      phase_plane<2>(img, ker, out, h, w, oh, ow, k, s, pad, bias);
+      phase_plane<2>(img, ker, out, h, w, oh, ow, k, s, pad, bias, epi);
       break;
     default:
-      phase_plane<0>(img, ker, out, h, w, oh, ow, k, s, pad, bias);
+      phase_plane<0>(img, ker, out, h, w, oh, ow, k, s, pad, bias, epi);
       break;
   }
 }

@@ -9,13 +9,17 @@
 
 #include <cstdint>
 
+#include "tensor/depthwise.h"
+
 namespace nb::detail {
 
 /// Portable scalar float instance (the dw_plane template), always
-/// available; the reference chain every float instance reproduces.
+/// available; the reference chain every float instance reproduces. Every
+/// float instance applies `epi`, when given, in the store of each output.
 void depthwise_plane_generic(const float* img, const float* ker, float* out,
                              int64_t h, int64_t w, int64_t oh, int64_t ow,
-                             int64_t k, int64_t s, int64_t pad, float bias);
+                             int64_t k, int64_t s, int64_t pad, float bias,
+                             const DepthwiseEpilogue* epi);
 
 /// Portable scalar int8 instance (the dw_plane_s8 template), always
 /// available. The vector instances also fall back to it for geometries
@@ -34,7 +38,8 @@ void depthwise_plane_s8_generic(const uint8_t* img, const int8_t* ker,
 /// __builtin_cpu_supports("avx2").
 void depthwise_plane_avx2(const float* img, const float* ker, float* out,
                           int64_t h, int64_t w, int64_t oh, int64_t ow,
-                          int64_t k, int64_t s, int64_t pad, float bias);
+                          int64_t k, int64_t s, int64_t pad, float bias,
+                          const DepthwiseEpilogue* epi);
 
 /// AVX2 int8 instance (depthwise_s8_kernel_avx2.cpp, built with -mavx2):
 /// taps in pairs, u8 windows zero-extended to i16 by vpshufb, vpmaddwd into

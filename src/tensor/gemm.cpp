@@ -4,13 +4,15 @@
 #include <vector>
 
 #include "tensor/gemm_kernel.h"
+#include "tensor/requantize.h"
 
 namespace nb {
 
 namespace {
 
 using GemmKernelFn = void (*)(bool, bool, int64_t, int64_t, int64_t, float,
-                              const float*, const float*, float, float*);
+                              const float*, const float*, float, float*,
+                              const GemmEpilogue*);
 
 struct Instance {
   const char* name;
@@ -41,6 +43,20 @@ void scale_rows(float* c, int64_t count, float beta) {
   }
 }
 
+// The empty reduction under an epilogue: C holds the plain product's exact
+// zeros, which the epilogue still maps. No conv lowering reaches it.
+[[gnu::cold]] void store_empty_product(int64_t m, int64_t n, float* c,
+                                       const GemmEpilogue& epi) {
+  scale_rows(c, m * n, 0.0f);
+  for (int64_t i = 0; i < m; ++i) {
+    const float bias = epi.bias == nullptr ? 0.0f : epi.bias[i];
+    for (int64_t j = 0; j < n; ++j) {
+      c[i * n + j] = scale_bias_act<ScalarLanes>(c[i * n + j], epi.scale[i],
+                                                 bias, epi.act);
+    }
+  }
+}
+
 // The BLAS corners every instance shares, then the packed kernel, which
 // reads transposed operands in place while it packs them.
 void run(GemmKernelFn kernel, bool trans_a, bool trans_b, int64_t m,
@@ -52,7 +68,17 @@ void run(GemmKernelFn kernel, bool trans_a, bool trans_b, int64_t m,
     scale_rows(c, m * n, beta);
     return;
   }
-  kernel(trans_a, trans_b, m, n, k, alpha, a, b, beta, c);
+  kernel(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, nullptr);
+}
+
+void run(GemmKernelFn kernel, int64_t m, int64_t n, int64_t k,
+         const float* a, const float* b, float* c, const GemmEpilogue& epi) {
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    store_empty_product(m, n, c, epi);
+    return;
+  }
+  kernel(false, false, m, n, k, 1.0f, a, b, 0.0f, c, &epi);
 }
 
 }  // namespace
@@ -72,33 +98,21 @@ void gemm_run_instance(int i, bool trans_a, bool trans_b, int64_t m,
       alpha, a, b, beta, c);
 }
 
+void gemm_run_instance(int i, int64_t m, int64_t n, int64_t k,
+                       const float* a, const float* b, float* c,
+                       const GemmEpilogue& epi) {
+  run(instances()[static_cast<size_t>(i)].fn, m, n, k, a, b, c, epi);
+}
+
 void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c) {
   run(instances().back().fn, trans_a, trans_b, m, n, k, alpha, a, b, beta,
       c);
 }
 
-void gemv(bool trans_a, int64_t m, int64_t n, float alpha, const float* a,
-          const float* x, float beta, float* y) {
-  const int64_t out = trans_a ? n : m;
-  scale_rows(y, out, beta);
-  if (m <= 0 || n <= 0 || alpha == 0.0f) return;
-  if (trans_a) {
-    // y[j] += sum_i alpha*x[i] * A[i][j], accumulated row by row in float.
-    // No zero-skip on x: a NaN/Inf in A must reach y even when x[i] == 0.
-    for (int64_t i = 0; i < m; ++i) {
-      const float xv = alpha * x[i];
-      const float* arow = a + i * n;
-      for (int64_t j = 0; j < n; ++j) y[j] += xv * arow[j];
-    }
-  } else {
-    for (int64_t i = 0; i < m; ++i) {
-      const float* arow = a + i * n;
-      float s = 0.0f;
-      for (int64_t j = 0; j < n; ++j) s += arow[j] * x[j];
-      y[i] += alpha * s;
-    }
-  }
+void gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
+          float* c, const GemmEpilogue& epi) {
+  run(instances().back().fn, m, n, k, a, b, c, epi);
 }
 
 }  // namespace nb

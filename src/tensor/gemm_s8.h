@@ -43,6 +43,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/gemm.h"  // EpilogueAct
+
 namespace nb {
 
 /// Largest K for which the int32 accumulation is guaranteed exact (the
@@ -56,16 +58,12 @@ constexpr int64_t kGemmS8MaxK = int64_t{1} << 17;
 void gemm_s8(int64_t m, int64_t n, int64_t k, const int8_t* a,
              const uint8_t* b, int32_t* c);
 
-/// Activation applied by the requantize epilogue; the values match
-/// exporter::FlatAct's.
-enum class RequantAct : uint8_t { identity = 0, relu = 1, relu6 = 2 };
-
 /// Per-row requantize epilogue: row i of C stores
 /// requantize(C[i,j], eff[i], bias[i], act) as a float.
 struct GemmS8Epilogue {
   const float* eff = nullptr;   // [M] effective scales, required
   const float* bias = nullptr;  // [M], or nullptr to add +0.0f
-  RequantAct act = RequantAct::identity;
+  EpilogueAct act = EpilogueAct::identity;
 };
 
 /// A[M,K] packed once for one instance: every (row block, K block) panel

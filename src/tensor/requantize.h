@@ -1,30 +1,35 @@
-// The int8 backend's requantize expression — the only float arithmetic on
-// its conv and linear path — with one definition for every place that runs
-// it: exporter::requantize_row / requantize_linear_row (QModel, the int8
-// depthwise and the linear head) and the gemm_s8 epilogue, which applies it
-// in registers as each tile's final store.
+// The epilogue expression of the float and int8 backends — the only float
+// arithmetic after their conv accumulations — with one definition for
+// every place that runs it:
 //
-//   y = act(float(acc) * eff + bias)
+//   y = act(acc * scale + bias)
 //
-// The int32 accumulator converts to float, then one multiply and one add
-// each round on their own, then the activation clamps with the
-// accumulator-derived value as the SECOND max/min operand: vmaxps/vminps
-// return their second source when either is NaN, and so does the scalar
-// `a > b ? a : b`, which also equals std::max(y, 0.0f) /
+// scale_bias_act is that expression over float accumulators: the float
+// GEMM's epilogue, which applies it in registers as each tile's final
+// store, and the float depthwise's, which applies it as compaction writes
+// each output. requantize is the int8 form: the int32 accumulator converts
+// to float first, and then the same expression runs, in
+// exporter::requantize_row / requantize_linear_row (QModel, the int8
+// depthwise and the linear head) and in the gemm_s8 epilogue.
+//
+// One multiply and one add each round on their own, then the activation
+// clamps with the accumulator-derived value as the SECOND max/min operand:
+// vmaxps/vminps return their second source when either is NaN, and so
+// does the scalar `a > b ? a : b`, which also equals std::max(y, 0.0f) /
 // std::clamp(y, 0.0f, 6.0f) on every input, NaN and -0.0 included. Scalar
 // and AVX2 lanes instantiate the same template, so every caller produces
 // the same bits for the same accumulator.
 //
 // Include this header only from translation units built with
-// -ffp-contract=off (every nb library is, src/CMakeLists.txt). Under
-// contraction the compiler may fuse the multiply and the add into one FMA
-// wherever the target has one — the intrinsic forms too, which GCC lowers
-// to plain vector arithmetic — and a fused copy rounds differently.
+// -ffp-contract=off (every nb library source is, src/CMakeLists.txt).
+// Under contraction the compiler may fuse the multiply and the add into
+// one FMA wherever the target has one — the intrinsic forms too, which GCC
+// lowers to plain vector arithmetic — and a fused copy rounds differently.
 #pragma once
 
 #include <cstdint>
 
-#include "tensor/gemm_s8.h"
+#include "tensor/gemm.h"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -59,18 +64,24 @@ struct Avx2Lanes {
 #endif
 
 template <class L>
-inline typename L::F requantize(typename L::I acc, typename L::F eff,
-                                typename L::F bias, RequantAct act) {
-  const typename L::F y = L::add(L::mul(L::cvt(acc), eff), bias);
+inline typename L::F scale_bias_act(typename L::F acc, typename L::F scale,
+                                    typename L::F bias, EpilogueAct act) {
+  const typename L::F y = L::add(L::mul(acc, scale), bias);
   switch (act) {
-    case RequantAct::relu:
+    case EpilogueAct::relu:
       return L::max(L::splat(0.0f), y);
-    case RequantAct::relu6:
+    case EpilogueAct::relu6:
       return L::min(L::splat(6.0f), L::max(L::splat(0.0f), y));
-    case RequantAct::identity:
+    case EpilogueAct::identity:
       break;
   }
   return y;
+}
+
+template <class L>
+inline typename L::F requantize(typename L::I acc, typename L::F eff,
+                                typename L::F bias, EpilogueAct act) {
+  return scale_bias_act<L>(L::cvt(acc), eff, bias, act);
 }
 
 }  // namespace nb

@@ -22,6 +22,7 @@
 
 #include "tensor/depthwise.h"
 #include "tensor/im2col.h"
+#include "tensor/requantize.h"
 #include "tensor/rng.h"
 #include "test_util.h"
 
@@ -390,6 +391,86 @@ TEST(Depthwise, KernelsWiderThanThePlaneAndBeyondTheGraphsMatch) {
     bad += check_f32_random(rng, 19, w, 9, 2, 4);
     bad += check_f32_random(rng, 30, w, 15, 1, 7);
     bad += check_f32_random(rng, 30, w, 17, 1, 8);
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(Depthwise, EpilogueMatchesPlaneThenEpilogueOnEveryInstance) {
+  // Every float instance and the routed depthwise_plane, with an epilogue,
+  // must store what the same entry stores without one, mapped through the
+  // scalar expression act(acc * scale + bias) per output. The planes cover
+  // the scalar route (at most 8 outputs), the vector route with rows
+  // narrower and wider than a vector, k in {3, 5, 7} and s in {1, 2}; the
+  // chains cover the plan's +0.0 start, a -0.0 start and a non-finite tap
+  // (the vector instance's two fallbacks to the scalar template), and NaN,
+  // +-inf and -0.0 pixels. Scales are not powers of two, so the multiply
+  // rounds and a fused multiply-add would differ.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan, inf, -inf, -0.0f};
+  const EpilogueAct acts[] = {EpilogueAct::identity, EpilogueAct::relu,
+                              EpilogueAct::relu6};
+  Rng rng(20261019);
+  int case_idx = 0;
+  int bad = 0;
+  for (int64_t k : {3, 5, 7}) {
+    for (int64_t s : {1, 2}) {
+      const int64_t pad = (k - 1) / 2;
+      for (int64_t hw : {int64_t{2}, int64_t{3}, int64_t{5}, int64_t{9},
+                         int64_t{14}, int64_t{23}}) {
+        const int64_t o = conv_out_size(hw, k, s, pad);
+        const auto n_in = static_cast<size_t>(hw * hw);
+        const auto n_out = static_cast<size_t>(o * o);
+        for (int chain = 0; chain < 3; ++chain) {
+          std::unique_ptr<float[]> img(new float[n_in]);
+          for (size_t i = 0; i < n_in; ++i) {
+            img[i] = rng.randint(16) == 0 ? specials[rng.randint(4)]
+                                          : rng.normal() * 1.3f;
+          }
+          std::vector<float> ker(static_cast<size_t>(k * k));
+          for (float& v : ker) v = rng.normal() * 0.4f;
+          if (chain == 2) ker[static_cast<size_t>(k)] = inf;
+          const float start = chain == 1 ? -0.0f : 0.0f;
+          DepthwiseEpilogue epi;
+          epi.scale = (rng.randint(2) == 0 ? 1.0f : -1.0f) *
+                      rng.uniform(0.5f, 1.5f) * 0.0371f;
+          epi.bias = case_idx % 4 == 3 ? -0.0f : rng.uniform(-2.0f, 2.0f);
+          epi.act = acts[case_idx % 3];
+          ++case_idx;
+          for (int i = -1; i < depthwise_instance_count(); ++i) {
+            std::vector<float> want(n_out + kGuard, 7.0f);
+            std::vector<float> got(n_out + kGuard, 7.0f);
+            if (i < 0) {
+              depthwise_plane(img.get(), ker.data(), want.data(), hw, hw, o,
+                              o, k, s, pad, start);
+              depthwise_plane(img.get(), ker.data(), got.data(), hw, hw, o,
+                              o, k, s, pad, start, &epi);
+            } else {
+              depthwise_run_instance(i, img.get(), ker.data(), want.data(),
+                                     hw, hw, o, o, k, s, pad, start);
+              depthwise_run_instance(i, img.get(), ker.data(), got.data(),
+                                     hw, hw, o, o, k, s, pad, start, &epi);
+            }
+            for (size_t j = 0; j < n_out; ++j) {
+              want[j] = scale_bias_act<ScalarLanes>(want[j], epi.scale,
+                                                    epi.bias, epi.act);
+            }
+            bool equal = true;
+            for (size_t j = 0; j < want.size(); ++j) {
+              equal = equal && same_bits(got[j], want[j]);
+            }
+            if (!equal) {
+              ++bad;
+              ADD_FAILURE()
+                  << (i < 0 ? "depthwise_plane" : depthwise_instance_name(i))
+                  << " hw=" << hw << " k=" << k << " s=" << s
+                  << " chain=" << chain
+                  << " act=" << static_cast<int>(epi.act);
+            }
+          }
+        }
+      }
+    }
   }
   EXPECT_EQ(bad, 0);
 }

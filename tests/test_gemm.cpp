@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -9,9 +10,12 @@
 
 #include "gemm_staged_kernel.h"
 #include "tensor/gemm.h"
+#include "tensor/requantize.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
+#include "tensor/threadpool.h"
+#include "test_util.h"
 
 namespace nb {
 namespace {
@@ -142,75 +146,6 @@ TEST(Gemm, NaNInALandsInItsRowOnly) {
       }
     }
   }
-}
-
-TEST(Gemv, ZeroTimesNaNPropagatesOnTransPath) {
-  // Regression for the same zero-skip on gemv's transposed path: x[i] == 0
-  // used to drop A row i entirely, hiding its NaN.
-  const int64_t m = 2, n = 3;
-  std::vector<float> a(static_cast<size_t>(m * n), 1.0f);
-  a[1] = std::nanf("");  // A[0][1]
-  std::vector<float> x(static_cast<size_t>(m), 0.0f);
-  std::vector<float> y(static_cast<size_t>(n), 0.0f);
-  gemv(true, m, n, 1.0f, a.data(), x.data(), 0.0f, y.data());
-  EXPECT_FALSE(std::isnan(y[0]));
-  EXPECT_TRUE(std::isnan(y[1]));
-  EXPECT_FALSE(std::isnan(y[2]));
-}
-
-TEST(Gemv, BothPathsAccumulateInFloat) {
-  // The documented accumulation policy: float accumulation on both paths,
-  // so transposing a symmetric problem yields the same rounding class of
-  // result (here: exactly equal because the summands are identical).
-  const int64_t n = 64;
-  std::vector<float> a(static_cast<size_t>(n * n));
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      a[static_cast<size_t>(i * n + j)] = 0.01f * static_cast<float>(i + j);
-    }
-  }
-  std::vector<float> x(static_cast<size_t>(n), 1.0f);
-  std::vector<float> y_nt(static_cast<size_t>(n), 0.0f);
-  std::vector<float> y_t(static_cast<size_t>(n), 0.0f);
-  gemv(false, n, n, 1.0f, a.data(), x.data(), 0.0f, y_nt.data());
-  // A is symmetric, so op(A) == A and both paths sum the same values.
-  gemv(true, n, n, 1.0f, a.data(), x.data(), 0.0f, y_t.data());
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(y_nt[static_cast<size_t>(i)], y_t[static_cast<size_t>(i)],
-                1e-3f);
-  }
-}
-
-TEST(Gemv, MatchesGemm) {
-  Rng rng(21);
-  const int64_t m = 9, n = 13;
-  std::vector<float> a(static_cast<size_t>(m * n));
-  std::vector<float> x(static_cast<size_t>(n));
-  std::vector<float> y(static_cast<size_t>(m), 0.0f);
-  std::vector<float> y_ref(static_cast<size_t>(m), 0.0f);
-  for (auto& v : a) v = rng.normal();
-  for (auto& v : x) v = rng.normal();
-
-  gemv(false, m, n, 1.0f, a.data(), x.data(), 0.0f, y.data());
-  naive_gemm(false, false, m, 1, n, 1.0f, a.data(), x.data(), 0.0f,
-             y_ref.data());
-  for (int64_t i = 0; i < m; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-4f);
-}
-
-TEST(Gemv, TransposedMatchesGemm) {
-  Rng rng(22);
-  const int64_t m = 6, n = 4;
-  std::vector<float> a(static_cast<size_t>(m * n));
-  std::vector<float> x(static_cast<size_t>(m));
-  std::vector<float> y(static_cast<size_t>(n), 1.0f);
-  for (auto& v : a) v = rng.normal();
-  for (auto& v : x) v = rng.normal();
-  std::vector<float> y_ref = y;
-
-  gemv(true, m, n, 0.5f, a.data(), x.data(), 2.0f, y.data());
-  naive_gemm(true, false, n, 1, m, 0.5f, a.data(), x.data(), 2.0f,
-             y_ref.data());
-  for (int64_t i = 0; i < n; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-4f);
 }
 
 // ---- every instance against the memory-staged kernel, bit for bit --------
@@ -368,6 +303,42 @@ TEST(GemmInstances, EveryInstanceMatchesTheStagedKernelBitwise) {
         }
       }
     }
+    // The 6-row tile's edges: m around multiples of 6, n around one and
+    // two vectors, every transpose pair, both alphas and the three beta
+    // rules, serial (k = 3) and forked (k = 300 where m*n*k reaches the
+    // fork threshold), then the 1024-column stripe with fringe row blocks.
+    for (int64_t m : {5, 6, 7, 11, 12, 13, 17, 18, 19}) {
+      for (int64_t n : {8, 9, 16, 17, 32, 33}) {
+        for (int64_t k : {3, 300}) {
+          for (int combo = 0; combo < 4; ++combo) {
+            const InstanceCase tc{(combo & 1) != 0,
+                                  (combo & 2) != 0,
+                                  m,
+                                  n,
+                                  k,
+                                  alphas[(m + combo) % 2],
+                                  betas[(n + k + combo) % 3],
+                                  false};
+            ASSERT_TRUE(matches_staged(inst, oracle, tc, ++seed));
+          }
+        }
+      }
+    }
+    for (int64_t m : {5, 7, 13}) {
+      for (int64_t n : {1023, 1024, 1025}) {
+        for (int combo = 0; combo < 4; ++combo) {
+          const InstanceCase tc{(combo & 1) != 0,
+                                (combo & 2) != 0,
+                                m,
+                                n,
+                                37,
+                                alphas[(m + combo) % 2],
+                                betas[(n + combo) % 3],
+                                false};
+          ASSERT_TRUE(matches_staged(inst, oracle, tc, ++seed));
+        }
+      }
+    }
     // NaN, +-inf and -0.0 in A, B and C, on tiles, fringes and K blocks.
     for (int64_t m : {1, 7, 8, 13}) {
       for (int64_t n : {1, 6, 8, 17}) {
@@ -384,6 +355,118 @@ TEST(GemmInstances, EveryInstanceMatchesTheStagedKernelBitwise) {
             ASSERT_TRUE(matches_staged(inst, oracle, tc, ++seed));
           }
         }
+      }
+    }
+  }
+}
+
+// ---- the epilogue entry against the product, then the epilogue ---------
+
+// The NaN x86 arithmetic makes (inf * 0, inf - inf). Drawing input NaNs
+// with the same bits gives every NaN in a product one pattern, so the
+// memcmp below is exact whichever NaN operand an instruction returns.
+const float kDefaultNaN = std::bit_cast<float>(0xffc00000u);
+
+// A normal draw, or with probability 1/64 (when `specials`) one of NaN,
+// +inf, -inf or -0.0.
+float draw_epilogue_input(Rng& rng, bool specials) {
+  if (specials && rng.randint(64) == 0) {
+    const float corner[] = {kDefaultNaN,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f};
+    return corner[rng.randint(4)];
+  }
+  return rng.normal();
+}
+
+TEST(Gemm, EpilogueMatchesProductThenEpilogueOnEveryInstance) {
+  // Every instance's epilogue entry must store the same bits as the same
+  // instance's plain product (alpha 1, beta 0) followed by the scalar
+  // expression act(acc * scale[i] + bias[i]) per element. M covers three
+  // 6-row blocks and every remainder, N every column count of the 16- and
+  // 8-wide tiles up to 33 plus the 1024-column stripe; K cycles through the
+  // empty reduction and one to three 256-deep K blocks, so the epilogue
+  // has to wait for the last one. Activation, bias mode (absent = +0.0f,
+  // random, -0.0f), NaN/inf inputs and the thread count of each side cycle
+  // with the case index. Scales are not powers of two (odd rows' push
+  // |acc * scale| far up), so the multiply rounds and a fused multiply-add
+  // would differ; one row's scale is +inf, so 0 * inf = NaN reaches the
+  // clamps. Row 3 times column 1 sums products below the smallest
+  // denormal, which the FMA instance's chain leaves at -0.0.
+  std::vector<int64_t> ns;
+  for (int64_t d = 1; d <= 33; ++d) ns.push_back(d);
+  ns.insert(ns.end(), {1023, 1024, 1025});
+  const int64_t ks[] = {0, 1, 7, 255, 256, 257, 513};
+  const EpilogueAct acts[] = {EpilogueAct::identity, EpilogueAct::relu,
+                              EpilogueAct::relu6};
+  constexpr size_t kGuardFloats = 8;
+  ThreadPool one(0);
+  ThreadPool four(3);
+  Rng rng(20261019);
+  int case_idx = 0;
+  for (int64_t m = 1; m <= 19; ++m) {
+    for (const int64_t n : ns) {
+      const int64_t k = ks[case_idx % 7];
+      const EpilogueAct act = acts[case_idx % 3];
+      const int bias_mode = (case_idx / 3) % 3;
+      const bool specials = (case_idx / 9) % 2 == 1;
+      const bool epi_on_four = case_idx % 2 == 0;
+      ++case_idx;
+
+      std::vector<float> a(static_cast<size_t>(m * k));
+      std::vector<float> b(static_cast<size_t>(k * n));
+      for (float& v : a) v = draw_epilogue_input(rng, specials);
+      for (float& v : b) v = draw_epilogue_input(rng, specials);
+      if (m > 3 && n > 1) {
+        for (int64_t p = 0; p < k; ++p) {
+          a[static_cast<size_t>(3 * k + p)] = -1e-25f;
+          b[static_cast<size_t>(p * n + 1)] = 1e-25f;
+        }
+      }
+      std::vector<float> scale(static_cast<size_t>(m));
+      std::vector<float> bias(static_cast<size_t>(m));
+      for (int64_t i = 0; i < m; ++i) {
+        const float sign = rng.randint(2) == 0 ? 1.0f : -1.0f;
+        scale[static_cast<size_t>(i)] =
+            sign * rng.uniform(0.5f, 1.5f) * (i % 2 == 0 ? 1e-3f : 4096.0f);
+        bias[static_cast<size_t>(i)] =
+            bias_mode == 2 ? -0.0f : rng.uniform(-8.0f, 8.0f);
+      }
+      if (m > 4) scale[4] = std::numeric_limits<float>::infinity();
+      const float* bias_ptr = bias_mode == 0 ? nullptr : bias.data();
+      GemmEpilogue epi;
+      epi.scale = scale.data();
+      epi.bias = bias_ptr;
+      epi.act = act;
+
+      const size_t count = static_cast<size_t>(m * n);
+      for (int inst = 0; inst < gemm_instance_count(); ++inst) {
+        std::vector<float> want(count + kGuardFloats, kDefaultNaN);
+        std::vector<float> got(count + kGuardFloats, kDefaultNaN);
+        {
+          nb::testing::PoolOverride po(epi_on_four ? one : four);
+          gemm_run_instance(inst, false, false, m, n, k, 1.0f, a.data(),
+                            b.data(), 0.0f, want.data());
+        }
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            float& v = want[static_cast<size_t>(i * n + j)];
+            v = scale_bias_act<ScalarLanes>(
+                v, scale[static_cast<size_t>(i)],
+                bias_ptr == nullptr ? 0.0f : bias_ptr[i], act);
+          }
+        }
+        {
+          nb::testing::PoolOverride po(epi_on_four ? four : one);
+          gemm_run_instance(inst, m, n, k, a.data(), b.data(), got.data(),
+                            epi);
+        }
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(float)),
+                  0)
+            << gemm_instance_name(inst) << " m=" << m << " n=" << n
+            << " k=" << k << " act=" << static_cast<int>(act)
+            << " bias_mode=" << bias_mode << " specials=" << specials;
       }
     }
   }

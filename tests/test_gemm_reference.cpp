@@ -369,7 +369,7 @@ TEST(GemmS8, EpilogueMatchesInt32ProductThenRequantizeRowOnEveryInstance) {
       GemmS8Epilogue epi;
       epi.eff = eff.data();
       epi.bias = bias_ptr;
-      epi.act = exporter::requant_act(act);
+      epi.act = exporter::epilogue_act(act);
       for (int inst = 0; inst < gemm_s8_instance_count(); ++inst) {
         std::vector<int32_t> acc(static_cast<size_t>(m * n), -1);
         std::vector<float> want(acc.size());
@@ -448,7 +448,7 @@ TEST(GemmS8, PackedPanelsMatchPerCallPackingOnEveryInstance) {
       GemmS8Epilogue epi;
       epi.eff = eff.data();
       epi.bias = bias.data();
-      epi.act = exporter::requant_act(act);
+      epi.act = exporter::epilogue_act(act);
       for (int inst = 0; inst < gemm_s8_instance_count(); ++inst) {
         const GemmS8PackedA packed =
             gemm_s8_pack_instance(inst, m, k, a.data());
