@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
 #include "baselines/kd.h"
 #include "baselines/netaug.h"
@@ -108,40 +107,6 @@ core::NetBoosterResult run_netbooster_full(
   if (expansion_override) c.expansion = *expansion_override;
   if (out_model) *out_model = model;
   return core::run_netbooster(model, *task.train, *task.test, c);
-}
-
-namespace {
-
-/// Teacher cache keyed by (task name, classes): the KD baselines of Table I
-/// share one teacher per dataset, like the paper's Assemble-ResNet50.
-std::shared_ptr<models::MobileNetV2> cached_teacher(
-    const data::ClassificationTask& task, const Scale& s) {
-  static std::map<std::string, std::shared_ptr<models::MobileNetV2>> cache;
-  const std::string key =
-      task.name + "/" + std::to_string(task.num_classes) + "/" + s.name;
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-
-  auto teacher = models::make_model("teacher", task.num_classes, s.seed + 7);
-  train::TrainConfig c = pretrain_config(s);
-  c.epochs = total_epochs(s);
-  (void)train::train_classifier(*teacher, *task.train, *task.test, c);
-  cache[key] = teacher;
-  return teacher;
-}
-
-}  // namespace
-
-float run_kd(const std::string& model_name,
-             const data::ClassificationTask& task, const Scale& s) {
-  auto teacher = cached_teacher(task, s);
-  auto student = models::make_model(model_name, task.num_classes, s.seed + 3);
-  train::TrainConfig c = pretrain_config(s);
-  c.epochs = total_epochs(s);
-  baselines::KdConfig kd;
-  return train::train_classifier(*student, *task.train, *task.test, c,
-                                 baselines::make_kd_loss(teacher, kd))
-      .final_test_acc;
 }
 
 float run_tfkd(const std::string& model_name,

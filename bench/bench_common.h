@@ -75,10 +75,8 @@ core::NetBoosterResult run_netbooster_full(
     const core::NetBoosterConfig* config_override = nullptr,
     std::shared_ptr<models::MobileNetV2>* out_model = nullptr);
 
-/// KD family. The wide teacher is trained once per (task, scale) and cached
-/// in-process.
-float run_kd(const std::string& model_name,
-             const data::ClassificationTask& task, const Scale& s);
+/// Table I's KD-family baselines: tf-KD, RCO-KD (which trains its own
+/// teacher route) and Rocket Launching.
 float run_tfkd(const std::string& model_name,
                const data::ClassificationTask& task, const Scale& s);
 float run_rco_kd(const std::string& model_name,

@@ -1,16 +1,26 @@
-// FlatModel inference-runtime report. Builds synthetic MobileNetV2- and
+// Inference report: the planned fast and int8 backends and the reference
+// interpreter, on the same plans. Builds synthetic MobileNetV2- and
 // MCUNet-structured flat graphs (random int8 levels, variance-preserving
 // per-channel scales, relu6 activations — the op mix and shapes of the real
-// exports without needing the training stack), then times the planned fast
-// backend against the reference scalar interpreter across batch sizes and
-// writes machine-readable BENCH_infer.json: fast-vs-reference speedup,
-// output agreement, and the memory planner's arena accounting. The header
-// records the float GEMM kernel and depthwise instance the fast backend
-// dispatched to ("kernel", "dw_kernel").
+// exports without needing the training stack) and, for each batch size,
+// builds the Backend::fast and Backend::int8 plans once. Writes
+// machine-readable BENCH_infer.json. Each row records:
+//   * speed: int8_ms vs fast_ms at every thread count, timed in alternating
+//     windows of the same length and count so both sides see the same host
+//     state (speedup_int8_vs_fast), and at one thread the reference
+//     interpreter's one plain run (speedup_fast_vs_reference);
+//   * agreement, on each graph's first batch: max |fast - reference|, and
+//     whether the int8 output is memcmp-identical to the QModel integer
+//     oracle ("exact_vs_qmodel") — not a tolerance check;
+//   * memory: each plan's float arena against its peak-live lower bound,
+//     the fast plan's no-reuse total, and the int8 plan's byte arena.
+// The dispatched GEMM and depthwise instances of both backends are in
+// "provenance", so regressions can be attributed to dispatch changes.
 //
 // Usage: bench_infer_report [--quick] [--out <path>] (--help describes both)
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,8 +29,7 @@
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
-#include "tensor/depthwise.h"
-#include "tensor/gemm.h"
+#include "export/qmodel.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -35,124 +44,125 @@ using namespace nb::exporter;
 using synth::make_mbv2_flat;
 using synth::make_mcunet_flat;
 
-// Timing (bench_report.h): best-of repeated windows for the fast backend;
-// the reference interpreter is orders of magnitude slower, so it gets one
-// plain run instead of a filled window.
-
 struct Result {
   std::string graph;
   int64_t batch = 1;
   int64_t threads = 1;
   double fast_ms = 0.0;
-  double fast_images_per_s = 0.0;
-  double reference_ms = 0.0;  // 0 when the reference was not timed
-  double speedup = 0.0;       // reference_ms / fast_ms
-  double max_abs_diff = -1.0; // fast vs reference output; -1 when not checked
-  int64_t arena_bytes = 0;
-  int64_t no_reuse_bytes = 0;
-  int64_t peak_live_bytes = 0;
-  int64_t ops = 0;
+  double int8_ms = 0.0;
+  PlanStats fast;
+  PlanStats int8;
+  double reference_ms = 0.0;   // 0 when the reference was not timed
+  double max_abs_diff = -1.0;  // fast vs reference; -1 when not checked
+  int exact_vs_qmodel = -1;    // 1 = memcmp equal, 0 = mismatch, -1 = not run
 };
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
 
 void bench_graph(const std::string& name, const FlatModel& model, int64_t res,
                  const std::vector<int64_t>& batches, PoolSet& pools,
                  const Budget& budget, std::vector<Result>& out) {
   Rng rng(4242);
+  const QModel oracle(model);
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const int64_t batch = batches[bi];
     Tensor x({batch, 3, res, res});
     fill_uniform(x, rng, -1.0f, 1.0f);
-    const InferPlan plan(model, batch, 3, res, res);
+    const InferPlan fast(model, batch, 3, res, res, Backend::fast);
+    const InferPlan int8(model, batch, 3, res, res, Backend::int8);
 
-    // Reference interpreter and agreement, single thread, first batch only
-    // for the (slow) diff run at larger batches.
+    // The reference interpreter is orders of magnitude slower than a plan,
+    // so it gets one plain run instead of a filled window; it and the QModel
+    // oracle (a deliberately slow per-tap interpreter) check the outputs on
+    // the first batch only.
     ThreadPool::set_global_override(&pools.get(1));
-    const double ref_s = time_once([&] { (void)model.forward(x, Backend::reference); });
+    Tensor ref;
+    const double ref_s =
+        time_once([&] { ref = model.forward(x, Backend::reference); });
     double diff = -1.0;
+    int exact = -1;
     if (bi == 0) {
-      diff = max_abs_diff(model.forward(x, Backend::reference), plan.run(x));
+      diff = max_abs_diff(ref, fast.run(x));
+      exact = bitwise_equal(int8.run(x), oracle.forward(x)) ? 1 : 0;
     }
     ThreadPool::set_global_override(nullptr);
 
     for (const int64_t threads : pools.counts()) {
       ThreadPool::set_global_override(&pools.get(threads));
-      const double fast_s = bench_seconds(budget, [&] { (void)plan.run(x); });
+      const auto [int8_s, fast_s] =
+          bench_pair_seconds(budget, [&] { (void)int8.run(x); },
+                             [&] { (void)fast.run(x); });
       ThreadPool::set_global_override(nullptr);
-      Result r;
-      r.graph = name;
-      r.batch = batch;
-      r.threads = threads;
-      r.fast_ms = fast_s * 1e3;
-      r.fast_images_per_s = static_cast<double>(batch) / fast_s;
+      Result r{name, batch, threads, fast_s * 1e3, int8_s * 1e3,
+               fast.stats(), int8.stats()};
+      std::fprintf(stderr,
+                   "  %s b%lld t%lld: fast %.3f ms | int8 %.3f ms (%.2fx)",
+                   name.c_str(), static_cast<long long>(batch),
+                   static_cast<long long>(threads), r.fast_ms, r.int8_ms,
+                   fast_s / int8_s);
       if (threads == 1) {
         r.reference_ms = ref_s * 1e3;
-        r.speedup = ref_s / fast_s;
         r.max_abs_diff = diff;
+        r.exact_vs_qmodel = exact;
+        std::fprintf(stderr, " | ref %.1f ms (%.1fx)%s", r.reference_ms,
+                     ref_s / fast_s,
+                     exact == 1 ? " | exact" : exact == 0 ? " | MISMATCH" : "");
       }
-      r.arena_bytes = plan.stats().arena_bytes();
-      r.no_reuse_bytes = plan.stats().no_reuse_bytes();
-      r.peak_live_bytes = plan.stats().peak_live_bytes();
-      r.ops = plan.stats().ops;
+      std::fputc('\n', stderr);
       out.push_back(r);
-      std::fprintf(stderr, "  %s b%lld t%lld: fast %.3f ms%s\n", name.c_str(),
-                   static_cast<long long>(batch),
-                   static_cast<long long>(threads), r.fast_ms,
-                   threads == 1
-                       ? (" | ref " + std::to_string(r.reference_ms) +
-                          " ms | speedup " + std::to_string(r.speedup))
-                             .c_str()
-                       : "");
     }
   }
 }
 
+// One result as a one-line object: a results row, or (with a key) the
+// headline.
+void write_result(JsonWriter& w, const char* key, const Result& r) {
+  w.row(key);
+  w.str("graph", r.graph);
+  w.integer("batch", r.batch);
+  w.integer("threads", r.threads);
+  w.integer("ops", r.fast.ops);
+  w.num("fast_ms", r.fast_ms);
+  w.num("int8_ms", r.int8_ms);
+  w.num("speedup_int8_vs_fast", r.fast_ms / r.int8_ms);
+  if (r.reference_ms > 0.0) {
+    w.num("reference_ms", r.reference_ms);
+    w.num("speedup_fast_vs_reference", r.reference_ms / r.fast_ms);
+  }
+  if (r.max_abs_diff >= 0.0) w.num("max_abs_diff", r.max_abs_diff, "%.3g");
+  if (r.exact_vs_qmodel >= 0) {
+    w.boolean("exact_vs_qmodel", r.exact_vs_qmodel == 1);
+  }
+  w.integer("arena_bytes", r.fast.arena_bytes());
+  w.integer("peak_live_bytes", r.fast.peak_live_bytes());
+  w.integer("no_reuse_bytes", r.fast.no_reuse_bytes());
+  w.integer("int8_arena_bytes", r.int8.arena_bytes());
+  w.integer("int8_peak_live_bytes", r.int8.peak_live_bytes());
+  w.integer("int8_byte_arena_bytes", r.int8.arena_int8_bytes);
+  w.end();
+}
+
 void write_json(const std::string& path, bool quick,
                 const std::vector<Result>& results) {
+  JsonWriter w(path);
+  w.str("schema", "nb-bench-infer-v2");
+  w.str("bench", "infer");
+  w.boolean("quick", quick);
+  w.integer("hardware_threads", std::thread::hardware_concurrency());
+  write_provenance(w);
   // Headline: MobileNetV2-flat, batch 1, single thread.
-  const Result* headline = nullptr;
   for (const Result& r : results) {
     if (r.graph.rfind("mbv2", 0) == 0 && r.batch == 1 && r.threads == 1) {
-      headline = &r;
+      write_result(w, "mbv2_b1_t1", r);
       break;
     }
   }
-  JsonWriter w(path);
-  w.str("schema", "nb-bench-infer-v1");
-  w.str("bench", "infer");
-  w.boolean("quick", quick);
-  w.str("kernel", gemm_kernel_name());
-  w.str("dw_kernel", depthwise_kernel_name());
-  w.integer("hardware_threads", std::thread::hardware_concurrency());
-  write_provenance(w);
-  if (headline != nullptr) {
-    w.object("mbv2_b1_t1");
-    w.num("fast_ms", headline->fast_ms);
-    w.num("reference_ms", headline->reference_ms);
-    w.num("speedup_fast_vs_reference", headline->speedup);
-    w.num("max_abs_diff", headline->max_abs_diff, "%.3g");
-    w.integer("arena_bytes", headline->arena_bytes);
-    w.integer("no_reuse_bytes", headline->no_reuse_bytes);
-    w.end();
-  }
   w.array("results");
-  for (const Result& r : results) {
-    w.row();
-    w.str("graph", r.graph);
-    w.integer("batch", r.batch);
-    w.integer("threads", r.threads);
-    w.integer("ops", r.ops);
-    w.num("fast_ms", r.fast_ms);
-    w.num("fast_images_per_s", r.fast_images_per_s, "%.2f");
-    if (r.reference_ms > 0.0) {
-      w.num("reference_ms", r.reference_ms);
-      w.num("speedup", r.speedup);
-    }
-    if (r.max_abs_diff >= 0.0) w.num("max_abs_diff", r.max_abs_diff, "%.3g");
-    w.integer("arena_bytes", r.arena_bytes);
-    w.integer("no_reuse_bytes", r.no_reuse_bytes);
-    w.integer("peak_live_bytes", r.peak_live_bytes);
-    w.end();
-  }
+  for (const Result& r : results) write_result(w, nullptr, r);
   w.end();
   w.finish();
 }
@@ -163,7 +173,10 @@ int main(int argc, char** argv) {
   const auto [quick, out_path] = parse_report_args(
       argc, argv, "bench_infer_report", "BENCH_infer.json",
       "small graphs, fewer batches, short windows (the CI setting)");
-  const Budget budget = quick ? Budget{0.05, 2} : Budget{0.3, 4};
+  // Full mode uses many best-of windows: single-core containers see heavy
+  // tenancy noise, and the int8-vs-float ratio is only trustworthy when both
+  // sides report their genuine best window.
+  const Budget budget = quick ? Budget{0.05, 2} : Budget{0.25, 10};
 
   PoolSet pools;
   std::vector<Result> results;

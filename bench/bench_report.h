@@ -1,4 +1,4 @@
-// The one harness the five bench_*_report generators include, header-only
+// The one harness the four bench_*_report generators include, header-only
 // since each report is its own executable: the timer (best-of windows after
 // a warmup, alternating A/B windows, one plain run, the 1- and 4-thread
 // pools), the --quick/--out parser, and the JSON writer with the
@@ -240,9 +240,24 @@ class JsonWriter {
   std::vector<Frame> stack_{{'{', false, 0}};  // the root object
 };
 
+// The first line a shell command prints, without its newline; "" when the
+// command prints nothing or fails.
+inline std::string command_first_line(const char* command) {
+  std::string line;
+  if (FILE* pipe = popen(command, "r")) {
+    char buf[128] = {};
+    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) line = buf;
+    if (pclose(pipe) != 0) line.clear();
+  }
+  while (!line.empty() && line.back() == '\n') line.pop_back();
+  return line;
+}
+
 // The "provenance" object: the CPU model, how the report was built, the
-// git HEAD of the working directory ("unknown" outside a checkout), and the
-// kernels the dispatcher picked on this CPU.
+// git HEAD of the working directory ("unknown" outside a checkout, with
+// "-dirty" appended when tracked files differ from it, since a report is
+// written before the change it measures is committed), and the kernels the
+// dispatcher picked on this CPU.
 inline void write_provenance(JsonWriter& w) {
   std::string cpu = "unknown";
   std::ifstream info("/proc/cpuinfo");
@@ -254,19 +269,20 @@ inline void write_provenance(JsonWriter& w) {
       break;
     }
   }
-  std::string sha;
-  if (FILE* git = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[128] = {};
-    if (std::fgets(buf, sizeof(buf), git) != nullptr) sha = buf;
-    if (pclose(git) != 0) sha.clear();
+  std::string sha = command_first_line("git rev-parse HEAD 2>/dev/null");
+  if (sha.empty()) {
+    sha = "unknown";
+  } else if (!command_first_line(
+                  "git status --porcelain --untracked-files=no 2>/dev/null")
+                  .empty()) {
+    sha += "-dirty";
   }
-  while (!sha.empty() && sha.back() == '\n') sha.pop_back();
   w.object("provenance");
   w.str("cpu", cpu);
   w.str("compiler", NB_BENCH_COMPILER);
   w.str("build_type", NB_BENCH_BUILD_TYPE);
   w.str("cxx_flags", NB_BENCH_CXX_FLAGS);
-  w.str("git_sha", sha.empty() ? "unknown" : sha);
+  w.str("git_sha", sha);
   w.row("kernels");
   w.str("gemm", gemm_kernel_name());
   w.str("gemm_s8", gemm_s8_kernel_name());
