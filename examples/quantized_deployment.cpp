@@ -96,7 +96,7 @@ int main() {
   const auto mem = stream_a.memory();
   std::printf("\nserving: 2 sessions on one CompiledModel\n");
   std::printf("  shared weight panels: %s (paid once)\n",
-              models::human_count(mem.borrowed_weight_floats * 4).c_str());
+              models::human_count(compiled->weight_panel_bytes()).c_str());
   std::printf("  per-session arena:    %s (the only per-stream cost)\n",
               models::human_count(mem.owned_arena_floats * 4).c_str());
   std::printf("  sessions agree: max|diff| = %.2e\n",

@@ -1,7 +1,10 @@
 #include "runtime/loadgen.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <future>
 #include <thread>
 
 #include "tensor/rng.h"
@@ -104,9 +107,72 @@ std::vector<Arrival> make_open_loop_schedule(const OpenLoopSpec& spec) {
   return schedule;
 }
 
-OpenLoopResult run_open_loop(Engine& engine,
-                             const std::vector<ModelTraffic>& mix,
-                             const OpenLoopSpec& spec, int64_t slo_us) {
+LoadResult& LoadResult::operator+=(const LoadResult& other) {
+  offered += other.offered;
+  rejected_queue_full += other.rejected_queue_full;
+  rejected_deadline += other.rejected_deadline;
+  rejected_shutdown += other.rejected_shutdown;
+  rejected_other += other.rejected_other;
+  completed += other.completed;
+  dropped_deadline += other.dropped_deadline;
+  dropped_shutdown += other.dropped_shutdown;
+  faulted += other.faulted;
+  wall_s += other.wall_s;
+  max_lag_s = std::max(max_lag_s, other.max_lag_s);
+  return *this;
+}
+
+namespace {
+
+/// Submits one request and counts it as offered. A rejected submit lands
+/// in its admission bucket and returns an invalid future.
+std::future<Tensor> submit_counted(Engine& engine, const std::string& name,
+                                   const Tensor& image,
+                                   const SubmitOptions& opts, LoadResult& r) {
+  ++r.offered;
+  try {
+    return engine.submit(name, image, opts);
+  } catch (const RejectedError& e) {
+    switch (e.reason()) {
+      case RejectReason::QueueFull:
+        ++r.rejected_queue_full;
+        break;
+      case RejectReason::Deadline:
+        ++r.rejected_deadline;
+        break;
+      case RejectReason::ShuttingDown:
+        ++r.rejected_shutdown;
+        break;
+      default:
+        ++r.rejected_other;
+        break;
+    }
+  }
+  return {};
+}
+
+/// Waits for an admitted request and counts its outcome.
+void resolve_counted(std::future<Tensor>& f, LoadResult& r) {
+  try {
+    (void)f.get();
+    ++r.completed;
+  } catch (const RejectedError& e) {
+    if (e.reason() == RejectReason::Deadline) {
+      ++r.dropped_deadline;
+    } else if (e.reason() == RejectReason::ShuttingDown) {
+      ++r.dropped_shutdown;
+    } else {
+      ++r.rejected_other;
+    }
+  } catch (...) {
+    ++r.faulted;
+  }
+}
+
+}  // namespace
+
+LoadResult run_open_loop(Engine& engine, const std::vector<ModelTraffic>& mix,
+                         const OpenLoopSpec& spec, int64_t slo_us) {
   NB_CHECK(!mix.empty(), "loadgen: empty model mix");
   NB_CHECK(spec.mix_weights.empty()
                ? mix.size() == 1
@@ -119,7 +185,7 @@ OpenLoopResult run_open_loop(Engine& engine,
   }
   const std::vector<Arrival> schedule = make_open_loop_schedule(spec);
 
-  OpenLoopResult r;
+  LoadResult r;
   std::vector<std::future<Tensor>> futures;
   futures.reserve(schedule.size());
   const auto t0 = Clock::now();
@@ -144,44 +210,57 @@ OpenLoopResult run_open_loop(Engine& engine,
       // runs late, that lateness counts against the SLO.
       opts.deadline = scheduled + std::chrono::microseconds(slo_us);
     }
-    ++r.offered;
-    try {
-      futures.push_back(engine.submit(traffic.name, image, opts));
-    } catch (const RejectedError& e) {
-      switch (e.reason()) {
-        case RejectReason::QueueFull:
-          ++r.rejected_queue_full;
-          break;
-        case RejectReason::Deadline:
-          ++r.rejected_deadline;
-          break;
-        case RejectReason::ShuttingDown:
-          ++r.rejected_shutdown;
-          break;
-        default:
-          ++r.rejected_other;
-          break;
-      }
-    }
+    std::future<Tensor> f =
+        submit_counted(engine, traffic.name, image, opts, r);
+    if (f.valid()) futures.push_back(std::move(f));
   }
-  for (std::future<Tensor>& f : futures) {
-    try {
-      (void)f.get();
-      ++r.completed;
-    } catch (const RejectedError& e) {
-      if (e.reason() == RejectReason::Deadline) {
-        ++r.dropped_deadline;
-      } else if (e.reason() == RejectReason::ShuttingDown) {
-        ++r.dropped_shutdown;
-      } else {
-        ++r.rejected_other;
-      }
-    } catch (...) {
-      ++r.faulted;
-    }
-  }
+  for (std::future<Tensor>& f : futures) resolve_counted(f, r);
   r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
   return r;
+}
+
+LoadResult run_closed_loop(Engine& engine, const std::vector<ModelTraffic>& mix,
+                           int64_t clients, double seconds) {
+  NB_CHECK(!mix.empty(), "loadgen: empty model mix");
+  NB_CHECK(clients >= 1, "loadgen: clients must be >= 1");
+  std::vector<LoadResult> per_client(static_cast<size_t>(clients));
+  std::vector<std::exception_ptr> errors(per_client.size());
+  const auto t0 = Clock::now();
+  const auto stop = t0 + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double>(seconds));
+  {
+    // Joined when this scope ends, on the exception path too.
+    std::vector<std::jthread> threads;
+    threads.reserve(per_client.size());
+    for (size_t c = 0; c < per_client.size(); ++c) {
+      threads.emplace_back([&, c] {
+        const ModelTraffic& traffic = mix[c % mix.size()];
+        const std::vector<Tensor>& geos = traffic.geo_images;
+        LoadResult& r = per_client[c];
+        size_t next_geo = c;
+        try {
+          while (Clock::now() < stop) {
+            const Tensor& image =
+                geos.empty() ? traffic.image : geos[next_geo++ % geos.size()];
+            std::future<Tensor> f =
+                submit_counted(engine, traffic.name, image, {}, r);
+            if (f.valid()) resolve_counted(f, r);
+          }
+        } catch (...) {
+          // A malformed submit (a caller bug, not a rejection) ends this
+          // client; it is rethrown once every client has joined.
+          errors[c] = std::current_exception();
+        }
+      });
+    }
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  LoadResult total;
+  for (const LoadResult& r : per_client) total += r;
+  total.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
+  return total;
 }
 
 }  // namespace nb::runtime

@@ -1,27 +1,28 @@
-// Open-loop load generation for the serving Engine.
+// Load generation for the serving Engine: every serving number in
+// bench/ and tools/ comes from these client loops.
 //
-// Closed-loop clients (submit, wait, submit again) can never overload a
-// server: their offered rate collapses to the server's capacity, so queues
-// stay short and the overload path goes untested. Real traffic is
-// open-loop — arrivals happen on the *users'* schedule, independent of how
-// the fleet is doing — and that is the regime where admission control,
-// deadlines and shedding earn their keep.
-//
-// This module supplies the two halves:
+// Closed-loop clients (submit, wait, submit again) measure capacity, but
+// they can never overload a server: their offered rate collapses to what
+// it sustains. Real traffic is open-loop — arrivals happen on the
+// *users'* schedule, independent of how the fleet is doing — and that is
+// the regime where admission control, deadlines and shedding earn their
+// keep. This module supplies:
 //
 //   * make_open_loop_schedule — a seed-deterministic Poisson arrival
 //     schedule with burst replay (rate multipliers over time windows),
 //     multi-model mixes and a high-lane fraction. Same seed, same spec ->
 //     bit-identical schedule on every platform (PCG32 underneath), so an
 //     overload run is comparable across commits.
-//   * run_open_loop — replays a schedule against an Engine: one generator
-//     thread submits each request at its scheduled instant with an
-//     absolute deadline anchored to the SCHEDULED arrival (generator lag
-//     counts against the SLO, as it would for a real user), then harvests
-//     every future and buckets the outcomes by the rejection taxonomy.
+//   * run_open_loop — replays a schedule against an Engine from one
+//     generator thread, each request's absolute deadline anchored to its
+//     SCHEDULED arrival (generator lag counts against the SLO, as it would
+//     for a real user), then harvests every future.
+//   * run_closed_loop — N client threads submitting and waiting until the
+//     window closes.
 //
-// Goodput / shed-rate / tail-latency numbers derived from these runs are
-// what BENCH_serve.json's workers sweep and overload rows report.
+// Both loops count every submit in exactly one outcome of the rejection
+// taxonomy and return a LoadResult: the goodput, shed rate and lag that
+// BENCH_serve.json and tools/flat_serve report.
 #pragma once
 
 #include <cstdint>
@@ -75,19 +76,21 @@ double rate_multiplier_at(const OpenLoopSpec& spec, double t_s);
 /// the burst-peak rate), sorted by time.
 std::vector<Arrival> make_open_loop_schedule(const OpenLoopSpec& spec);
 
-/// One model stream of an open-loop mix: every arrival on this stream
-/// submits `image` ([C, H, W]) against `name` — or, when the spec carries
-/// geo_weights, `geo_images[Arrival::geo]` (one [C, H, W] tensor per
-/// geometry weight; geometries may differ per entry, which is the whole
-/// point). `geo_images` must be empty or match geo_weights in size.
+/// One model stream of a load mix: every request on this stream submits
+/// `image` ([C, H, W]) against `name` — or, when `geo_images` is not empty,
+/// one of those [C, H, W] tensors (geometries may differ per entry, which
+/// is the whole point). The open loop picks `geo_images[Arrival::geo]`, so
+/// there they must match the spec's geo_weights in size; the closed loop
+/// walks them round-robin.
 struct ModelTraffic {
   std::string name;
   Tensor image;
   std::vector<Tensor> geo_images;
 };
 
-struct OpenLoopResult {
-  int64_t offered = 0;  // arrivals replayed
+/// Outcomes of one load run (or, summed with +=, of several).
+struct LoadResult {
+  int64_t offered = 0;  // submits attempted
   // Admission-time outcomes (submit threw RejectedError).
   int64_t rejected_queue_full = 0;
   int64_t rejected_deadline = 0;
@@ -98,8 +101,13 @@ struct OpenLoopResult {
   int64_t dropped_deadline = 0;  // RejectedError{Deadline} while queued
   int64_t dropped_shutdown = 0;  // RejectedError{ShuttingDown} (drop policy)
   int64_t faulted = 0;           // any non-rejection error
-  double wall_s = 0.0;     // replay start -> last future resolved
-  double max_lag_s = 0.0;  // worst generator lateness vs the schedule
+  double wall_s = 0.0;     // run start -> last future resolved
+  double max_lag_s = 0.0;  // worst open-loop generator lateness
+                           // vs the schedule (0 for a closed loop)
+
+  /// Sums the counts and wall times (for runs made back to back) and keeps
+  /// the worst lag.
+  LoadResult& operator+=(const LoadResult& other);
 
   int64_t shed() const {
     return rejected_queue_full + rejected_deadline + rejected_shutdown +
@@ -118,8 +126,15 @@ struct OpenLoopResult {
 /// Replays `spec` against `engine`. `mix` must have one entry per mix
 /// weight (or exactly one when weights are empty). `slo_us` > 0 attaches an
 /// absolute deadline of scheduled-arrival + slo_us to every request.
-OpenLoopResult run_open_loop(Engine& engine,
-                             const std::vector<ModelTraffic>& mix,
-                             const OpenLoopSpec& spec, int64_t slo_us);
+LoadResult run_open_loop(Engine& engine, const std::vector<ModelTraffic>& mix,
+                         const OpenLoopSpec& spec, int64_t slo_us);
+
+/// Runs `clients` client threads against `engine` for `seconds`. Client c
+/// drives mix[c % mix.size()] (normal lane, no deadline), walking its
+/// geo_images round-robin from index c: submit, wait, submit again. A
+/// rejected submit is counted and retried at once, so a queue too shallow
+/// for the clients shows as shed load. Returns once every future resolved.
+LoadResult run_closed_loop(Engine& engine, const std::vector<ModelTraffic>& mix,
+                           int64_t clients, double seconds);
 
 }  // namespace nb::runtime

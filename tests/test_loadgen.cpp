@@ -1,16 +1,24 @@
-// Tests for the open-loop load generator (src/runtime/loadgen): seed
-// determinism of the Poisson schedule, burst-window rate shaping, model-mix
-// and lane-fraction statistics, spec validation, and an end-to-end
-// run_open_loop smoke test against a live Engine.
+// Tests for the load generator (src/runtime/loadgen): seed determinism of
+// the Poisson schedule, burst-window rate shaping, model-mix and
+// lane-fraction statistics, spec validation, LoadResult summing, an
+// end-to-end run_open_loop smoke test against a live Engine, and a
+// run_closed_loop run whose rejections are forced by a pinned worker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <map>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
 #include "runtime/engine.h"
+#include "runtime/fault_injector.h"
 #include "runtime/loadgen.h"
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
@@ -247,7 +255,7 @@ TEST(LoadGen, RunOpenLoopAccountsForEveryArrival) {
   spec.rate_per_s = 300.0;
   spec.duration_s = 0.3;
   spec.seed = 5;
-  const OpenLoopResult r =
+  const LoadResult r =
       run_open_loop(engine, {{"tiny", image, {}}}, spec, /*slo_us=*/0);
   EXPECT_GT(r.offered, 0);
   EXPECT_EQ(r.offered, r.completed + r.shed() + r.faulted);
@@ -282,7 +290,7 @@ TEST(LoadGen, MixedGeometryRunReplaysGeoImagesAndAccountsEveryArrival) {
   spec.duration_s = 0.3;
   spec.seed = 6;
   spec.geo_weights = {1.0, 1.0, 1.0};
-  const OpenLoopResult r = run_open_loop(
+  const LoadResult r = run_open_loop(
       engine, {{"tiny", geo_images.front(), geo_images}}, spec,
       /*slo_us=*/0);
   EXPECT_GT(r.offered, 0);
@@ -316,6 +324,142 @@ TEST(LoadGen, GeoImagesMustMatchGeoWeights) {
   spec.geo_weights = {1.0, 1.0};
   // Two geo weights but only one geo image: rejected before any submit.
   EXPECT_THROW(run_open_loop(engine, {{"tiny", image, {image}}}, spec, 0),
+               std::exception);
+  engine.shutdown();
+}
+
+TEST(LoadGen, LoadResultSumsEveryCountAndWallAndKeepsTheWorstLag) {
+  // Every count distinct, so a field summed into the wrong field shows.
+  const LoadResult a{.offered = 108, .rejected_queue_full = 1,
+                     .rejected_deadline = 2, .rejected_shutdown = 3,
+                     .rejected_other = 4, .completed = 80,
+                     .dropped_deadline = 5, .dropped_shutdown = 6,
+                     .faulted = 7, .wall_s = 1.5, .max_lag_s = 0.004};
+  LoadResult b{.offered = 1080, .rejected_queue_full = 10,
+               .rejected_deadline = 20, .rejected_shutdown = 30,
+               .rejected_other = 40, .completed = 800,
+               .dropped_deadline = 50, .dropped_shutdown = 60,
+               .faulted = 70, .wall_s = 0.25, .max_lag_s = 0.001};
+
+  LoadResult sum = a;
+  sum += b;
+  EXPECT_EQ(sum.offered, 1188);
+  EXPECT_EQ(sum.rejected_queue_full, 11);
+  EXPECT_EQ(sum.rejected_deadline, 22);
+  EXPECT_EQ(sum.rejected_shutdown, 33);
+  EXPECT_EQ(sum.rejected_other, 44);
+  EXPECT_EQ(sum.completed, 880);
+  EXPECT_EQ(sum.dropped_deadline, 55);
+  EXPECT_EQ(sum.dropped_shutdown, 66);
+  EXPECT_EQ(sum.faulted, 77);
+  EXPECT_EQ(sum.offered, sum.completed + sum.shed() + sum.faulted);
+  // Rounds run back to back: wall times add, the worst lag survives.
+  EXPECT_DOUBLE_EQ(sum.wall_s, 1.75);
+  EXPECT_DOUBLE_EQ(sum.max_lag_s, 0.004);
+  b += a;
+  EXPECT_DOUBLE_EQ(b.max_lag_s, 0.004);
+  EXPECT_DOUBLE_EQ(sum.goodput_per_s(), 880 / 1.75);
+}
+
+/// Holds every batch of one model until release(), pinning the Engine's
+/// only worker, and counts the batches each model received.
+class PinInjector : public FaultInjector {
+ public:
+  explicit PinInjector(std::string pinned) : pinned_(std::move(pinned)) {}
+  void on_batch_execute(const std::string& name, int64_t) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++batches_[name];
+    if (name == pinned_) cv_.wait(lock, [&] { return released_; });
+  }
+  void release() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  int64_t batches(const std::string& name) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return batches_[name];
+  }
+
+ private:
+  const std::string pinned_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<std::string, int64_t> batches_;
+  bool released_ = false;
+};
+
+TEST(LoadGen, RunClosedLoopCountsRetriedRejectionsLikeTheEngine) {
+  Rng mrng(41, 7);
+  FlatModel m;
+  m.set_input(0, 3);
+  m.push(synth::make_conv(mrng, 3, 8, 3, 2, 1, FlatAct::relu, true,
+                          synth::pow2_act_scale(mrng)));
+  m.push(synth::make_marker(OpKind::gap));
+  m.push(synth::make_linear(mrng, 8, 4, synth::pow2_act_scale(mrng)));
+  const auto model = CompiledModel::compile(m);
+  // One worker, one queue slot per model. While model "b"'s batch holds
+  // the worker, model "a"'s two clients find one slot: one request waits
+  // in it and the other client's submits are rejected and retried.
+  auto pin = std::make_shared<PinInjector>("b");
+  EngineOptions opts;
+  opts.workers = 1;
+  opts.batching.max_wait_us = 0;
+  opts.default_qos.max_queue_depth = 1;
+  opts.fault_injector = pin;
+  Engine engine(opts);
+  engine.register_model("a", model);
+  engine.register_model("b", model);
+
+  Rng irng(42, 1);
+  std::vector<Tensor> images;
+  for (const int64_t r : {8, 10}) {
+    Tensor image({3, r, r});
+    fill_uniform(image, irng, -1.0f, 1.0f);
+    images.push_back(std::move(image));
+  }
+  // Clients 0 and 2 drive "a" (walking both geometries), client 1 "b".
+  const std::vector<ModelTraffic> mix{{"a", images[0], images},
+                                      {"b", images[1], {}}};
+
+  // Release the pin once the engine has rejected a submit (or after 5 s,
+  // so a broken run fails its assertions instead of hanging).
+  std::jthread releaser([&] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (engine.stats().rejected_queue_full == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    pin->release();
+  });
+  const LoadResult r = run_closed_loop(engine, mix, /*clients=*/3,
+                                       /*seconds=*/0.3);
+  releaser.join();
+  engine.shutdown();
+
+  EXPECT_GT(r.offered, 0);
+  EXPECT_EQ(r.offered, r.completed + r.shed() + r.faulted);
+  EXPECT_EQ(r.faulted, 0);
+  EXPECT_GT(r.rejected_queue_full, 0);
+  EXPECT_GT(r.completed, 0);
+  EXPECT_GT(r.wall_s, 0.0);
+  EXPECT_EQ(r.max_lag_s, 0.0);
+  EXPECT_GT(pin->batches("a"), 0);
+  EXPECT_GT(pin->batches("b"), 0);
+  // The loop's books match the Engine's: every completion and every
+  // queue-full rejection the clients counted, the Engine counted too.
+  const Engine::Stats st = engine.stats();
+  EXPECT_EQ(st.completed, r.completed);
+  EXPECT_EQ(st.rejected_queue_full, r.rejected_queue_full);
+  EXPECT_EQ(st.submitted, r.offered);
+}
+
+TEST(LoadGen, RunClosedLoopRejectsAnEmptyMixAndNoClients) {
+  Engine engine;
+  EXPECT_THROW(run_closed_loop(engine, {}, 1, 0.01), std::exception);
+  Tensor image({3, 8, 8});
+  EXPECT_THROW(run_closed_loop(engine, {{"m", image, {}}}, 0, 0.01),
                std::exception);
   engine.shutdown();
 }

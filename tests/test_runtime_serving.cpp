@@ -825,7 +825,7 @@ TEST(EngineOverload, ShedsTypedKeepsAcceptedTailBoundedAndDrains) {
   spec.duration_s = 0.4;
   spec.seed = 20260807;
   const int64_t kSloMs = 300;
-  const OpenLoopResult r =
+  const LoadResult r =
       run_open_loop(engine, {{"m", image, {}}}, spec, kSloMs * 1000);
 
   // Overload was real and the engine shed it with typed rejections.
@@ -906,7 +906,7 @@ TEST(EngineOverload, BucketedMixedGeometryOverloadKeepsTheContract) {
   spec.seed = 20260807;
   spec.geo_weights = {1.0, 1.0, 1.0, 1.0};
   const int64_t kSloMs = 500;
-  const OpenLoopResult r = run_open_loop(
+  const LoadResult r = run_open_loop(
       engine, {{"m", geo_images.back(), geo_images}}, spec, kSloMs * 1000);
 
   // Overload was real, the shed was typed, and every future resolved.

@@ -97,6 +97,24 @@ def guard_infer(d):
         assert r['arena_bytes'] < r['no_reuse_bytes'], (
             f"{name}: arena {r['arena_bytes']} B does not beat no-reuse {r['no_reuse_bytes']} B")
     print(f'infer memory: fast and int8 arenas within 2% of peak live on {len(rows)} rows')
+    # Output contract on every graph: a row that records a check must pass
+    # it (the int8 output memcmp-equal to the QModel oracle; the fast plan
+    # exactly equal to the reference interpreter, which the synthetic
+    # graphs' power-of-two scales make exact), and each graph records both
+    # on at least one row (its first batch).
+    checked = set()
+    for r in rows:
+        name = f"{r['graph']} b{r['batch']} t{r['threads']}"
+        if 'exact_vs_qmodel' in r:
+            assert r['exact_vs_qmodel'], f'{name}: int8 backend diverged from QModel oracle'
+        if 'max_abs_diff' in r:
+            assert r['max_abs_diff'] == 0, (
+                f"{name}: fast plan differs from the reference by {r['max_abs_diff']}")
+        if 'exact_vs_qmodel' in r and 'max_abs_diff' in r:
+            checked.add(r['graph'])
+    unchecked = sorted({r['graph'] for r in rows} - checked)
+    assert not unchecked, f'no output checks recorded on {unchecked}'
+    print(f'infer exactness: int8 == QModel and fast == reference on {sorted(checked)}')
     # Guards on the MobileNetV2-flat b1 headline: the int8 backend
     # must stay memcmp-exact vs the QModel oracle, and must not fall
     # behind the float fast path. Both plans are timed in alternating
@@ -155,6 +173,17 @@ def last_row(d):
     return d['results'][-1]
 
 
+def checked_row(d, graph_prefix):
+    """The first results row of a graph that records its output checks."""
+    return next(r for r in d['results']
+                if r['graph'].startswith(graph_prefix) and 'exact_vs_qmodel' in r)
+
+
+def drop_output_checks(row):
+    del row['exact_vs_qmodel']
+    del row['max_abs_diff']
+
+
 # For each schema, named mutations that break one contract apiece.
 MUTATIONS = {
     'nb-bench-infer-v2': {
@@ -168,6 +197,12 @@ MUTATIONS = {
             lambda d: last_row(d).update(no_reuse_bytes=last_row(d)['arena_bytes']),
         'int8 float arena 5% above peak live':
             lambda d: last_row(d).update(int8_arena_bytes=int(1.05 * last_row(d)['int8_peak_live_bytes'])),
+        'mcunet row exact_vs_qmodel false':
+            lambda d: checked_row(d, 'mcunet').update(exact_vs_qmodel=False),
+        'mbv2 row max_abs_diff 0.5':
+            lambda d: checked_row(d, 'mbv2').update(max_abs_diff=0.5),
+        'mcunet output checks removed':
+            lambda d: drop_output_checks(checked_row(d, 'mcunet')),
     },
     'nb-bench-serve-v3': {
         'batching headline 0.9':

@@ -24,7 +24,7 @@
 //              for N > 1 the fast backend also times the N images run one
 //              at a time through a batch-1 plan and prints per-image vs
 //              per-batch latency, the batched speedup, and a bitwise
-//              cross-check of the two outputs.
+//              cross-check of the two outputs; a divergence exits 1.
 //   --sessions closed-loop concurrent streams (default 1 = single-stream
 //              plan timing, the pre-serving behavior).
 //   --threads  shared-pool size for the process (default: NB_THREADS
@@ -281,6 +281,7 @@ int main(int argc, char** argv) {
               best * 1e3 / static_cast<double>(batch),
               static_cast<double>(batch) / best);
 
+  bool diverged = false;
   if (batch > 1 && planned) {
     // Per-image sequential baseline over a batch-1 plan: what the same
     // images cost without the batched one-GEMM-per-conv lowering — the
@@ -320,10 +321,11 @@ int main(int argc, char** argv) {
     std::printf("batched:      %.2fx vs sequential, outputs %s\n",
                 seq_best / best,
                 bitwise ? "bitwise identical" : "DIVERGED (bug!)");
+    diverged = !bitwise;
   }
   if (!pred.empty()) {
     std::printf("argmax[0]:    %lld\n", static_cast<long long>(pred[0]));
   }
   ThreadPool::set_global_override(nullptr);
-  return 0;
+  return diverged ? 1 : 0;
 }

@@ -1,14 +1,21 @@
-// Load generator for the serving Engine, in two modes:
+// Load generator for the serving Engine, in two modes, both driven by
+// runtime::loadgen:
 //
 //   closed-loop (default) — N client threads each submit one image and
 //     wait for the future: measures capacity (offered rate collapses to
-//     whatever the engine sustains, queues stay short).
+//     whatever the engine sustains, queues stay short). A rejected submit
+//     is retried at once and counted, so a queue too shallow for the
+//     clients shows in the shed line.
 //   open-loop (--open-loop) — seeded Poisson arrivals at a fixed offered
 //     rate with optional burst replay, per-request SLO deadlines and a
-//     priority-lane share: measures overload behavior (goodput, typed shed
-//     breakdown, tail latency of ACCEPTED work). Same --seed, same
+//     priority-lane share: measures overload behavior. Same --seed, same
 //     schedule, on every machine — overload runs are comparable across
 //     commits.
+//
+// Both modes print one report: offered load, goodput, the typed shed
+// breakdown, latency of ACCEPTED work, batching and buckets. Exits 1 when
+// any request faulted (a model or worker error, not a rejection), 2 on a
+// usage error.
 //
 // Usage: flat_serve <model.nbfm> | --synth [--mix]
 //          [--clients N] [--seconds S] [--max-batch B] [--max-wait-us U]
@@ -50,13 +57,9 @@
 //   --mix             with --synth: serve TWO models (r32 tiny-serving +
 //                     r96) with a 3:1 open-loop traffic mix
 //   --save <path>     with --synth: also write the artifact as NBFM
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "export/flat_model.h"
@@ -331,6 +334,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
+  LoadResult r;
   if (open_loop) {
     OpenLoopSpec spec;
     spec.rate_per_s = rate;
@@ -347,79 +351,34 @@ int main(int argc, char** argv) {
                 rate, seconds, static_cast<unsigned long long>(seed),
                 bursts.size(), bursts.size() == 1 ? "" : "s",
                 static_cast<long long>(slo_ms), high_lane_frac * 100.0);
-
-    const OpenLoopResult r =
-        run_open_loop(engine, traffic, spec, slo_ms * 1000);
-    const Engine::Stats st = engine.stats();
-    std::printf("offered:       %lld requests (max generator lag %.3f ms)\n",
-                static_cast<long long>(r.offered), r.max_lag_s * 1e3);
-    std::printf("goodput:       %lld completed -> %.1f images/s "
-                "(within-SLO completions: %lld)\n",
-                static_cast<long long>(r.completed), r.goodput_per_s(),
-                static_cast<long long>(st.completed_within_deadline));
-    std::printf("shed:          %lld (%.1f%%) — queue-full %lld, "
-                "deadline@admit %lld, deadline@launch %lld, shutdown %lld, "
-                "other %lld, faulted %lld\n",
-                static_cast<long long>(r.shed()), r.shed_rate() * 100.0,
-                static_cast<long long>(r.rejected_queue_full),
-                static_cast<long long>(r.rejected_deadline),
-                static_cast<long long>(r.dropped_deadline),
-                static_cast<long long>(r.rejected_shutdown +
-                                       r.dropped_shutdown),
-                static_cast<long long>(r.rejected_other),
-                static_cast<long long>(r.faulted));
-    std::printf("latency:       accepted p50 %.3f ms  p99 %.3f ms  max "
-                "%.3f ms (queue avg %.3f ms)\n",
-                st.p50_ms, st.p99_ms, st.max_ms, st.avg_queue_ms);
-    std::printf("batching:      %lld batches, avg batch %.2f\n",
-                static_cast<long long>(st.batches), st.avg_batch);
-    if (opts.default_qos.bucketing.enabled()) {
-      std::printf("buckets:       %lld padded admissions, %lld "
-                  "mixed-geometry batches\n",
-                  static_cast<long long>(st.padded_accepted),
-                  static_cast<long long>(st.mixed_geometry_batches));
-    }
-    return 0;
+    r = run_open_loop(engine, traffic, spec, slo_ms * 1000);
+  } else {
+    std::printf("closed loop:   %lld clients for %.1f s, a rejected submit "
+                "is retried at once\n",
+                static_cast<long long>(clients), seconds);
+    r = run_closed_loop(engine, traffic, clients, seconds);
   }
-
-  // Closed loop: clients round-robin over the served models.
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> done{0};
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(clients));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int64_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      const ModelTraffic& mine =
-          traffic[static_cast<size_t>(c) % traffic.size()];
-      size_t next_geo = static_cast<size_t>(c);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const Tensor& image =
-            mine.geo_images.empty()
-                ? mine.image
-                : mine.geo_images[next_geo++ % mine.geo_images.size()];
-        try {
-          (void)engine.submit(mine.name, image).get();
-          done.fetch_add(1, std::memory_order_relaxed);
-        } catch (const RejectedError&) {
-          // Bounded queue + many clients can reject at the edge; closed
-          // loop just retries.
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  stop.store(true);
-  for (std::thread& t : threads) t.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
+  engine.shutdown();
   const Engine::Stats st = engine.stats();
-  std::printf("served:        %lld requests in %.2f s -> %.1f images/s\n",
-              static_cast<long long>(done.load()), wall,
-              static_cast<double>(done.load()) / wall);
-  std::printf("latency:       p50 %.3f ms  p99 %.3f ms  max %.3f ms "
+  std::printf("offered:       %lld requests in %.2f s",
+              static_cast<long long>(r.offered), r.wall_s);
+  if (open_loop) std::printf(" (max generator lag %.3f ms)", r.max_lag_s * 1e3);
+  std::printf("\n");
+  std::printf("goodput:       %lld completed -> %.1f images/s "
+              "(within-SLO completions: %lld)\n",
+              static_cast<long long>(r.completed), r.goodput_per_s(),
+              static_cast<long long>(st.completed_within_deadline));
+  std::printf("shed:          %lld (%.1f%%) — queue-full %lld, "
+              "deadline@admit %lld, deadline@launch %lld, shutdown %lld, "
+              "other %lld, faulted %lld\n",
+              static_cast<long long>(r.shed()), r.shed_rate() * 100.0,
+              static_cast<long long>(r.rejected_queue_full),
+              static_cast<long long>(r.rejected_deadline),
+              static_cast<long long>(r.dropped_deadline),
+              static_cast<long long>(r.rejected_shutdown + r.dropped_shutdown),
+              static_cast<long long>(r.rejected_other),
+              static_cast<long long>(r.faulted));
+  std::printf("latency:       accepted p50 %.3f ms  p99 %.3f ms  max %.3f ms "
               "(queue avg %.3f ms)\n",
               st.p50_ms, st.p99_ms, st.max_ms, st.avg_queue_ms);
   std::printf("batching:      %lld batches, avg batch %.2f\n",
@@ -430,6 +389,10 @@ int main(int argc, char** argv) {
                 static_cast<long long>(st.padded_accepted),
                 static_cast<long long>(st.mixed_geometry_batches));
   }
-  engine.shutdown();
+  if (r.faulted > 0) {
+    std::fprintf(stderr, "flat_serve: %lld requests faulted\n",
+                 static_cast<long long>(r.faulted));
+    return 1;
+  }
   return 0;
 }
