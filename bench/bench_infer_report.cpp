@@ -7,8 +7,9 @@
 // machine-readable BENCH_infer.json. Each row records:
 //   * speed: int8_ms vs fast_ms at every thread count, timed in alternating
 //     windows of the same length and count so both sides see the same host
-//     state (speedup_int8_vs_fast), and at one thread the reference
-//     interpreter's one plain run (speedup_fast_vs_reference);
+//     state (speedup_int8_vs_fast), and, on each graph's first batch at one
+//     thread, the reference interpreter's best of three runs after a
+//     warmup (speedup_fast_vs_reference);
 //   * agreement, on each graph's first batch: max |fast - reference|, and
 //     whether the int8 output is memcmp-identical to the QModel integer
 //     oracle ("exact_vs_qmodel") — not a tolerance check;
@@ -76,20 +77,22 @@ void bench_graph(const std::string& name, const FlatModel& model, int64_t res,
     const InferPlan int8(model, batch, 3, res, res, Backend::int8);
 
     // The reference interpreter is orders of magnitude slower than a plan,
-    // so it gets one plain run instead of a filled window; it and the QModel
-    // oracle (a deliberately slow per-tap interpreter) check the outputs on
-    // the first batch only.
-    ThreadPool::set_global_override(&pools.get(1));
-    Tensor ref;
-    const double ref_s =
-        time_once([&] { ref = model.forward(x, Backend::reference); });
+    // so on the first batch only it gets a warmup and the best of three
+    // single runs instead of filled windows; it and the QModel oracle (a
+    // deliberately slow per-tap interpreter) check the outputs there too.
+    double ref_s = 0.0;
     double diff = -1.0;
     int exact = -1;
     if (bi == 0) {
+      ThreadPool::set_global_override(&pools.get(1));
+      Tensor ref;
+      ref_s = bench_seconds(Budget{0.0, 3}, [&] {
+        ref = model.forward(x, Backend::reference);
+      });
       diff = max_abs_diff(ref, fast.run(x));
       exact = bitwise_equal(int8.run(x), oracle.forward(x)) ? 1 : 0;
+      ThreadPool::set_global_override(nullptr);
     }
-    ThreadPool::set_global_override(nullptr);
 
     for (const int64_t threads : pools.counts()) {
       ThreadPool::set_global_override(&pools.get(threads));
@@ -104,13 +107,13 @@ void bench_graph(const std::string& name, const FlatModel& model, int64_t res,
                    name.c_str(), static_cast<long long>(batch),
                    static_cast<long long>(threads), r.fast_ms, r.int8_ms,
                    fast_s / int8_s);
-      if (threads == 1) {
+      if (threads == 1 && bi == 0) {
         r.reference_ms = ref_s * 1e3;
         r.max_abs_diff = diff;
         r.exact_vs_qmodel = exact;
         std::fprintf(stderr, " | ref %.1f ms (%.1fx)%s", r.reference_ms,
                      ref_s / fast_s,
-                     exact == 1 ? " | exact" : exact == 0 ? " | MISMATCH" : "");
+                     exact == 1 ? " | exact" : " | MISMATCH");
       }
       std::fputc('\n', stderr);
       out.push_back(r);

@@ -86,8 +86,8 @@ inline std::pair<double, double> bench_pair_seconds(
   return {best_a, best_b};
 }
 
-// One plain run, for paths too slow to fill a window (the reference
-// interpreter).
+// One plain run, for paths too slow to fill a window (a whole training
+// run).
 inline double time_once(const std::function<void()>& fn) {
   const auto t0 = std::chrono::steady_clock::now();
   fn();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/requantize.h"
+
 namespace nb::quant {
 
 #if defined(NB_QUANT_AVX2)
@@ -42,18 +44,14 @@ void fake_quant_(Tensor& t, float scale, int bits) {
 void fake_quant_buffer(float* data, int64_t n, float scale, int bits) {
   NB_CHECK(scale > 0.0f, "quant: non-positive scale");
   const float q = static_cast<float>(qmax_for_bits(bits));
-  // Every activation of the float plan, the reference interpreter and
-  // QuantConv2d passes through here; the AVX2 instance reproduces the
-  // scalar expression below bit for bit, -0.0 and NaN included (see
-  // quantize_avx2.cpp).
+  // Every quantize pass of the float plan, the reference interpreter and
+  // QuantConv2d runs here; both lane types run the one quantizer of
+  // tensor/requantize.h, which quantize_levels_u8 runs too.
   int64_t i = 0;
 #if defined(NB_QUANT_AVX2)
   if (use_avx2()) i = detail::fake_quant_avx2(data, n, scale, q);
 #endif
-  for (; i < n; ++i) {
-    const float level = std::clamp(std::round(data[i] / scale), -q, q);
-    data[i] = level * scale;
-  }
+  for (; i < n; ++i) data[i] = fake_quant<ScalarLanes>(data[i], scale, q);
 }
 
 void quantize_levels_u8(const float* src, uint8_t* dst, int64_t n, float scale,
@@ -62,15 +60,14 @@ void quantize_levels_u8(const float* src, uint8_t* dst, int64_t n, float scale,
   NB_CHECK(bits <= 8, "quantize_levels_u8: bits must fit int8");
   const float q = static_cast<float>(qmax_for_bits(bits));
   // This pass runs once per conv/linear input on the int8 backend, so it is
-  // bandwidth-critical; the AVX2 instance reproduces the scalar expression
-  // below bit for bit (vdivps + exact half-away tie repair — see
-  // quantize_avx2.cpp).
+  // bandwidth-critical; both lane types run the one quantizer of
+  // tensor/requantize.h (see quantize_avx2.cpp).
   int64_t i = 0;
 #if defined(NB_QUANT_AVX2)
   if (use_avx2()) i = detail::quantize_levels_u8_avx2(src, dst, n, scale, q);
 #endif
   for (; i < n; ++i) {
-    const float level = std::clamp(std::round(src[i] / scale), -q, q);
+    const float level = quant_level<ScalarLanes>(src[i], scale, q);
     dst[i] = static_cast<uint8_t>(static_cast<int32_t>(level) + 128);
   }
 }

@@ -1,16 +1,20 @@
-// The epilogue expression of the float and int8 backends — the only float
-// arithmetic after their conv accumulations — with one definition for
-// every place that runs it:
+// The float arithmetic the float and int8 backends run after their conv
+// accumulations, with one definition for every place that runs it: the
+// epilogue expression
 //
 //   y = act(acc * scale + bias)
 //
-// scale_bias_act is that expression over float accumulators: the float
-// GEMM's epilogue, which applies it in registers as each tile's final
-// store, and the float depthwise's, which applies it as compaction writes
-// each output. requantize is the int8 form: the int32 accumulator converts
-// to float first, and then the same expression runs, in
-// exporter::requantize_row / requantize_linear_row (QModel, the int8
-// depthwise and the linear head) and in the gemm_s8 epilogue.
+// and the activation quantizer
+//
+//   fake_quant(y, s, q) = clamp(round(y / s), -q, q) * s
+//
+// scale_bias_act is the epilogue over float accumulators: the float GEMM's
+// epilogue, which applies it in registers as each tile's final store, and
+// the float depthwise's, which applies it as compaction writes each output.
+// requantize is the int8 form: the int32 accumulator converts to float
+// first, and then the same expression runs, in exporter::requantize_row /
+// requantize_linear_row (QModel, the int8 depthwise and the linear head)
+// and in the gemm_s8 epilogue.
 //
 // One multiply and one add each round on their own, then the activation
 // clamps with the accumulator-derived value as the SECOND max/min operand:
@@ -20,6 +24,30 @@
 // and AVX2 lanes instantiate the same template, so every caller produces
 // the same bits for the same accumulator.
 //
+// quant_level is the quantizer's level, clamp(round(y / s), -q, q), and
+// fake_quant its value times s: quant::fake_quant_buffer and
+// quant::quantize_levels_u8 run them in every quantize pass (the float
+// plan, the reference interpreter, QuantConv2d, the int8 plan and QModel).
+// Three subtleties, each bit-exact to the scalar std:: expression for
+// every float y, -0.0, subnormals, +-inf and NaN payloads included:
+//
+//   * the division stays a division (vdivps): multiplying by the
+//     reciprocal rounds differently;
+//   * std::round rounds halves away from zero, vroundps to even. The AVX2
+//     lanes round as trunc(t + copysign(0x1.fffffep-2f, t)): adding the
+//     largest float below 0.5 with t's sign reaches the next integer away
+//     from zero exactly when |t|'s fraction is at least one half (a tie
+//     k + 0.5 sums to k + 1 - 2^-25, which rounds to k + 1), and at
+//     |t| >= 2^23, where t is an integer, the add leaves it unchanged. A
+//     zero of t's own sign keeps -0.0 levels, and a NaN passes through
+//     the add as its first operand. tests/test_quant_properties.cpp holds
+//     both lane types to std::round near every tie, and an exhaustive run
+//     matched them on all 2^32 quotients at q = 1, 7, 127 and 32767;
+//   * the clamp is min(q, max(-q, level)) with the level as the SECOND
+//     operand, so a NaN level (payload included) passes through as it
+//     does through std::clamp, whose comparisons are both false, and
+//     +-inf lands on +-q.
+//
 // Include this header only from translation units built with
 // -ffp-contract=off (every nb library source is, src/CMakeLists.txt).
 // Under contraction the compiler may fuse the multiply and the add into
@@ -27,6 +55,7 @@
 // lowers to plain vector arithmetic — and a fused copy rounds differently.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 #include "tensor/gemm.h"
@@ -47,6 +76,10 @@ struct ScalarLanes {
   static F add(F a, F b) { return a + b; }
   static F max(F a, F b) { return a > b ? a : b; }
   static F min(F a, F b) { return a < b ? a : b; }
+  static F div(F a, F b) { return a / b; }
+  static F neg(F a) { return -a; }
+  /// Half away from zero.
+  static F round(F t) { return std::round(t); }
 };
 
 #if defined(__AVX2__)
@@ -60,6 +93,15 @@ struct Avx2Lanes {
   static F add(F a, F b) { return _mm256_add_ps(a, b); }
   static F max(F a, F b) { return _mm256_max_ps(a, b); }
   static F min(F a, F b) { return _mm256_min_ps(a, b); }
+  static F div(F a, F b) { return _mm256_div_ps(a, b); }
+  static F neg(F a) { return _mm256_xor_ps(a, _mm256_set1_ps(-0.0f)); }
+  /// Half away from zero, as trunc(t + copysign(0x1.fffffep-2f, t)).
+  static F round(F t) {
+    const F half = _mm256_or_ps(_mm256_and_ps(t, _mm256_set1_ps(-0.0f)),
+                                _mm256_set1_ps(0x1.fffffep-2f));
+    return _mm256_round_ps(_mm256_add_ps(t, half),
+                           _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
 };
 #endif
 
@@ -82,6 +124,21 @@ template <class L>
 inline typename L::F requantize(typename L::I acc, typename L::F eff,
                                 typename L::F bias, EpilogueAct act) {
   return scale_bias_act<L>(L::cvt(acc), eff, bias, act);
+}
+
+/// clamp(round(y / scale), -q, q): the activation level of y.
+template <class L>
+inline typename L::F quant_level(typename L::F y, typename L::F scale,
+                                 typename L::F q) {
+  const typename L::F level = L::round(L::div(y, scale));
+  return L::min(q, L::max(L::neg(q), level));
+}
+
+/// The level of y times scale: y rounded to the activation grid.
+template <class L>
+inline typename L::F fake_quant(typename L::F y, typename L::F scale,
+                                typename L::F q) {
+  return L::mul(quant_level<L>(y, scale, q), scale);
 }
 
 }  // namespace nb

@@ -7,9 +7,11 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "quant/quantize.h"
+#include "tensor/requantize.h"
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
 
@@ -159,7 +161,8 @@ TEST(QuantProperties, OffsetU8LevelsMatchPortableExpressionBitwise) {
   // byte-identical to the portable expression
   //   clamp(round(x / scale), -q, q) + 128
   // including round's half-away-from-zero ties (the SIMD round instruction
-  // ties to even and is repaired) and the clamp on saturating magnitudes.
+  // ties to even, so the vector lanes round in trunc form) and the clamp on
+  // saturating magnitudes.
   // Buffer lengths run around the 16-wide vector step.
   for (const int bits : {2, 4, 8}) {
     const int64_t q = qmax_for_bits(bits);
@@ -190,7 +193,7 @@ TEST(QuantProperties, FakeQuantMatchesPortableExpressionBitwise) {
   // quantize_levels_u8's rounding core but, unlike it, hands -0.0, NaN and
   // +-inf results back to the caller. It must reproduce
   //   clamp(round(x / scale), -q, q) * scale
-  // to the bit for every float: the tie repair must not turn a -0.0 level
+  // to the bit for every float: the rounding must not turn a -0.0 level
   // into +0.0, and the clamp must pass a NaN through with its payload.
   // The float plan and the reference interpreter both run this function,
   // so their agreement cannot catch a divergence here — this sweep does.
@@ -226,6 +229,147 @@ TEST(QuantProperties, FakeQuantMatchesPortableExpressionBitwise) {
       }
     }
   }
+}
+
+// ---- the one quantizer core -----------------------------------------------
+
+// Holds every implementation of the quantizer to the scalar std::
+// expression over x at (scale, bits), bit for bit: fake_quant_buffer (on a
+// CPU with AVX2 its vector body is fake_quant<Avx2Lanes>; since x.size() is
+// not a multiple of 8, its scalar tail runs too), fake_quant<ScalarLanes>
+// and, when `levels_u8` (bits <= 8, finite x), quantize_levels_u8, whose
+// vector body is quant_level<Avx2Lanes>. Returns the mismatch count and
+// reports the first few.
+int64_t check_quantizer_core(const std::vector<float>& x, float scale,
+                             int bits, bool levels_u8) {
+  const float q = static_cast<float>(qmax_for_bits(bits));
+  const size_t n = x.size();
+  thread_local std::vector<float> buffer;
+  thread_local std::vector<uint8_t> bytes;
+  buffer.assign(x.begin(), x.end());
+  fake_quant_buffer(buffer.data(), static_cast<int64_t>(n), scale, bits);
+  bytes.assign(n, 0);
+  if (levels_u8) {
+    quantize_levels_u8(x.data(), bytes.data(), static_cast<int64_t>(n), scale,
+                       bits);
+  }
+  int64_t bad = 0;
+  const auto expect_bits = [&](const char* what, size_t i, uint32_t got,
+                               uint32_t want) {
+    if (got == want) return;
+    if (++bad <= 5) {
+      ADD_FAILURE() << what << ": x=" << x[i] << " (0x" << std::hex
+                    << to_bits(x[i]) << ") got 0x" << got << " want 0x"
+                    << want << std::dec << " scale=" << scale
+                    << " bits=" << bits;
+    }
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const float level = std::clamp(std::round(x[i] / scale), -q, q);
+    const uint32_t want = to_bits(level * scale);
+    expect_bits("fake_quant_buffer", i, to_bits(buffer[i]), want);
+    expect_bits("fake_quant<ScalarLanes>", i,
+                to_bits(fake_quant<ScalarLanes>(x[i], scale, q)), want);
+    if (levels_u8) {
+      expect_bits("quantize_levels_u8", i, bytes[i],
+                  static_cast<uint32_t>(static_cast<int32_t>(level) + 128));
+    }
+  }
+  return bad;
+}
+
+// Runs check_quantizer_core over the floats with bit patterns [lo, hi],
+// with the sign bit `sign`, in batches whose length leaves a scalar tail.
+int64_t check_quantizer_range(uint32_t lo, uint32_t hi, uint32_t sign,
+                              float scale, int bits, bool levels_u8) {
+  constexpr uint32_t kBatch = (1u << 16) + 3;
+  int64_t bad = 0;
+  std::vector<float> x;
+  for (uint64_t u = lo; u <= hi; u += kBatch) {
+    const uint64_t end = std::min<uint64_t>(hi + uint64_t{1}, u + kBatch);
+    x.resize(static_cast<size_t>(end - u));
+    for (size_t j = 0; j < x.size(); ++j) {
+      x[j] = from_bits(sign | static_cast<uint32_t>(u + j));
+    }
+    bad += check_quantizer_core(x, scale, bits, levels_u8);
+  }
+  return bad;
+}
+
+// Runs check_quantizer_core at scale 1/4 (a power of two, so x / scale is t
+// exactly) over the 256 quotients on either side of every tie k + 0.5 with
+// k <= q, both signs; the windows at k = q cross the clamp at q + 0.5.
+int64_t check_tie_windows(int bits) {
+  const int64_t q = qmax_for_bits(bits);
+  int64_t bad = 0;
+  std::vector<float> x;
+  for (int64_t k = 0; k <= q; ++k) {
+    const uint32_t tie = to_bits(static_cast<float>(k) + 0.5f);
+    for (uint32_t u = tie - 256; u <= tie + 256; ++u) {
+      x.push_back(from_bits(u) * 0.25f);
+      x.push_back(-from_bits(u) * 0.25f);
+    }
+    if (x.size() >= (1u << 16)) {
+      bad += check_quantizer_core(x, 0.25f, bits, bits <= 8);
+      x.clear();
+    }
+  }
+  x.push_back(0.0f);  // an odd length leaves a scalar tail
+  return bad + check_quantizer_core(x, 0.25f, bits, bits <= 8);
+}
+
+TEST(QuantProperties, QuantizerCoreMatchesScalarNearEveryTieAndOnSpecials) {
+  // The quantizer of tensor/requantize.h rounds half away from zero as
+  // trunc(t + copysign(0x1.fffffep-2f, t)) on AVX2 lanes and with
+  // std::round on scalar lanes; every quantize pass runs it. At bits 16 the scale is 1, so the inputs are the quotients t
+  // themselves: every float with |t| in [0.25, 8]. At bits 2 to 8 and 16
+  // the inputs are the tie windows of check_tie_windows. Then +-0,
+  // subnormals, +-inf and NaN payloads at three scales. The three large
+  // sweeps (each sign of [0.25, 8], the bits-16 windows) run on threads of
+  // their own (the checks keep their buffers thread-local), so the ~120 M
+  // quotients take about a second. An exhaustive run over all 2^32
+  // quotients at q = 1, 7, 127 and 32767 is recorded in CHANGES.md.
+  int64_t bad_positive = 0, bad_negative = 0, bad_ties16 = 0;
+  {
+    std::jthread positive([&] {
+      bad_positive = check_quantizer_range(to_bits(0.25f), to_bits(8.0f), 0u,
+                                           1.0f, 16, false);
+    });
+    std::jthread negative([&] {
+      bad_negative = check_quantizer_range(
+          to_bits(0.25f), to_bits(8.0f), 0x80000000u, 1.0f, 16, false);
+    });
+    std::jthread ties16([&] { bad_ties16 = check_tie_windows(16); });
+  }
+  int64_t bad = bad_positive + bad_negative + bad_ties16;
+  for (const int bits : {2, 3, 4, 5, 6, 7, 8}) bad += check_tie_windows(bits);
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> finite = {0.0f,    -0.0f,   denorm,
+                                     -denorm, 1e-40f,  -1e-40f,
+                                     from_bits(0x007fffffu),
+                                     from_bits(0x807fffffu),
+                                     std::numeric_limits<float>::max(),
+                                     std::numeric_limits<float>::lowest(),
+                                     from_bits(0x00800000u)};
+  std::vector<float> specials = finite;
+  for (const uint32_t u : {0x7f800000u, 0xff800000u, 0x7fc12345u, 0xffc0abcdu,
+                           0x7f812345u, 0xff800001u, 0x7fffffffu}) {
+    specials.push_back(from_bits(u));
+  }
+  for (const int bits : {2, 8, 16}) {
+    for (const float scale : {1.0f, 0.0375f, 3.1f}) {
+      // Repeated so the specials run through the vector bodies too.
+      std::vector<float> x;
+      for (int r = 0; r < 3; ++r) {
+        x.insert(x.end(), specials.begin(), specials.end());
+      }
+      bad += check_quantizer_core(x, scale, bits, false);
+      std::vector<float> y;
+      for (int r = 0; r < 3; ++r) y.insert(y.end(), finite.begin(), finite.end());
+      bad += check_quantizer_core(y, scale, bits, bits <= 8);
+    }
+  }
+  EXPECT_EQ(bad, 0);
 }
 
 }  // namespace

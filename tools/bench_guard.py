@@ -120,12 +120,13 @@ def guard_infer(d):
     # behind the float fast path. Both plans are timed in alternating
     # windows of the same length and count, so both sides see the same
     # host state. Measured single-core on a 4-core AVX-512 VNNI Xeon,
-    # with int8 conv weights packed once and float convs in one pass
-    # (6x16 SGEMM tiles with a fused epilogue): 1.76x on mbv2_w100_r160
-    # and 1.44x on mcunet_r176 in the committed full run, and 1.13-1.40x
-    # (median 1.33x) over 20 runs of this --quick headline
-    # (mbv2_w035_r96) and 1.02-1.37x in three more; the spread comes
-    # from the short 50 ms timing windows on a shared host.
+    # with int8 conv weights packed once, float convs in one pass (6x16
+    # SGEMM tiles with a fused epilogue) and both backends on the
+    # trunc-form quantizer: 1.72x on mbv2_w100_r160 and 1.59x on
+    # mcunet_r176 in the committed full run, and a median 1.34x
+    # (quartiles 1.23-1.42x, range 0.90-1.79x) over 20 runs of this
+    # --quick headline (mbv2_w035_r96); the spread comes from the short
+    # 50 ms timing windows on a shared host.
     h = d['mbv2_b1_t1']
     assert h['exact_vs_qmodel'], 'int8 backend diverged from QModel oracle'
     s = h['speedup_int8_vs_fast']
