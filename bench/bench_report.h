@@ -68,22 +68,20 @@ inline double bench_seconds(const Budget& budget,
   return best;
 }
 
-// Times a and b in alternating windows of the same length and count, so
-// both sides see the same host state (a slow spell lands on both, not on
-// whichever side happened to be timing); returns each side's best
-// per-iteration seconds.
-inline std::pair<double, double> bench_pair_seconds(
-    const Budget& budget, const std::function<void()>& a,
-    const std::function<void()>& b) {
-  a();  // warmup / first-touch
-  b();
-  double best_a = 1e100;
-  double best_b = 1e100;
+// Times every fn in alternating windows of the same length and count, so
+// all of them see the same host state (a slow spell lands on each, not on
+// whichever one happened to be timing); returns each one's best
+// per-iteration seconds, in order.
+inline std::vector<double> bench_alternating_seconds(
+    const Budget& budget, const std::vector<std::function<void()>>& fns) {
+  for (const auto& fn : fns) fn();  // warmup / first-touch
+  std::vector<double> best(fns.size(), 1e100);
   for (int r = 0; r < budget.repeats; ++r) {
-    best_a = std::min(best_a, window_seconds(budget, a));
-    best_b = std::min(best_b, window_seconds(budget, b));
+    for (size_t i = 0; i < fns.size(); ++i) {
+      best[i] = std::min(best[i], window_seconds(budget, fns[i]));
+    }
   }
-  return {best_a, best_b};
+  return best;
 }
 
 // One plain run, for paths too slow to fill a window (a whole training
@@ -288,6 +286,7 @@ inline void write_provenance(JsonWriter& w) {
   w.str("gemm_s8", gemm_s8_kernel_name());
   w.str("depthwise", depthwise_kernel_name());
   w.str("depthwise_s8", depthwise_s8_kernel_name());
+  w.str("depthwise_block", depthwise_block_kernel_name());
   w.end();
   w.end();
 }

@@ -5,13 +5,16 @@
 // writes machine-readable BENCH_substrate.json — the seed of the perf
 // trajectory the ROADMAP tracks. No Google Benchmark dependency.
 //
-// Its depthwise routing table times the float depthwise scalar template
-// against the vector instance on every depthwise geometry of the graphs
-// the repo runs — mbv2_w100_r160 and mcunet_r176 at batch 1, the
-// mbv2_w035_r32 serving rung at batch 8, and the expanded r20 mbv2-tiny
-// training giant at its batch of 32 — and records the instance
-// depthwise_plane routes each geometry to. The routing rule in
-// tensor/depthwise.cpp is read off this table.
+// Its depthwise routing table times every path a depthwise plane can take
+// on every depthwise geometry of the graphs the repo runs — mbv2_w100_r160
+// and mcunet_r176 at batch 1, the mbv2_w035_r32 serving rung at batch 8,
+// and the expanded r20 mbv2-tiny training giant at its batch of 32: in
+// float the per-plane scalar template and vector instance and the block
+// instance, in int8 the per-plane kernel with requantize_row and the block
+// instance. It records the route the depthwise entries (depthwise_blocks /
+// depthwise_blocks_s8, which the plans and Conv2d run) take on each
+// geometry; their crossovers in tensor/depthwise_block.cpp are read off
+// this table.
 //
 // Its train_step table times the training passes of that same giant on its
 // own units, at batch 32: forward and backward of every BatchNorm2d,
@@ -44,6 +47,7 @@
 #include "tensor/depthwise.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
+#include "tensor/requantize.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
@@ -287,9 +291,14 @@ struct DwGeometry {
   std::string graph;
   int64_t h = 0, w = 0, k = 0, s = 0, pad = 0;
   int64_t planes = 0;  // channel planes per pass (channels x batch)
-  double scalar_ms = 0.0;
-  double vector_ms = 0.0;
-  std::string route;
+  double scalar_ms = 0.0;   // depthwise_plane's scalar template
+  double vector_ms = 0.0;   // depthwise_plane's vector instance
+  double block_ms = 0.0;     // the dispatched block instance
+  double s8_plane_ms = 0.0;  // depthwise_plane_s8 + requantize_row
+  double s8_block_ms = 0.0;  // the dispatched int8 block instance
+  bool blocks = false;       // depthwise_block_route's choice
+  bool s8_blocks = false;    // depthwise_block_route_s8's choice
+  std::string plane_route;   // depthwise_plane's instance for this plane
 };
 
 void add_geometry(std::vector<DwGeometry>& out, const std::string& graph,
@@ -353,8 +362,8 @@ std::vector<DwGeometry> depthwise_geometries() {
   add_plan_geometries(out, "mbv2_w035_r32_b8",
                       exporter::synth::make_mbv2_flat(rng, 0.35f, 32, 100), 8,
                       32);
-  // The training giant: Conv2d::forward_depthwise runs one depthwise_plane
-  // per (image, channel).
+  // The training giant: Conv2d::forward_depthwise runs every (image,
+  // channel) plane.
   auto giant = training_giant();
   giant->apply([&](nn::Module& m) {
     const auto* conv = dynamic_cast<const nn::Conv2d*>(&m);
@@ -367,43 +376,97 @@ std::vector<DwGeometry> depthwise_geometries() {
   return out;
 }
 
-// Times the scalar template (instance 0) and the dispatched vector instance
-// over every plane of each geometry, in alternating windows on the calling
-// thread.
+// Times, in alternating windows on one thread, every path a plane of each
+// geometry can take: depthwise_plane's scalar template (instance 0) and
+// dispatched vector instance, and the dispatched block instance, in float;
+// and in int8 the per-plane kernel followed by requantize_row against the
+// dispatched block instance. The depthwise entries' routes are read off
+// these rows (tensor/depthwise_block.cpp).
 void bench_depthwise_routes(const Budget& budget,
                             std::vector<DwGeometry>& rows) {
   const int vec = depthwise_instance_count() - 1;
+  const int block = depthwise_block_instance_count() - 1;
   Rng rng(404);
   for (DwGeometry& g : rows) {
     const int64_t oh = conv_out_size(g.h, g.k, g.s, g.pad);
     const int64_t ow = conv_out_size(g.w, g.k, g.s, g.pad);
-    std::vector<float> in(static_cast<size_t>(g.planes * g.h * g.w));
-    std::vector<float> ker(static_cast<size_t>(g.planes * g.k * g.k));
-    std::vector<float> out(static_cast<size_t>(g.planes * oh * ow));
+    const int64_t hw = g.h * g.w, taps = g.k * g.k, plane = oh * ow;
+    std::vector<float> in(static_cast<size_t>(g.planes * hw));
+    std::vector<float> ker(static_cast<size_t>(g.planes * taps));
+    std::vector<float> out(static_cast<size_t>(g.planes * plane));
+    std::vector<uint8_t> qin(in.size());
+    std::vector<int8_t> qker(ker.size());
+    std::vector<float> scale(static_cast<size_t>(g.planes));
+    std::vector<float> bias(scale.size());
     for (float& v : in) v = rng.normal();
     for (float& v : ker) v = rng.normal() * 0.3f;
+    for (uint8_t& v : qin) v = static_cast<uint8_t>(rng.randint(256));
+    for (int8_t& v : qker) {
+      v = static_cast<int8_t>(static_cast<int>(rng.randint(255)) - 127);
+    }
+    for (float& v : scale) v = rng.uniform(0.5f, 1.5f) * 3e-4f;
+    for (float& v : bias) v = rng.normal();
+    // One channel per plane, as the plans lay out batch 1.
+    DepthwisePlanes dp;
+    dp.count = g.planes;
+    dp.channels = g.planes;
+    dp.h = g.h;
+    dp.w = g.w;
+    dp.oh = oh;
+    dp.ow = ow;
+    dp.k = g.k;
+    dp.s = g.s;
+    dp.pad = g.pad;
+    const GemmEpilogue epi{scale.data(), bias.data(), EpilogueAct::relu6};
+    const GemmS8Epilogue qepi{scale.data(), bias.data(), EpilogueAct::relu6};
     const auto pass = [&](int instance) {
       for (int64_t p = 0; p < g.planes; ++p) {
-        depthwise_run_instance(instance, in.data() + p * g.h * g.w,
-                               ker.data() + p * g.k * g.k,
-                               out.data() + p * oh * ow, g.h, g.w, oh, ow,
-                               g.k, g.s, g.pad, 0.0f);
+        depthwise_run_instance(instance, in.data() + p * hw,
+                               ker.data() + p * taps, out.data() + p * plane,
+                               g.h, g.w, oh, ow, g.k, g.s, g.pad, 0.0f);
       }
     };
-    const auto [scalar_s, vector_s] =
-        bench_pair_seconds(budget, [&] { pass(0); }, [&] { pass(vec); });
-    g.scalar_ms = scalar_s * 1e3;
-    g.vector_ms = vector_s * 1e3;
-    g.route = depthwise_instance_name(depthwise_route(oh, ow));
+    const auto s8_pass = [&] {
+      for (int64_t p = 0; p < g.planes; ++p) {
+        float* o = out.data() + p * plane;
+        auto* acc = reinterpret_cast<int32_t*>(o);
+        depthwise_plane_s8(qin.data() + p * hw, qker.data() + p * taps, acc,
+                           g.h, g.w, oh, ow, g.k, g.s, g.pad);
+        requantize_row(o, acc, plane, scale[static_cast<size_t>(p)],
+                       bias[static_cast<size_t>(p)], EpilogueAct::relu6);
+      }
+    };
+    const std::vector<double> t = bench_alternating_seconds(
+        budget,
+        {[&] { pass(0); }, [&] { pass(vec); },
+         [&] {
+           depthwise_blocks_run_instance(block, dp, in.data(), ker.data(),
+                                         nullptr, out.data(), &epi);
+         },
+         s8_pass,
+         [&] {
+           depthwise_blocks_s8_run_instance(block, dp, qin.data(),
+                                            qker.data(), out.data(), qepi);
+         }});
+    g.scalar_ms = t[0] * 1e3;
+    g.vector_ms = t[1] * 1e3;
+    g.block_ms = t[2] * 1e3;
+    g.s8_plane_ms = t[3] * 1e3;
+    g.s8_block_ms = t[4] * 1e3;
+    g.blocks = depthwise_block_route(oh, ow);
+    g.s8_blocks = depthwise_block_route_s8(oh, ow);
+    g.plane_route = depthwise_instance_name(depthwise_route(oh, ow));
     std::fprintf(stderr,
                  "  dw %-24s %3lldx%-3lld k%lld s%lld p%lld x%-5lld scalar "
-                 "%8.4f ms  %s %8.4f ms  %5.2fx  -> %s\n",
+                 "%7.4f  vector %7.4f  block %7.4f | s8 plane %7.4f  block "
+                 "%7.4f ms  -> %s | %s\n",
                  g.graph.c_str(), static_cast<long long>(g.h),
                  static_cast<long long>(g.w), static_cast<long long>(g.k),
                  static_cast<long long>(g.s), static_cast<long long>(g.pad),
-                 static_cast<long long>(g.planes), g.scalar_ms,
-                 depthwise_instance_name(vec), g.vector_ms,
-                 g.scalar_ms / g.vector_ms, g.route.c_str());
+                 static_cast<long long>(g.planes), g.scalar_ms, g.vector_ms,
+                 g.block_ms, g.s8_plane_ms, g.s8_block_ms,
+                 g.blocks ? "blocks" : g.plane_route.c_str(),
+                 g.s8_blocks ? "blocks" : depthwise_s8_kernel_name());
   }
 }
 
@@ -535,32 +598,50 @@ void write_json(const std::string& path, bool quick,
   w.num("legacy_gflops_1t", sgemm256_legacy_gflops);
   w.num("speedup_vs_legacy", sgemm256_speedup);
   w.end();
-  // Per-graph totals: what each instance alone would cost, and what the
-  // routed depthwise_plane costs (each geometry at its route's time).
+  // Per-graph totals: what each path alone would cost, and what the routed
+  // steps cost (each geometry at its route's time): in float, blocks at or
+  // below the crossover and depthwise_plane's own route above it; in int8,
+  // blocks or the per-plane kernel plus requantize_row.
   std::vector<std::string> graphs;
   for (const DwGeometry& g : routes) {
     if (std::find(graphs.begin(), graphs.end(), g.graph) == graphs.end()) {
       graphs.push_back(g.graph);
     }
   }
+  const auto routed = [](const DwGeometry& g) {
+    if (g.blocks) return g.block_ms;
+    return g.plane_route == depthwise_instance_name(0) ? g.scalar_ms
+                                                       : g.vector_ms;
+  };
+  const auto s8_routed = [](const DwGeometry& g) {
+    return g.s8_blocks ? g.s8_block_ms : g.s8_plane_ms;
+  };
   w.object("depthwise_routing");
   w.integer("threads", 1);
   w.array("totals");
   for (const std::string& graph : graphs) {
-    double scalar = 0.0, vector = 0.0, routed = 0.0;
+    double scalar = 0.0, vector = 0.0, block = 0.0, total = 0.0;
+    double s8_plane = 0.0, s8_block = 0.0, s8_total = 0.0;
     for (const DwGeometry& g : routes) {
       if (g.graph != graph) continue;
       scalar += g.scalar_ms;
       vector += g.vector_ms;
-      routed += g.route == depthwise_instance_name(0) ? g.scalar_ms
-                                                      : g.vector_ms;
+      block += g.block_ms;
+      total += routed(g);
+      s8_plane += g.s8_plane_ms;
+      s8_block += g.s8_block_ms;
+      s8_total += s8_routed(g);
     }
     w.row();
     w.str("graph", graph);
     w.num("scalar_ms", scalar);
     w.num("vector_ms", vector);
-    w.num("routed_ms", routed);
-    w.num("speedup_routed_vs_scalar", scalar / routed);
+    w.num("block_ms", block);
+    w.num("routed_ms", total);
+    w.num("speedup_routed_vs_scalar", scalar / total);
+    w.num("s8_plane_ms", s8_plane);
+    w.num("s8_block_ms", s8_block);
+    w.num("s8_routed_ms", s8_total);
     w.end();
   }
   w.end();
@@ -576,8 +657,13 @@ void write_json(const std::string& path, bool quick,
     w.integer("planes", g.planes);
     w.num("scalar_ms", g.scalar_ms, "%.5f");
     w.num("vector_ms", g.vector_ms, "%.5f");
-    w.num("speedup", g.scalar_ms / g.vector_ms, "%.3f");
-    w.str("route", g.route);
+    w.num("block_ms", g.block_ms, "%.5f");
+    w.num("s8_plane_ms", g.s8_plane_ms, "%.5f");
+    w.num("s8_block_ms", g.s8_block_ms, "%.5f");
+    w.str("route", g.blocks ? depthwise_block_kernel_name()
+                            : g.plane_route.c_str());
+    w.str("s8_route", g.s8_blocks ? depthwise_block_kernel_name()
+                                  : depthwise_s8_kernel_name());
     w.end();
   }
   w.end();
@@ -666,10 +752,11 @@ int main(int argc, char** argv) {
   bench_elementwise(pools, budget, results);
   std::fprintf(stderr, "  elementwise done\n");
 
+  // Both tables run on one thread: the block entry runs its blocks through
+  // parallel_for, the per-plane passes plane by plane on the caller.
+  ThreadPool::set_global_override(&pools.get(1));
   std::vector<DwGeometry> routes = depthwise_geometries();
   bench_depthwise_routes(budget, routes);
-
-  ThreadPool::set_global_override(&pools.get(1));
   const std::vector<TrainRow> train = bench_train_step(budget);
   ThreadPool::set_global_override(nullptr);
 

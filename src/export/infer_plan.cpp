@@ -31,6 +31,24 @@ constexpr std::array<double, 256> kLevelAsDouble = [] {
   return v;
 }();
 
+/// A depthwise step's planes in the batch-interleaved layout: plane
+/// ch*n + i is channel ch of image i, so each channel's n images are
+/// consecutive.
+DepthwisePlanes depthwise_planes(const StepTable& t, int64_t n) {
+  DepthwisePlanes g;
+  g.count = t.cout * n;
+  g.channels = t.cout;
+  g.run = n;
+  g.h = t.in_h;
+  g.w = t.in_w;
+  g.oh = t.out_h;
+  g.ow = t.out_w;
+  g.k = t.kernel;
+  g.s = t.stride;
+  g.pad = t.pad;
+  return g;
+}
+
 /// One float buffer: `floats` live from step `first` through step `last`
 /// (both inclusive), placed at `off`.
 struct LiveRange {
@@ -321,29 +339,17 @@ void InferPlan::run_conv(const StepTable& t, const Step& s, const float* in,
   const int64_t plane = t.out_h * t.out_w;  // one image's output plane
   const int64_t row = n * plane;  // one channel's batch-interleaved row
   const int64_t k = t.kernel;
-  const EpilogueAct act = epilogue_act(s.act);
   if (t.depthwise) {
-    // One (channel, image) plane per work item; the plane stores each
-    // output through the channel's epilogue (per-channel rescale of the
-    // integer-level accumulator, bias, activation clamp). In the
-    // batch-interleaved layout channel ch of image i reads the contiguous
-    // plane at ch*n*in_hw + i*in_hw and writes ch*row + i*plane.
-    const int64_t planes = t.cout * n;
-    const int64_t grain =
-        std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(plane, 1));
-    parallel_for(planes, grain, [&](int64_t p0, int64_t p1) {
-      for (int64_t pl = p0; pl < p1; ++pl) {
-        const int64_t ch = pl / n;
-        const int64_t i = pl % n;
-        const DepthwiseEpilogue epi{
-            s.scales[ch], s.bias == nullptr ? 0.0f : s.bias[ch], act};
-        depthwise_plane(in + (ch * n + i) * in_hw, s.wf + ch * k * k,
-                        out + ch * row + i * plane, t.in_h, t.in_w, t.out_h,
-                        t.out_w, k, t.stride, t.pad, 0.0f, &epi);
-      }
-    });
+    // Every output stores through its channel's epilogue (per-channel
+    // rescale of the integer-level accumulator, bias, activation clamp). In
+    // the batch-interleaved layout channel ch of image i reads the
+    // contiguous plane at ch*n*in_hw + i*in_hw and writes ch*row + i*plane:
+    // plane ch*n + i of both.
+    const GemmEpilogue epi{s.scales, s.bias, epilogue_act(s.act)};
+    depthwise_blocks(depthwise_planes(t, n), in, s.wf, nullptr, out, &epi);
     return;
   }
+  const EpilogueAct act = epilogue_act(s.act);
 
   // Lowered path: ONE batched im2col + packed GEMM per group covers the
   // whole micro-batch — the columns of every image sit side by side in a
@@ -383,34 +389,16 @@ void InferPlan::run_conv_s8(const StepTable& t, const Step& s,
   // Mirror of run_conv over integer levels. Every float it stores comes
   // from the one requantize expression (tensor/requantize.h) that the
   // QModel oracle also runs, which is what makes this path memcmp-equal to
-  // it. The depthwise writes its int32 accumulators straight into the
-  // float out region (both are 4 bytes per element) and requantize_row
-  // rewrites them as floats IN PLACE — element i is read before it is
-  // written, so the aliasing is benign; lowered convs requantize inside
-  // the GEMM's final store.
+  // it: the depthwise entry stores through it per plane or per block
+  // lane, and lowered convs requantize inside the GEMM's final store.
   const int64_t n = tables_.batch;
   const int64_t in_hw = t.in_h * t.in_w;
   const int64_t plane = t.out_h * t.out_w;
   const int64_t row = n * plane;
   const int64_t k = t.kernel;
   if (t.depthwise) {
-    const int64_t planes = t.cout * n;
-    const int64_t grain =
-        std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(plane, 1));
-    parallel_for(planes, grain, [&](int64_t p0, int64_t p1) {
-      for (int64_t pl = p0; pl < p1; ++pl) {
-        const int64_t ch = pl / n;
-        const int64_t i = pl % n;
-        float* orow = out + ch * row + i * plane;
-        int32_t* acc = reinterpret_cast<int32_t*>(orow);
-        depthwise_plane_s8(in + (ch * n + i) * in_hw, s.wq + ch * k * k, acc,
-                           t.in_h, t.in_w, t.out_h, t.out_w, k, t.stride,
-                           t.pad);
-        const float b = s.bias == nullptr ? 0.0f : s.bias[ch];
-        requantize_row(orow, acc, plane, s.eff[static_cast<size_t>(ch)], b,
-                       s.act);
-      }
-    });
+    const GemmS8Epilogue epi{s.eff.data(), s.bias, epilogue_act(s.act)};
+    depthwise_blocks_s8(depthwise_planes(t, n), in, s.wq, out, epi);
     return;
   }
 

@@ -51,10 +51,10 @@
 // in place as its A operand, so it produces the same products as the
 // reference int8 interpreter, and the per-channel scale + bias + activation
 // clamp are applied in the kernels' own output stores (the GEMM's and the
-// depthwise plane's epilogues); the linear head reads the int8 levels. Depthwise groups run through the direct
-// nb::depthwise_plane path; everything parallelizes over output rows /
-// (image, channel) planes via the threadpool, and because nb::gemm is
-// bitwise thread-invariant the whole plan is too.
+// depthwise step's epilogues); the linear head reads the int8 levels. Depthwise steps run through the direct
+// nb::depthwise_blocks entry; everything parallelizes over output rows /
+// (image, channel) planes or blocks of them via the threadpool, and
+// because nb::gemm is bitwise thread-invariant the whole plan is too.
 //
 // Backend::int8 builds the same plan over the TRUE integer path: before
 // each conv/linear the float activation is quantized once to offset-u8
@@ -63,8 +63,8 @@
 // accumulate exact int32, and the requantize
 // expression — one inline definition (tensor/requantize.h), the one the
 // QModel oracle runs — rescales per channel: inside gemm_s8's final store
-// for lowered convs, through requantize_row in place for the depthwise and
-// requantize_linear_row for the head (see qmodel.h). Int32 accumulators
+// for lowered convs, inside nb::depthwise_blocks_s8 for the depthwise and
+// through requantize_linear_row for the head (see qmodel.h). Int32 accumulators
 // live IN the float arena's output region (4 bytes per element either
 // way); the plan additionally owns a small byte arena
 // [ quantized input | byte cols ] and places no float panels. Because

@@ -6,24 +6,7 @@
 
 namespace nb::exporter {
 
-#if defined(NB_EXPORT_REQUANT_AVX2)
-namespace detail {
-void requantize_row_avx2(float* out, const int32_t* acc, int64_t n,
-                         float scale, float bias, FlatAct act);
-}  // namespace detail
-#endif
-
 namespace {
-
-// One loop per activation: with the activation a constant, its test folds
-// out of the loop.
-template <EpilogueAct kAct>
-void requantize_scalar(float* out, const int32_t* acc, int64_t n, float scale,
-                       float bias) {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = requantize<ScalarLanes>(acc[i], scale, bias, kAct);
-  }
-}
 
 /// Int8 levels of one quantized activation tensor (offset-u8 storage).
 std::vector<uint8_t> quantize_tensor(const Tensor& x, float scale, int bits) {
@@ -131,31 +114,12 @@ Tensor run_linear_q(const FlatLinear& op, const Tensor& x, const float* eff) {
 }  // namespace
 
 // Both epilogues evaluate the one requantize expression of
-// tensor/requantize.h, which the gemm_s8 epilogue evaluates too; this TU
-// and the AVX2 one build with -ffp-contract=off, so every copy rounds the
+// tensor/requantize.h, which the gemm_s8 epilogue evaluates too; every
+// library TU builds with -ffp-contract=off, so every copy rounds the
 // multiply and the add on their own.
 void requantize_row(float* out, const int32_t* acc, int64_t n, float scale,
                     float bias, FlatAct act) {
-#if defined(NB_EXPORT_REQUANT_AVX2)
-  // The epilogue runs over every depthwise output element, so width
-  // matters; the AVX2 instance is the same expression eight lanes wide.
-  static const bool use_avx2 = __builtin_cpu_supports("avx2");
-  if (use_avx2) {
-    detail::requantize_row_avx2(out, acc, n, scale, bias, act);
-    return;
-  }
-#endif
-  switch (act) {
-    case FlatAct::identity:
-      requantize_scalar<EpilogueAct::identity>(out, acc, n, scale, bias);
-      return;
-    case FlatAct::relu:
-      requantize_scalar<EpilogueAct::relu>(out, acc, n, scale, bias);
-      return;
-    case FlatAct::relu6:
-      requantize_scalar<EpilogueAct::relu6>(out, acc, n, scale, bias);
-      return;
-  }
+  nb::requantize_row(out, acc, n, scale, bias, epilogue_act(act));
 }
 
 void requantize_linear_row(float* out, const int32_t* acc, const float* eff,

@@ -15,10 +15,12 @@
 //     with one inline definition (tensor/requantize.h) compiled only in
 //     -ffp-contract=off library sources. The oracle reaches it through
 //     requantize_row / requantize_linear_row below; InferPlan reaches it
-//     through the same two functions (int8 depthwise, linear head) and
-//     through the gemm_s8 epilogue, which applies it in each GEMM tile's
-//     final store. No copy can contract the multiply-add into an FMA, so
-//     every path rounds the same way.
+//     through the int8 depthwise entry (nb::depthwise_blocks_s8, which
+//     stores through nb::requantize_row, the function requantize_row below
+//     wraps, or requantize in its block lanes), requantize_linear_row (the
+//     linear head) and the gemm_s8 epilogue, which applies it in each GEMM
+//     tile's final store. No copy can contract the multiply-add into an
+//     FMA, so every path rounds the same way.
 //   * Residual add, GAP and the entry layout conversion stay float with the
 //     same scalar expressions as InferPlan.
 //
@@ -37,10 +39,10 @@ namespace nb::exporter {
 
 /// The int8 conv epilogue over one contiguous run of outputs:
 /// out[i] = act_clamp((float)acc[i] * scale + bias), the requantize
-/// expression of tensor/requantize.h. `scale` is the per-channel effective
-/// scale weight_scale * act_scale. Safe when out and acc alias elementwise
-/// (the int8 depthwise requantizes in place; element i is read before it
-/// is written).
+/// expression of tensor/requantize.h, run by nb::requantize_row with the
+/// program activation. `scale` is the per-channel effective scale
+/// weight_scale * act_scale. Safe when out and acc alias elementwise
+/// (element i is read before it is written).
 void requantize_row(float* out, const int32_t* acc, int64_t n, float scale,
                     float bias, FlatAct act);
 

@@ -131,22 +131,20 @@ Tensor Conv2d::forward_depthwise(const Tensor& x) {
   const int64_t ow = conv_out_size(w, k, opts_.stride, opts_.padding);
   NB_CHECK(oh > 0 && ow > 0, "Conv2d output is empty for input " + x.shape_str());
   Tensor y({n, c, oh, ow});
-  // Each (image, channel) plane is independent; parallelize across them with
-  // a grain that keeps at least ~16k outputs per chunk.
-  const int64_t planes = n * c;
-  const int64_t grain =
-      std::max<int64_t>(1, (int64_t{1} << 14) / std::max<int64_t>(oh * ow, 1));
-  parallel_for(planes, grain, [&](int64_t p0, int64_t p1) {
-    for (int64_t pl = p0; pl < p1; ++pl) {
-      const int64_t ch = pl % c;
-      const float* img = x.data() + pl * h * w;
-      const float* ker = weight_.value.data() + ch * k * k;
-      float* out = y.data() + pl * oh * ow;
-      const float b = opts_.bias ? bias_.value.at(ch) : 0.0f;
-      depthwise_plane(img, ker, out, h, w, oh, ow, k, opts_.stride,
-                      opts_.padding, b);
-    }
-  });
+  // In NCHW plane i*c + ch is channel ch of image i, so consecutive planes
+  // are channels.
+  DepthwisePlanes g;
+  g.count = n * c;
+  g.channels = c;
+  g.h = h;
+  g.w = w;
+  g.oh = oh;
+  g.ow = ow;
+  g.k = k;
+  g.s = opts_.stride;
+  g.pad = opts_.padding;
+  depthwise_blocks(g, x.data(), weight_.value.data(),
+                   opts_.bias ? bias_.value.data() : nullptr, y.data());
   return y;
 }
 

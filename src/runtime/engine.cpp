@@ -512,23 +512,27 @@ void Engine::execute_batch(std::vector<Request>& batch, Session* session,
                            std::exception_ptr session_error) {
   const auto launched = Clock::now();
   // Launch-time deadline check: a request that expired while queued (or
-  // while the batch waited for peers) is dropped before any GEMM runs.
+  // while the batch waited for peers) is dropped before any GEMM runs. As
+  // on every other drop path, it is counted before its future resolves, so
+  // stats() never trails a client's own Deadline rejection.
+  const auto expired = [&](const Request& req) {
+    return req.has_deadline() && req.deadline < launched;
+  };
+  const auto n_expired = std::count_if(batch.begin(), batch.end(), expired);
+  if (n_expired > 0) {
+    MutexLock lock(stats_mu_);
+    dropped_deadline_ += n_expired;
+  }
   std::vector<Request> run;
   run.reserve(batch.size());
-  int64_t expired = 0;
   for (Request& req : batch) {
-    if (req.has_deadline() && req.deadline < launched) {
-      ++expired;
+    if (expired(req)) {
       reject(req, RejectReason::Deadline,
              "engine: deadline expired at batch launch for '" +
                  req.model_name + "'");
     } else {
       run.push_back(std::move(req));
     }
-  }
-  if (expired > 0) {
-    MutexLock lock(stats_mu_);
-    dropped_deadline_ += expired;
   }
   if (run.empty()) return;
 

@@ -1,14 +1,24 @@
-// Direct depthwise convolution of one (H,W) plane — no im2col, no GEMM.
-// Shared by Conv2d's depthwise fast path and the FlatModel inference
-// runtime, in float (depthwise_plane) and offset-u8 -> int32
-// (depthwise_plane_s8). Both dispatch once to the fastest instance this CPU
-// runs; every instance of one element type returns the same bits, so the
-// choice never shows in results.
+// Direct depthwise convolution — no im2col, no GEMM. Shared by Conv2d's
+// depthwise forward and the FlatModel inference runtime, in float and in
+// offset-u8 -> int32, through two entries:
+//
+//   * depthwise_plane / depthwise_plane_s8 run one (H,W) plane on the
+//     zero-bordered phase-plane layout, whose per-plane setup pays off on
+//     larger planes;
+//   * depthwise_blocks / depthwise_blocks_s8 run every plane of a step:
+//     small planes eight to a vector (one lane each), larger ones one at a
+//     time through the per-plane entry. Every depthwise caller (the float
+//     and int8 plans, Conv2d) runs its steps through these.
+//
+// Each dispatches once to the fastest instance this CPU runs; every
+// instance of one element type, and both entries, return the same bits, so
+// neither the choice of instance nor the route ever shows in results.
 #pragma once
 
 #include <cstdint>
 
-#include "tensor/gemm.h"  // EpilogueAct
+#include "tensor/gemm.h"     // EpilogueAct, GemmEpilogue
+#include "tensor/gemm_s8.h"  // GemmS8Epilogue
 
 namespace nb {
 
@@ -94,5 +104,79 @@ const char* depthwise_s8_instance_name(int i);
 void depthwise_s8_run_instance(int i, const uint8_t* img, const int8_t* ker,
                                int32_t* out, int64_t h, int64_t w, int64_t oh,
                                int64_t ow, int64_t k, int64_t s, int64_t pad);
+
+/// Planes per depthwise block: one vector of float lanes.
+inline constexpr int64_t kDepthwiseLanes = 8;
+
+/// Every plane of one depthwise step, all of one geometry. Plane p reads
+/// the h x w input at img + p*h*w, writes the oh x ow output at
+/// out + p*oh*ow, and belongs to channel (p / run) % channels, whose k*k
+/// kernel is at ker + c*k*k. The plans' batch-interleaved layout keeps one
+/// channel's images together (run = batch); NCHW alternates channels
+/// (run = 1).
+struct DepthwisePlanes {
+  int64_t count = 0;
+  int64_t channels = 1;
+  int64_t run = 1;
+  int64_t h = 0, w = 0, oh = 0, ow = 0, k = 1, s = 1, pad = 0;
+
+  int64_t channel(int64_t p) const { return (p / run) % channels; }
+};
+
+/// Every plane of `g`. Plane p of channel c stores exactly what
+/// depthwise_plane(..., bias ? bias[c] : 0.0f, &e) stores, with e =
+/// {epi->scale[c], epi->bias ? epi->bias[c] : 0.0f, epi->act}, or with no
+/// epilogue when `epi` is null. The same NaN latitude applies: which
+/// payload survives two NaNs meeting is unspecified, and a signaling-NaN
+/// start may come out quiet. Reads exactly the inputs and writes exactly
+/// the outputs of its planes; temporaries live in each thread's scratch
+/// arena.
+///
+/// Route: planes at or below a crossover on the output plane size run in
+/// blocks of up to kDepthwiseLanes consecutive planes, in parallel over
+/// blocks. Within a block each plane is one lane (channels at batch 1, one
+/// channel's images in a batch, or a mix) and each lane runs the
+/// contract's chain, from its start through the in-bounds taps in
+/// ascending (ki, kj) order, a separate multiply and add each, with
+/// out-of-bounds taps contributing nothing, exactly as if skipped. Larger
+/// planes run one at a time through depthwise_plane, in parallel over
+/// planes. The crossovers are read off bench_substrate_report's routing
+/// table (see depthwise_block.cpp).
+void depthwise_blocks(const DepthwisePlanes& g, const float* img,
+                      const float* ker, const float* bias, float* out,
+                      const GemmEpilogue* epi = nullptr);
+
+/// Integer twin: offset-u8 planes and int8 kernels, each output the exact
+/// int32 sum of depthwise_plane_s8, stored as the float
+/// requantize(acc, epi.eff[c], epi.bias ? epi.bias[c] : 0.0f, epi.act)
+/// (tensor/requantize.h) — bitwise what depthwise_plane_s8 followed by
+/// requantize_row stores, which is what planes above its crossover run.
+void depthwise_blocks_s8(const DepthwisePlanes& g, const uint8_t* img,
+                         const int8_t* ker, float* out,
+                         const GemmS8Epilogue& epi);
+
+/// Test hooks for bench_substrate_report's routing table: true when
+/// depthwise_blocks (float) / depthwise_blocks_s8 (int8) run planes of
+/// oh x ow outputs in blocks rather than one at a time.
+bool depthwise_block_route(int64_t oh, int64_t ow);
+bool depthwise_block_route_s8(int64_t oh, int64_t ow);
+
+/// Name of the block instance both block entries dispatch to
+/// ("dw-block-avx2", or "dw-block-generic" without one).
+const char* depthwise_block_kernel_name();
+
+/// Test hooks: every compiled block instance this CPU can execute, generic
+/// (the per-plane scalar templates) first, each with the contract of
+/// depthwise_blocks (float) and depthwise_blocks_s8 (int8), run in blocks
+/// whatever the plane size.
+int depthwise_block_instance_count();
+const char* depthwise_block_instance_name(int i);
+void depthwise_blocks_run_instance(int i, const DepthwisePlanes& g,
+                                   const float* img, const float* ker,
+                                   const float* bias, float* out,
+                                   const GemmEpilogue* epi = nullptr);
+void depthwise_blocks_s8_run_instance(int i, const DepthwisePlanes& g,
+                                      const uint8_t* img, const int8_t* ker,
+                                      float* out, const GemmS8Epilogue& epi);
 
 }  // namespace nb

@@ -29,7 +29,45 @@ void depthwise_plane_s8_generic(const uint8_t* img, const int8_t* ker,
                                 int64_t oh, int64_t ow, int64_t k, int64_t s,
                                 int64_t pad);
 
+/// One block of a DepthwisePlanes: its `live` planes (1 to
+/// kDepthwiseLanes consecutive ones) and their channels, one per lane.
+/// Spare lanes repeat the last live one.
+struct DepthwiseLanes {
+  int64_t live = 0;
+  int64_t plane[kDepthwiseLanes] = {};
+  int64_t channel[kDepthwiseLanes] = {};
+};
+
+/// Portable block instances: every live plane of `ln` through its scalar
+/// template (the float one with its epilogue, the int8 one followed by
+/// requantize per output).
+void depthwise_block_generic(const DepthwisePlanes& g,
+                             const DepthwiseLanes& ln, const float* img,
+                             const float* ker, const float* bias, float* out,
+                             const GemmEpilogue* epi);
+void depthwise_block_s8_generic(const DepthwisePlanes& g,
+                                const DepthwiseLanes& ln, const uint8_t* img,
+                                const int8_t* ker, float* out,
+                                const GemmS8Epilogue& epi);
+
 #if defined(NB_DW_AVX2)
+/// AVX2 block instances (depthwise_block_avx2.cpp, built with -mavx2
+/// -ffp-contract=off): the block's planes transposed into the eight lanes
+/// of a ymm, every lane's chain bit for bit the scalar template's, and
+/// the outputs transposed back through each lane's epilogue (float) or
+/// requantize (int8). A block they cannot run exactly (a -0.0 chain start
+/// or a non-finite tap, a stride other than 1 or 2, more than 256 taps)
+/// goes to the generic instance. Only called after
+/// __builtin_cpu_supports("avx2").
+void depthwise_block_avx2(const DepthwisePlanes& g, const DepthwiseLanes& ln,
+                          const float* img, const float* ker,
+                          const float* bias, float* out,
+                          const GemmEpilogue* epi);
+void depthwise_block_s8_avx2(const DepthwisePlanes& g,
+                             const DepthwiseLanes& ln, const uint8_t* img,
+                             const int8_t* ker, float* out,
+                             const GemmS8Epilogue& epi);
+
 /// AVX2 float instance (depthwise_f32_kernel_avx2.cpp, built with -mavx2
 /// -ffp-contract=off): eight flat outputs per ymm, one vmulps + vaddps per
 /// tap in ascending (ki, kj) order. Calls the generic instance itself when

@@ -43,17 +43,15 @@ void scale_rows(float* c, int64_t count, float beta) {
   }
 }
 
-// The empty reduction under an epilogue: C holds the plain product's exact
-// zeros, which the epilogue still maps. No conv lowering reaches it.
+// The empty reduction under an epilogue: every element of row i is the
+// plain product's exact +0.0 mapped through row i's epilogue. No conv
+// lowering reaches it.
 [[gnu::cold]] void store_empty_product(int64_t m, int64_t n, float* c,
                                        const GemmEpilogue& epi) {
-  scale_rows(c, m * n, 0.0f);
   for (int64_t i = 0; i < m; ++i) {
-    const float bias = epi.bias == nullptr ? 0.0f : epi.bias[i];
-    for (int64_t j = 0; j < n; ++j) {
-      c[i * n + j] = scale_bias_act<ScalarLanes>(c[i * n + j], epi.scale[i],
-                                                 bias, epi.act);
-    }
+    const float y = scale_bias_act<ScalarLanes>(
+        0.0f, epi.scale[i], epi.bias == nullptr ? 0.0f : epi.bias[i], epi.act);
+    std::fill_n(c + i * n, n, y);
   }
 }
 

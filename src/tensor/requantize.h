@@ -12,9 +12,10 @@
 // epilogue, which applies it in registers as each tile's final store, and
 // the float depthwise's, which applies it as compaction writes each output.
 // requantize is the int8 form: the int32 accumulator converts to float
-// first, and then the same expression runs, in exporter::requantize_row /
-// requantize_linear_row (QModel, the int8 depthwise and the linear head)
-// and in the gemm_s8 epilogue.
+// first, and then the same expression runs, in requantize_row below (the
+// int8 depthwise, and QModel through exporter::requantize_row), in
+// exporter::requantize_linear_row (QModel and the linear head) and in the
+// gemm_s8 epilogue.
 //
 // One multiply and one add each round on their own, then the activation
 // clamps with the accumulator-derived value as the SECOND max/min operand:
@@ -140,5 +141,12 @@ inline typename L::F fake_quant(typename L::F y, typename L::F scale,
                                 typename L::F q) {
   return L::mul(quant_level<L>(y, scale, q), scale);
 }
+
+/// The int8 epilogue over one contiguous run of outputs of one channel:
+/// out[i] = requantize(acc[i], scale, bias, act), eight lanes at a time on
+/// a CPU with AVX2 (requantize.cpp). Safe when out and acc alias
+/// elementwise: element i is read before it is written.
+void requantize_row(float* out, const int32_t* acc, int64_t n, float scale,
+                    float bias, EpilogueAct act);
 
 }  // namespace nb

@@ -1,15 +1,14 @@
-// AVX2 instance of requantize_row, selected at runtime by qmodel.cpp: the
-// requantize expression of tensor/requantize.h eight lanes at a time, the
-// scalar lanes on the tail. Built with -mavx2 (no FMA) and, like every
+// AVX2 instance of requantize_row, selected at runtime by requantize.cpp:
+// the requantize expression of tensor/requantize.h eight lanes at a time,
+// the scalar lanes on the tail. Built with -mavx2 (no FMA) and, like every
 // library source, -ffp-contract=off.
 #include <cstdint>
 
 #include <immintrin.h>
 
-#include "export/flat_model.h"
 #include "tensor/requantize.h"
 
-namespace nb::exporter::detail {
+namespace nb::detail {
 
 namespace {
 
@@ -34,18 +33,18 @@ void requantize_lanes(float* out, const int32_t* acc, int64_t n, float scale,
 }  // namespace
 
 void requantize_row_avx2(float* out, const int32_t* acc, int64_t n,
-                         float scale, float bias, FlatAct act) {
+                         float scale, float bias, EpilogueAct act) {
   switch (act) {
-    case FlatAct::identity:
+    case EpilogueAct::identity:
       requantize_lanes<EpilogueAct::identity>(out, acc, n, scale, bias);
       return;
-    case FlatAct::relu:
+    case EpilogueAct::relu:
       requantize_lanes<EpilogueAct::relu>(out, acc, n, scale, bias);
       return;
-    case FlatAct::relu6:
+    case EpilogueAct::relu6:
       requantize_lanes<EpilogueAct::relu6>(out, acc, n, scale, bias);
       return;
   }
 }
 
-}  // namespace nb::exporter::detail
+}  // namespace nb::detail

@@ -180,6 +180,100 @@ TEST(BatchedLowering, ThreadCountInvariantAtBatchAboveOne) {
 }
 
 // ---------------------------------------------------------------------------
+// Depthwise blocks on plans
+
+/// A graph whose depthwise steps straddle the block crossovers (float
+/// blocks up to 12x12 outputs, int8 up to 10x10) and whose channel counts
+/// are not multiples of the eight lanes, like mcunet's 12 and 60: a 3 -> 12
+/// stem, a 12-channel k3 depthwise, 12 -> 60, k5 s2, a residual k7, k3 s2,
+/// 60 -> 20, GAP and a linear head. At 26x26 the first two depthwise steps
+/// run 13x13 planes one at a time and the rest 7x7 and 4x4 planes in
+/// blocks; at 44x44 the k5 and k7 steps make 11x11 planes, blocks on fast
+/// plans and per-plane on int8 plans.
+FlatModel block_graph(uint64_t seed) {
+  Rng rng(seed, 9);
+  FlatModel m;
+  m.set_input(0, 3);
+  const auto act = [&] { return static_cast<FlatAct>(rng.randint(3)); };
+  m.push(make_conv(rng, 3, 12, 3, 2, 1, act(), true));
+  m.push(make_conv(rng, 12, 12, 3, 1, 12, act(), rng.bernoulli(0.5f)));
+  m.push(make_conv(rng, 12, 60, 1, 1, 1, act(), true));
+  m.push(make_conv(rng, 60, 60, 5, 2, 60, act(), rng.bernoulli(0.5f)));
+  m.push(synth::make_marker(OpKind::save));
+  m.push(make_conv(rng, 60, 60, 7, 1, 60, act(), rng.bernoulli(0.5f)));
+  m.push(synth::make_marker(OpKind::add_saved));
+  m.push(make_conv(rng, 60, 60, 3, 2, 60, act(), rng.bernoulli(0.5f)));
+  m.push(make_conv(rng, 60, 20, 1, 1, 1, FlatAct::relu6, true));
+  m.push(synth::make_marker(OpKind::gap));
+  m.push(synth::make_linear(rng, 20, 7, synth::pow2_act_scale(rng)));
+  return m;
+}
+
+TEST(DepthwiseBlocksOnPlans, FastMatchesReferenceAndInt8MatchesQModel) {
+  // Power-of-two activation scales make every float product exact, so the
+  // fast plan equals the reference interpreter bit for bit; the int8 plan
+  // is memcmp-equal to the QModel oracle. Batch 1 runs lanes as channels,
+  // batch 8 one channel's images, batch 3 a mix.
+  for (const int64_t res : {26, 44}) {
+    for (const int64_t batch : {1, 3, 8}) {
+      const FlatModel m = block_graph(static_cast<uint64_t>(res + batch));
+      const QModel oracle(m);
+      Rng rng(static_cast<uint64_t>(700 + res * batch), 1);
+      const Tensor x = random_input(rng, {batch, 3, res, res});
+      const InferPlan fast(m, batch, 3, res, res, Backend::fast);
+      const InferPlan int8(m, batch, 3, res, res, Backend::int8);
+      EXPECT_TRUE(bitwise_equal(fast.run(x), m.forward(x, Backend::reference)))
+          << "res=" << res << " batch=" << batch;
+      EXPECT_TRUE(bitwise_equal(int8.run(x), oracle.forward(x)))
+          << "res=" << res << " batch=" << batch;
+    }
+  }
+}
+
+TEST(DepthwiseBlocksOnPlans, BatchedEqualsSequentialAtEveryBatchUpToEight) {
+  for (const Backend backend : {Backend::fast, Backend::int8}) {
+    for (const int64_t res : {26, 44}) {
+      const FlatModel m = block_graph(static_cast<uint64_t>(res));
+      const auto panels = WeightPanels::build(m, backend);
+      const InferPlan plan1(m, panels, 1, 3, res, res, backend);
+      for (int64_t batch = 1; batch <= 8; ++batch) {
+        Rng rng(static_cast<uint64_t>(31 * res + batch), 1);
+        const Tensor x = random_input(rng, {batch, 3, res, res});
+        const InferPlan planb(m, panels, batch, 3, res, res, backend);
+        EXPECT_TRUE(bitwise_equal(planb.run(x), run_sequential(plan1, x)))
+            << "res=" << res << " batch=" << batch
+            << (backend == Backend::int8 ? " int8" : " fast");
+      }
+    }
+  }
+}
+
+TEST(DepthwiseBlocksOnPlans, OneAndFourThreadsAgreeBitwise) {
+  ThreadPool one(0);
+  ThreadPool four(3);
+  for (const Backend backend : {Backend::fast, Backend::int8}) {
+    for (const int64_t batch : {1, 5}) {
+      const FlatModel m = block_graph(17);
+      Rng rng(static_cast<uint64_t>(90 + batch), 1);
+      const Tensor x = random_input(rng, {batch, 3, 44, 44});
+      const InferPlan plan(m, batch, 3, 44, 44, backend);
+      Tensor y1, y4;
+      {
+        PoolOverride po(one);
+        y1 = plan.run(x);
+      }
+      {
+        PoolOverride po(four);
+        y4 = plan.run(x);
+      }
+      EXPECT_TRUE(bitwise_equal(y1, y4))
+          << "batch=" << batch
+          << (backend == Backend::int8 ? " int8" : " fast");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Arena-planner batched accounting
 
 TEST(BatchedLowering, ArenaScalesAsDocumentedWithBatch) {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nn/conv2d.h"
+#include "tensor/depthwise.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 #include "tensor/rng.h"
@@ -358,6 +359,59 @@ void im2col_conv(const Conv2dOptions& o, const Tensor& x, const Tensor& weight,
       col2im(gcols.data(), cin_g, h, w, k, k, o.stride, o.stride, o.padding,
              o.padding,
              grad_in.data() + (i * o.in_channels + gi * cin_g) * h * w);
+    }
+  }
+}
+
+// The depthwise forward runs depthwise_blocks, which takes small planes
+// eight to a vector and larger ones through depthwise_plane; either way
+// each plane must be bit for bit the scalar template's, with NaN, inf and -0.0
+// weights and biases, over channel counts that leave partial blocks and
+// planes on both sides of the crossover, at one and four threads.
+TEST(Conv2dBitwise, DepthwiseForwardMatchesScalarTemplatePerPlane) {
+  ThreadPool one(0);
+  ThreadPool four(3);
+  const int64_t planes[][2] = {{1, 1}, {2, 3}, {5, 5}, {10, 10},
+                               {13, 11}, {24, 24}};
+  Rng rng(607);
+  int64_t channels = 0;
+  for (const int64_t k : {1, 3, 5, 7}) {
+    for (const int64_t stride : {1, 2}) {
+      for (const auto& hw : planes) {
+        const int64_t h = hw[0], w = hw[1], pad = (k - 1) / 2;
+        const int64_t oh = conv_out_size(h, k, stride, pad);
+        const int64_t ow = conv_out_size(w, k, stride, pad);
+        channels = channels % 19 + 1;
+        const bool bias = channels % 2 == 1;
+        SCOPED_TRACE(::testing::Message()
+                     << "k=" << k << " s=" << stride << " h=" << h
+                     << " w=" << w << " c=" << channels << " bias=" << bias);
+        Conv2d conv(Conv2dOptions(channels, channels, k)
+                        .with_stride(stride)
+                        .with_padding(pad)
+                        .with_groups(channels)
+                        .with_bias(bias));
+        fill_with_specials(conv.weight().value, rng, 0.5f);
+        if (bias) fill_with_specials(conv.bias().value, rng, 0.5f);
+        Tensor x({3, channels, h, w});
+        fill_with_specials(x, rng, 1.0f);
+        Tensor want({3, channels, oh, ow});
+        for (int64_t p = 0; p < 3 * channels; ++p) {
+          const int64_t ch = p % channels;
+          depthwise_run_instance(0, x.data() + p * h * w,
+                                 conv.weight().value.data() + ch * k * k,
+                                 want.data() + p * oh * ow, h, w, oh, ow, k,
+                                 stride, pad,
+                                 bias ? conv.bias().value.at(ch) : 0.0f);
+        }
+        for (ThreadPool* pool : {&one, &four}) {
+          PoolOverride po(*pool);
+          const Tensor got = conv.forward(x);
+          ASSERT_TRUE(got.same_shape(want));
+          EXPECT_TRUE(bits_equal(got.data(), want.data(), want.numel(),
+                                 /*nan_matches_nan=*/true));
+        }
+      }
     }
   }
 }

@@ -503,6 +503,32 @@ TEST(EngineAdmission, DeadlineExpiredInQueueIsDroppedBeforeLaunch) {
   EXPECT_EQ(st.batches, 1);
 }
 
+TEST(EngineAdmission, LaunchTimeDeadlineDropIsCountedBeforeTheClientSeesIt) {
+  // A peer gathered into a batch that keeps waiting for more peers expires
+  // before the batch launches, so the launch-time check drops it. The drop
+  // must already be in stats() when the client's own Deadline rejection
+  // arrives, as on every other drop path; five rounds per run.
+  const auto model = CompiledModel::compile(small_graph(118));
+  EngineOptions opts;
+  opts.batching.max_batch = 8;
+  opts.batching.max_wait_us = 60'000;
+  Engine engine(opts);
+  engine.register_model("m", model);
+  for (int64_t round = 1; round <= 5; ++round) {
+    auto head = engine.submit(
+        "m", random_input(static_cast<uint64_t>(round), {3, 16, 16}));
+    auto doomed = engine.submit(
+        "m", random_input(static_cast<uint64_t>(100 + round), {3, 16, 16}),
+        SubmitOptions{.deadline_us = 10'000});
+    EXPECT_EQ(reason_of(doomed), RejectReason::Deadline);
+    EXPECT_EQ(engine.stats().dropped_deadline, round);
+    EXPECT_EQ(head.get().size(1), 10);
+  }
+  const Engine::Stats st = engine.stats();
+  EXPECT_EQ(st.completed, 5);
+  EXPECT_EQ(st.batches, 5);  // the expired peers burned no execution
+}
+
 TEST(EngineAdmission, ModelDefaultDeadlineApplies) {
   const auto model = CompiledModel::compile(small_graph(104));
   auto gate = std::make_shared<GateInjector>();

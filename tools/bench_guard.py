@@ -121,12 +121,14 @@ def guard_infer(d):
     # windows of the same length and count, so both sides see the same
     # host state. Measured single-core on a 4-core AVX-512 VNNI Xeon,
     # with int8 conv weights packed once, float convs in one pass (6x16
-    # SGEMM tiles with a fused epilogue) and both backends on the
-    # trunc-form quantizer: 1.72x on mbv2_w100_r160 and 1.59x on
-    # mcunet_r176 in the committed full run, and a median 1.34x
-    # (quartiles 1.23-1.42x, range 0.90-1.79x) over 20 runs of this
-    # --quick headline (mbv2_w035_r96); the spread comes from the short
-    # 50 ms timing windows on a shared host.
+    # SGEMM tiles with a fused epilogue), both backends on the trunc-form
+    # quantizer and small depthwise planes eight to a vector on both:
+    # 1.74x on mbv2_w100_r160 and 1.30x on mcunet_r176 in the committed
+    # full run, and a median 1.41x (quartiles 1.37-1.44x, range
+    # 1.27-1.56x) over 20 runs of this --quick headline (mbv2_w035_r96),
+    # each side the best of eight alternating 25 ms windows. With two
+    # 50 ms windows per side, one slow spell could cover all of one
+    # side's: 20 runs read 0.90-1.79x.
     h = d['mbv2_b1_t1']
     assert h['exact_vs_qmodel'], 'int8 backend diverged from QModel oracle'
     s = h['speedup_int8_vs_fast']
