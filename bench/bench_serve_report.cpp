@@ -291,7 +291,7 @@ void write_open_loop_row(JsonWriter& w, const OpenLoopRow& r) {
   w.integer("rejected_queue_full", l.rejected_queue_full);
   w.integer("dropped_deadline", l.dropped_deadline + l.rejected_deadline);
   w.integer("shed", l.shed());
-  w.integer("unresolved", l.offered - l.completed - l.shed() - l.faulted);
+  w.integer("unresolved", l.unresolved);
   w.integer("padded_accepted", st.padded_accepted);
   w.integer("mixed_geometry_batches", st.mixed_geometry_batches);
   w.integer("batches", st.batches);

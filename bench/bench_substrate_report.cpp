@@ -1,9 +1,7 @@
-// Substrate performance report. Times the packed GEMM, im2col convolution,
-// direct depthwise convolution, and row-parallel elementwise kernels on
-// shapes drawn from MobileNetV2 / MCUNet layers, compares the hot kernels
-// against a verbatim copy of the pre-packing scalar implementation, and
-// writes machine-readable BENCH_substrate.json — the seed of the perf
-// trajectory the ROADMAP tracks. No Google Benchmark dependency.
+// Substrate performance report. Times the packed GEMM on shapes drawn from
+// MobileNetV2 / MCUNet layers at one and four threads, the depthwise
+// routing table and the training layer table, and writes machine-readable
+// BENCH_substrate.json. No Google Benchmark dependency.
 //
 // Its depthwise routing table times every path a depthwise plane can take
 // on every depthwise geometry of the graphs the repo runs — mbv2_w100_r160
@@ -24,10 +22,8 @@
 //
 // Usage: bench_substrate_report [--quick] [--out <path>] (--help describes both)
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,7 +34,6 @@
 #include "core/netbooster.h"
 #include "export/flat_synth.h"
 #include "export/infer_plan.h"
-#include "export/plan_verify.h"
 #include "models/profiler.h"
 #include "models/registry.h"
 #include "nn/activations.h"
@@ -58,76 +53,13 @@ namespace {
 using namespace nb;
 using namespace nb::bench;
 
-// ----------------------------------------------------------------------
-// The pre-PR kernels, kept verbatim (minus the pool fork) as the fixed
-// baseline every future report compares against.
-namespace legacy {
-
-void gemm_nn_rows(int64_t i0, int64_t i1, int64_t n, int64_t k, float alpha,
-                  const float* a, const float* b, float* c) {
-  constexpr int64_t kc = 64;
-  for (int64_t p0 = 0; p0 < k; p0 += kc) {
-    const int64_t p1 = std::min(p0 + kc, k);
-    for (int64_t i = i0; i < i1; ++i) {
-      const float* arow = a + i * k;
-      float* crow = c + i * n;
-      for (int64_t p = p0; p < p1; ++p) {
-        const float av = alpha * arow[p];
-        if (av == 0.0f) continue;
-        const float* brow = b + p * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-void gemm(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
-          const float* b, float* c) {
-  std::fill(c, c + m * n, 0.0f);
-  gemm_nn_rows(0, m, n, k, alpha, a, b, c);
-}
-
-void depthwise_forward(const float* x, const float* w, float* y, int64_t n,
-                       int64_t c, int64_t h, int64_t wd, int64_t k, int64_t s,
-                       int64_t pad, int64_t oh, int64_t ow) {
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* img = x + (i * c + ch) * h * wd;
-      const float* ker = w + ch * k * k;
-      float* out = y + (i * c + ch) * oh * ow;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          float acc = 0.0f;
-          for (int64_t ki = 0; ki < k; ++ki) {
-            const int64_t iy = oy * s + ki - pad;
-            if (iy < 0 || iy >= h) continue;
-            for (int64_t kj = 0; kj < k; ++kj) {
-              const int64_t ix = ox * s + kj - pad;
-              if (ix < 0 || ix >= wd) continue;
-              acc += ker[ki * k + kj] * img[iy * wd + ix];
-            }
-          }
-          out[oy * ow + ox] = acc;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace legacy
-
-struct Result {
+// One timed GEMM shape at one thread count.
+struct GemmRow {
   std::string name;
-  std::string kind;      // gemm | conv | depthwise | elementwise
   int64_t threads = 1;
   double ms = 0.0;
-  double gflops = 0.0;       // 0 when FLOPs are not the right unit
-  double legacy_ms = 0.0;    // 0 when no legacy baseline exists
-  double speedup = 0.0;      // legacy_ms / ms
-  double max_abs_diff = 0.0; // vs legacy output, when compared
+  double gflops = 0.0;
 };
-
-// ----------------------------------------------------------------------
 
 struct GemmShape {
   std::string name;
@@ -135,7 +67,7 @@ struct GemmShape {
 };
 
 void bench_gemm(const GemmShape& shape, PoolSet& pools, const Budget& budget,
-                bool with_legacy, std::vector<Result>& out) {
+                std::vector<GemmRow>& out) {
   Rng rng(101);
   std::vector<float> a(static_cast<size_t>(shape.m * shape.k));
   std::vector<float> b(static_cast<size_t>(shape.k * shape.n));
@@ -145,24 +77,6 @@ void bench_gemm(const GemmShape& shape, PoolSet& pools, const Budget& budget,
   const double flops = 2.0 * static_cast<double>(shape.m) *
                        static_cast<double>(shape.n) *
                        static_cast<double>(shape.k);
-
-  double legacy_ms = 0.0;
-  double diff = 0.0;
-  if (with_legacy) {
-    std::vector<float> c_legacy(c.size());
-    const double s = bench_seconds(budget, [&] {
-      legacy::gemm(shape.m, shape.n, shape.k, 1.0f, a.data(), b.data(),
-                   c_legacy.data());
-    });
-    legacy_ms = s * 1e3;
-    gemm(false, false, shape.m, shape.n, shape.k, 1.0f, a.data(), b.data(),
-         0.0f, c.data());
-    for (size_t i = 0; i < c.size(); ++i) {
-      diff = std::max(diff,
-                      static_cast<double>(std::fabs(c[i] - c_legacy[i])));
-    }
-  }
-
   for (const int64_t threads : pools.counts()) {
     ThreadPool::set_global_override(&pools.get(threads));
     const double s = bench_seconds(budget, [&] {
@@ -170,115 +84,8 @@ void bench_gemm(const GemmShape& shape, PoolSet& pools, const Budget& budget,
            0.0f, c.data());
     });
     ThreadPool::set_global_override(nullptr);
-    Result r;
-    r.name = shape.name + "_t" + std::to_string(threads);
-    r.kind = "gemm";
-    r.threads = threads;
-    r.ms = s * 1e3;
-    r.gflops = flops / s / 1e9;
-    if (threads == 1 && with_legacy) {
-      r.legacy_ms = legacy_ms;
-      r.speedup = legacy_ms / r.ms;
-      r.max_abs_diff = diff;
-    }
-    out.push_back(r);
-  }
-}
-
-struct ConvShape {
-  std::string name;
-  int64_t cin, cout, k, stride, pad, groups, batch, hw;
-};
-
-void bench_conv(const ConvShape& shape, PoolSet& pools, const Budget& budget,
-                bool with_legacy, std::vector<Result>& out) {
-  nn::Conv2d conv(nn::Conv2dOptions(shape.cin, shape.cout, shape.k)
-                      .with_stride(shape.stride)
-                      .with_padding(shape.pad)
-                      .with_groups(shape.groups));
-  Rng rng(202);
-  fill_normal(conv.weight().value, rng, 0.0f, 0.1f);
-  Tensor x({shape.batch, shape.cin, shape.hw, shape.hw});
-  fill_normal(x, rng, 0.0f, 1.0f);
-  const double flops =
-      static_cast<double>(conv.flops(shape.hw, shape.hw)) * shape.batch;
-  const bool depthwise = conv.is_depthwise();
-
-  double legacy_ms = 0.0;
-  double diff = 0.0;
-  if (with_legacy && depthwise) {
-    const int64_t oh =
-        conv_out_size(shape.hw, shape.k, shape.stride, shape.pad);
-    Tensor y_legacy({shape.batch, shape.cout, oh, oh});
-    const double s = bench_seconds(budget, [&] {
-      legacy::depthwise_forward(x.data(), conv.weight().value.data(),
-                                y_legacy.data(), shape.batch, shape.cin,
-                                shape.hw, shape.hw, shape.k, shape.stride,
-                                shape.pad, oh, oh);
-    });
-    legacy_ms = s * 1e3;
-    ThreadPool::set_global_override(&pools.get(1));
-    const Tensor y = conv.forward(x);
-    ThreadPool::set_global_override(nullptr);
-    diff = max_abs_diff(y, y_legacy);
-  }
-
-  for (const int64_t threads : pools.counts()) {
-    ThreadPool::set_global_override(&pools.get(threads));
-    const double s = bench_seconds(budget, [&] {
-      Tensor y = conv.forward(x);
-      (void)y;
-    });
-    ThreadPool::set_global_override(nullptr);
-    Result r;
-    r.name = shape.name + "_t" + std::to_string(threads);
-    r.kind = depthwise ? "depthwise" : "conv";
-    r.threads = threads;
-    r.ms = s * 1e3;
-    r.gflops = flops / s / 1e9;
-    if (threads == 1 && with_legacy && depthwise) {
-      r.legacy_ms = legacy_ms;
-      r.speedup = legacy_ms / r.ms;
-      r.max_abs_diff = diff;
-    }
-    out.push_back(r);
-  }
-}
-
-void bench_elementwise(PoolSet& pools, const Budget& budget,
-                       std::vector<Result>& out) {
-  Rng rng(303);
-  Tensor logits({128, 1000});
-  fill_normal(logits, rng, 0.0f, 2.0f);
-  Tensor big({1 << 21});
-  fill_normal(big, rng, 0.0f, 1.0f);
-  Tensor other({1 << 21});
-  fill_normal(other, rng, 0.0f, 1.0f);
-
-  for (const int64_t threads : pools.counts()) {
-    ThreadPool::set_global_override(&pools.get(threads));
-    {
-      const double s = bench_seconds(budget, [&] {
-        Tensor p = softmax_rows(logits);
-        (void)p;
-      });
-      Result r;
-      r.name = "softmax_rows_128x1000_t" + std::to_string(threads);
-      r.kind = "elementwise";
-      r.threads = threads;
-      r.ms = s * 1e3;
-      out.push_back(r);
-    }
-    {
-      const double s = bench_seconds(budget, [&] { big.add_(other); });
-      Result r;
-      r.name = "add_2m_t" + std::to_string(threads);
-      r.kind = "elementwise";
-      r.threads = threads;
-      r.ms = s * 1e3;
-      out.push_back(r);
-    }
-    ThreadPool::set_global_override(nullptr);
+    out.push_back({shape.name + "_t" + std::to_string(threads), threads,
+                   s * 1e3, flops / s / 1e9});
   }
 }
 
@@ -322,14 +129,13 @@ void add_geometry(std::vector<DwGeometry>& out, const std::string& graph,
   out.push_back(g);
 }
 
-// The depthwise steps of a fast plan, read from its own tables.
+// The depthwise steps of a fast plan, read from the planner's tables.
 void add_plan_geometries(std::vector<DwGeometry>& out,
                          const std::string& graph,
                          const exporter::FlatModel& model, int64_t batch,
                          int64_t res) {
-  const exporter::InferPlan plan(model, batch, 3, res, res,
-                                 exporter::Backend::fast);
-  for (const exporter::StepTable& st : exporter::plan_tables(plan).steps) {
+  for (const exporter::StepTable& st :
+       exporter::plan_program(model, batch, 3, res, res).steps) {
     if (!st.depthwise) continue;
     add_geometry(out, graph, st.in_h, st.in_w, st.kernel, st.stride, st.pad,
                  st.cout * batch);
@@ -569,34 +375,17 @@ std::vector<TrainRow> bench_train_step(const Budget& budget) {
 
 void write_json(const std::string& path, bool quick,
                 const std::vector<int64_t>& threads_tested,
-                const std::vector<Result>& results,
+                const std::vector<GemmRow>& gemms,
                 const std::vector<DwGeometry>& routes,
                 const std::vector<TrainRow>& train) {
-  double sgemm256_speedup = 0.0;
-  double sgemm256_gflops = 0.0;
-  double sgemm256_legacy_gflops = 0.0;
-  for (const Result& r : results) {
-    if (r.name == "sgemm_256_t1" && r.legacy_ms > 0.0) {
-      sgemm256_speedup = r.speedup;
-      sgemm256_gflops = r.gflops;
-      sgemm256_legacy_gflops = r.gflops * r.ms / r.legacy_ms;
-    }
-  }
   JsonWriter w(path);
-  w.str("schema", "nb-bench-substrate-v1");
+  w.str("schema", "nb-bench-substrate-v2");
   w.str("bench", "substrate");
   w.boolean("quick", quick);
-  w.str("gemm_kernel", gemm_kernel_name());
-  w.str("dw_kernel", depthwise_kernel_name());
   w.integer("hardware_threads", std::thread::hardware_concurrency());
   write_provenance(w);
   w.array("threads_tested", /*one_line=*/true);
   for (const int64_t t : threads_tested) w.integer(nullptr, t);
-  w.end();
-  w.object("sgemm256");
-  w.num("gflops_1t", sgemm256_gflops);
-  w.num("legacy_gflops_1t", sgemm256_legacy_gflops);
-  w.num("speedup_vs_legacy", sgemm256_speedup);
   w.end();
   // Per-graph totals: what each path alone would cost, and what the routed
   // steps cost (each geometry at its route's time): in float, blocks at or
@@ -688,18 +477,12 @@ void write_json(const std::string& path, bool quick,
   w.end();
   w.end();
   w.array("results");
-  for (const Result& r : results) {
+  for (const GemmRow& r : gemms) {
     w.row();
     w.str("name", r.name);
-    w.str("kind", r.kind);
     w.integer("threads", r.threads);
     w.num("ms", r.ms, "%.6f");
-    if (r.gflops > 0.0) w.num("gflops", r.gflops);
-    if (r.legacy_ms > 0.0) {
-      w.num("legacy_ms", r.legacy_ms, "%.6f");
-      w.num("speedup_vs_legacy", r.speedup);
-      w.num("max_abs_diff_vs_legacy", r.max_abs_diff, "%.3g");
-    }
+    w.num("gflops", r.gflops);
     w.end();
   }
   w.end();
@@ -715,42 +498,21 @@ int main(int argc, char** argv) {
   const Budget budget = quick ? Budget{0.03, 2} : Budget{0.15, 4};
 
   PoolSet pools;
-  std::vector<Result> results;
+  std::vector<GemmRow> gemms;
 
   // GEMM: the 256^3 headline plus pointwise-conv shapes (M=cout, N=oh*ow,
   // K=cin) from MobileNetV2 (28^2 plane) and an MCUNet-scale 14^2 plane.
-  std::vector<GemmShape> gemms = {
+  std::vector<GemmShape> shapes = {
       {"sgemm_256", 256, 256, 256},
       {"sgemm_mbv2_pw_96x784x144", 96, 784, 144},
       {"sgemm_mcunet_pw_48x196x96", 48, 196, 96},
   };
-  if (!quick) gemms.push_back({"sgemm_512", 512, 512, 512});
-  for (size_t i = 0; i < gemms.size(); ++i) {
-    bench_gemm(gemms[i], pools, budget, /*with_legacy=*/gemms[i].name ==
-                                            "sgemm_256" || !quick,
-               results);
-    std::fprintf(stderr, "  [%zu/%zu] %s done\n", i + 1, gemms.size(),
-                 gemms[i].name.c_str());
+  if (!quick) shapes.push_back({"sgemm_512", 512, 512, 512});
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    bench_gemm(shapes[i], pools, budget, gemms);
+    std::fprintf(stderr, "  [%zu/%zu] %s done\n", i + 1, shapes.size(),
+                 shapes[i].name.c_str());
   }
-
-  // Convolutions: MobileNetV2 stem, an inverted-bottleneck expand 1x1, and
-  // depthwise layers from MobileNetV2 (3x3) and MCUNet (5x5).
-  std::vector<ConvShape> convs = {
-      {"conv3x3_mbv2_stem_3to32_s2_112", 3, 32, 3, 2, 1, 1, 1, 112},
-      {"conv1x1_mbv2_expand_24to144_28", 24, 144, 1, 1, 0, 1, 1, 28},
-      {"dw3x3_mbv2_144_28", 144, 144, 3, 1, 1, 144, 1, 28},
-      {"dw3x3_mbv2_144_56_s2", 144, 144, 3, 2, 1, 144, 1, 56},
-      {"dw5x5_mcunet_120_14", 120, 120, 5, 1, 2, 120, 1, 14},
-  };
-  if (quick) convs.resize(3);  // stem, expand, one depthwise
-  for (size_t i = 0; i < convs.size(); ++i) {
-    bench_conv(convs[i], pools, budget, /*with_legacy=*/true, results);
-    std::fprintf(stderr, "  [%zu/%zu] %s done\n", i + 1, convs.size(),
-                 convs[i].name.c_str());
-  }
-
-  bench_elementwise(pools, budget, results);
-  std::fprintf(stderr, "  elementwise done\n");
 
   // Both tables run on one thread: the block entry runs its blocks through
   // parallel_for, the per-plane passes plane by plane on the caller.
@@ -760,8 +522,8 @@ int main(int argc, char** argv) {
   const std::vector<TrainRow> train = bench_train_step(budget);
   ThreadPool::set_global_override(nullptr);
 
-  write_json(out_path, quick, pools.counts(), results, routes, train);
-  std::fprintf(stderr, "wrote %s (%zu results, kernel=%s)\n", out_path.c_str(),
-               results.size(), gemm_kernel_name());
+  write_json(out_path, quick, pools.counts(), gemms, routes, train);
+  std::fprintf(stderr, "wrote %s (%zu GEMM rows, kernel=%s)\n",
+               out_path.c_str(), gemms.size(), gemm_kernel_name());
   return 0;
 }

@@ -5,37 +5,21 @@
 // This bench trains vanilla and NetBooster models, runs both through the
 // fold-BN -> per-channel int8 weights -> calibrated int8 activations
 // pipeline (src/quant), and compares fp32 vs int8 accuracy and weight bytes.
-#include <chrono>
 #include <cstring>
+#include <vector>
 
 #include "bench_common.h"
+#include "bench_report.h"
 #include "export/flat_writer.h"
-#include "export/infer_plan.h"
 #include "export/qmodel.h"
+#include "runtime/compiled_model.h"
+#include "runtime/session.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/rng.h"
 #include "tensor/tensor_ops.h"
 #include "quant/qmodel.h"
 #include "train/metrics.h"
 #include "train/trainer.h"
-
-namespace {
-
-// Best-of-5 single-image latency of one plan, in milliseconds.
-double plan_latency_ms(const nb::exporter::InferPlan& plan,
-                       const nb::Tensor& x) {
-  (void)plan.run(x);  // warm the arena and panels
-  double best = 1e100;
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)plan.run(x);
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best * 1e3;
-}
-
-}  // namespace
 
 int main() {
   using namespace nb;
@@ -104,13 +88,18 @@ int main() {
   Tensor img({1, 3, res, res});
   Rng img_rng(scale.seed + 77);
   fill_uniform(img, img_rng, -1.0f, 1.0f);
-  const exporter::InferPlan fast_plan(flat, 1, 3, res, res,
-                                      exporter::Backend::fast);
-  const exporter::InferPlan int8_plan(flat, 1, 3, res, res,
-                                      exporter::Backend::int8);
-  const double fast_ms = plan_latency_ms(fast_plan, img);
-  const double int8_ms = plan_latency_ms(int8_plan, img);
-  const Tensor y_int8 = int8_plan.run(img);
+  // Both deployed backends through the serving runtime, timed in
+  // alternating windows of the same length and count as bench_infer_report
+  // times them, so both see the same host state.
+  runtime::Session fast(
+      runtime::CompiledModel::compile(flat, exporter::Backend::fast));
+  runtime::Session int8(
+      runtime::CompiledModel::compile(flat, exporter::Backend::int8));
+  const std::vector<double> s = bench::bench_alternating_seconds(
+      bench::Budget{0.025, 8},
+      {[&] { (void)int8.run(img); }, [&] { (void)fast.run(img); }});
+  const double int8_ms = s[0] * 1e3, fast_ms = s[1] * 1e3;
+  const Tensor y_int8 = int8.run(img);
   const Tensor y_oracle = exporter::QModel(flat).forward(img);
   const bool exact =
       y_int8.numel() == y_oracle.numel() &&

@@ -14,6 +14,24 @@
 
 namespace nb::baselines {
 
+namespace {
+
+// (1 - alpha) * CE + alpha * T^2 * KL against `teacher_logits`: the loss of
+// every KD variant here.
+nn::LossResult kd_blend(const Tensor& logits,
+                        const std::vector<int64_t>& labels,
+                        const Tensor& teacher_logits, const KdConfig& config) {
+  nn::LossResult ce = nn::softmax_cross_entropy(logits, labels);
+  nn::LossResult kd = nn::kd_kl(logits, teacher_logits, config.temperature);
+  nn::LossResult out;
+  out.loss = (1.0f - config.alpha) * ce.loss + config.alpha * kd.loss;
+  out.grad = ce.grad.scale(1.0f - config.alpha);
+  out.grad.add_scaled_(kd.grad, config.alpha);
+  return out;
+}
+
+}  // namespace
+
 train::LossFn make_kd_loss(std::shared_ptr<nn::Module> teacher,
                            const KdConfig& config) {
   NB_CHECK(teacher != nullptr, "KD needs a teacher");
@@ -21,14 +39,7 @@ train::LossFn make_kd_loss(std::shared_ptr<nn::Module> teacher,
   return [teacher, config](const Tensor& logits,
                            const std::vector<int64_t>& labels,
                            const Tensor& images) {
-    const Tensor teacher_logits = teacher->forward(images);
-    nn::LossResult ce = nn::softmax_cross_entropy(logits, labels);
-    nn::LossResult kd = nn::kd_kl(logits, teacher_logits, config.temperature);
-    nn::LossResult out;
-    out.loss = (1.0f - config.alpha) * ce.loss + config.alpha * kd.loss;
-    out.grad = ce.grad.scale(1.0f - config.alpha);
-    out.grad.add_scaled_(kd.grad, config.alpha);
-    return out;
+    return kd_blend(logits, labels, teacher->forward(images), config);
   };
 }
 
@@ -53,13 +64,7 @@ train::LossFn make_tfkd_loss(int64_t num_classes, const KdConfig& config,
         teacher.at(i, j) = std::log(p);
       }
     }
-    nn::LossResult ce = nn::softmax_cross_entropy(logits, labels);
-    nn::LossResult kd = nn::kd_kl(logits, teacher, config.temperature);
-    nn::LossResult out;
-    out.loss = (1.0f - config.alpha) * ce.loss + config.alpha * kd.loss;
-    out.grad = ce.grad.scale(1.0f - config.alpha);
-    out.grad.add_scaled_(kd.grad, config.alpha);
-    return out;
+    return kd_blend(logits, labels, teacher, config);
   };
 }
 
@@ -122,14 +127,7 @@ train::TrainHistory train_rco_kd(
   train::LossFn loss_fn = [&teacher, kd](const Tensor& logits,
                                          const std::vector<int64_t>& labels,
                                          const Tensor& images) {
-    const Tensor teacher_logits = teacher.forward(images);
-    nn::LossResult ce = nn::softmax_cross_entropy(logits, labels);
-    nn::LossResult kdl = nn::kd_kl(logits, teacher_logits, kd.temperature);
-    nn::LossResult out;
-    out.loss = (1.0f - kd.alpha) * ce.loss + kd.alpha * kdl.loss;
-    out.grad = ce.grad.scale(1.0f - kd.alpha);
-    out.grad.add_scaled_(kdl.grad, kd.alpha);
-    return out;
+    return kd_blend(logits, labels, teacher.forward(images), kd);
   };
 
   return train::train_classifier(

@@ -9,6 +9,7 @@
 #include "nn/serialize.h"
 #include "optim/lr_schedule.h"
 #include "optim/sgd.h"
+#include "tensor/depthwise.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "train/metrics.h"
@@ -112,28 +113,19 @@ Tensor SliceDepthwiseConv::forward(const Tensor& x) {
   const int64_t oh = (h + 2 * pad - k) / stride_ + 1;
   const int64_t ow = (w + 2 * pad - k) / stride_ + 1;
   Tensor y({n, active_, oh, ow});
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t c = 0; c < active_; ++c) {
-      const float* img = x.data() + (i * active_ + c) * h * w;
-      const float* ker = weight_.value.data() + c * k * k;
-      float* out = y.data() + (i * active_ + c) * oh * ow;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          float acc = 0.0f;
-          for (int64_t ki = 0; ki < k; ++ki) {
-            const int64_t iy = oy * stride_ + ki - pad;
-            if (iy < 0 || iy >= h) continue;
-            for (int64_t kj = 0; kj < k; ++kj) {
-              const int64_t ix = ox * stride_ + kj - pad;
-              if (ix < 0 || ix >= w) continue;
-              acc += ker[ki * k + kj] * img[iy * w + ix];
-            }
-          }
-          out[oy * ow + ox] = acc;
-        }
-      }
-    }
-  }
+  // The active channels are a prefix of the weight, so channel c's kernel
+  // sits at c*k*k as in a full-width depthwise conv.
+  DepthwisePlanes g;
+  g.count = n * active_;
+  g.channels = active_;
+  g.h = h;
+  g.w = w;
+  g.oh = oh;
+  g.ow = ow;
+  g.k = k;
+  g.s = stride_;
+  g.pad = pad;
+  depthwise_blocks(g, x.data(), weight_.value.data(), nullptr, y.data());
   return y;
 }
 

@@ -10,6 +10,8 @@ float average_precision(const std::vector<std::vector<Box>>& preds,
                         const std::vector<std::vector<data::GtBox>>& gts,
                         int64_t cls, float iou_threshold) {
   NB_CHECK(preds.size() == gts.size(), "pred/gt image count mismatch");
+  NB_CHECK(iou_threshold > 0.0f && iou_threshold <= 1.0f,
+           "average_precision: IoU threshold must be in (0, 1]");
 
   // Flatten predictions of this class with their image index.
   struct Pred {
@@ -80,53 +82,19 @@ float average_precision(const std::vector<std::vector<Box>>& preds,
   return ap;
 }
 
-float mean_ap(const std::vector<std::vector<Box>>& preds,
-              const std::vector<std::vector<data::GtBox>>& gts,
-              int64_t num_classes, float iou_threshold) {
-  NB_CHECK(iou_threshold > 0.0f && iou_threshold <= 1.0f,
-           "mean_ap: IoU threshold must be in (0, 1]");
+float ap50(const std::vector<std::vector<Box>>& preds,
+           const std::vector<std::vector<data::GtBox>>& gts,
+           int64_t num_classes) {
   float sum = 0.0f;
   int64_t counted = 0;
   for (int64_t c = 0; c < num_classes; ++c) {
-    const float ap = average_precision(preds, gts, c, iou_threshold);
+    const float ap = average_precision(preds, gts, c, 0.5f);
     if (ap >= 0.0f) {
       sum += ap;
       ++counted;
     }
   }
   return counted > 0 ? sum / static_cast<float>(counted) : 0.0f;
-}
-
-float ap50(const std::vector<std::vector<Box>>& preds,
-           const std::vector<std::vector<data::GtBox>>& gts,
-           int64_t num_classes) {
-  return mean_ap(preds, gts, num_classes, 0.5f);
-}
-
-MapReport evaluate_map(const std::vector<std::vector<Box>>& preds,
-                       const std::vector<std::vector<data::GtBox>>& gts,
-                       int64_t num_classes,
-                       const std::vector<float>& iou_thresholds) {
-  NB_CHECK(!iou_thresholds.empty(), "evaluate_map: need >= 1 threshold");
-  MapReport report;
-  report.per_threshold.reserve(iou_thresholds.size());
-  double sum = 0.0;
-  for (float t : iou_thresholds) {
-    const float v = mean_ap(preds, gts, num_classes, t);
-    report.per_threshold.push_back(v);
-    sum += v;
-  }
-  report.mean =
-      static_cast<float>(sum / static_cast<double>(iou_thresholds.size()));
-  return report;
-}
-
-std::vector<float> coco_iou_ladder() {
-  std::vector<float> out;
-  for (int i = 0; i <= 9; ++i) {
-    out.push_back(0.5f + 0.05f * static_cast<float>(i));
-  }
-  return out;
 }
 
 }  // namespace nb::detect

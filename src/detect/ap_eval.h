@@ -1,6 +1,6 @@
-// AP50 evaluation: greedy IoU-0.5 matching per class over the whole dataset,
+// AP50 evaluation: greedy IoU matching per class over the whole dataset,
 // precision-recall curve, 11-point interpolated average precision (the
-// classic Pascal VOC metric reported in Table III).
+// classic Pascal VOC metric reported in Table III at IoU 0.5).
 #pragma once
 
 #include <vector>
@@ -10,7 +10,10 @@
 
 namespace nb::detect {
 
-/// Average precision for one class; `preds`/`gts` are per-image lists.
+/// Average precision for one class; `preds`/`gts` are per-image lists. A
+/// prediction matches when its IoU with an unmatched ground-truth box is at
+/// least `iou_threshold`, which must lie in (0, 1]. Returns -1 when the
+/// class has no ground truth.
 float average_precision(const std::vector<std::vector<Box>>& preds,
                         const std::vector<std::vector<data::GtBox>>& gts,
                         int64_t cls, float iou_threshold = 0.5f);
@@ -20,26 +23,5 @@ float average_precision(const std::vector<std::vector<Box>>& preds,
 float ap50(const std::vector<std::vector<Box>>& preds,
            const std::vector<std::vector<data::GtBox>>& gts,
            int64_t num_classes);
-
-/// Mean AP at one arbitrary IoU threshold (ap50 == mean_ap(..., 0.5)).
-float mean_ap(const std::vector<std::vector<Box>>& preds,
-              const std::vector<std::vector<data::GtBox>>& gts,
-              int64_t num_classes, float iou_threshold);
-
-struct MapReport {
-  /// One mean-AP value per requested threshold, in input order.
-  std::vector<float> per_threshold;
-  /// COCO-style average over the thresholds.
-  float mean = 0.0f;
-};
-
-/// Multi-threshold evaluation, e.g. the COCO ladder {0.5, 0.55, ..., 0.95}.
-MapReport evaluate_map(const std::vector<std::vector<Box>>& preds,
-                       const std::vector<std::vector<data::GtBox>>& gts,
-                       int64_t num_classes,
-                       const std::vector<float>& iou_thresholds);
-
-/// The COCO threshold ladder 0.50:0.05:0.95.
-std::vector<float> coco_iou_ladder();
 
 }  // namespace nb::detect

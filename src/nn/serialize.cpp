@@ -1,23 +1,6 @@
 #include "nn/serialize.h"
 
-#include <cstdint>
-#include <fstream>
-
 namespace nb::nn {
-
-namespace {
-constexpr char kMagic[6] = {'N', 'B', 'C', 'K', '1', '\n'};
-
-void write_u64(std::ostream& os, uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-uint64_t read_u64(std::istream& is) {
-  uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-}  // namespace
 
 std::map<std::string, Tensor> state_dict(Module& m) {
   std::map<std::string, Tensor> sd;
@@ -37,52 +20,6 @@ void load_state_dict(Module& m, const std::map<std::string, Tensor>& sd) {
   };
   for (auto& [name, p] : m.named_parameters()) load_one(name, p->value);
   for (auto& [name, b] : m.named_buffers()) load_one(name, *b);
-}
-
-void save_checkpoint(Module& m, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  NB_CHECK(os.good(), "cannot open checkpoint for writing: " + path);
-  os.write(kMagic, sizeof(kMagic));
-  const auto sd = state_dict(m);
-  write_u64(os, sd.size());
-  for (const auto& [name, t] : sd) {
-    write_u64(os, name.size());
-    os.write(name.data(), static_cast<std::streamsize>(name.size()));
-    write_u64(os, static_cast<uint64_t>(t.dim()));
-    for (int64_t d = 0; d < t.dim(); ++d) {
-      write_u64(os, static_cast<uint64_t>(t.size(d)));
-    }
-    os.write(reinterpret_cast<const char*>(t.data()),
-             static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  }
-  NB_CHECK(os.good(), "checkpoint write failed: " + path);
-}
-
-void load_checkpoint(Module& m, const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  NB_CHECK(is.good(), "cannot open checkpoint for reading: " + path);
-  char magic[sizeof(kMagic)];
-  is.read(magic, sizeof(magic));
-  NB_CHECK(is.good() && std::equal(magic, magic + sizeof(kMagic), kMagic),
-           "bad checkpoint magic in " + path);
-  std::map<std::string, Tensor> sd;
-  const uint64_t count = read_u64(is);
-  for (uint64_t e = 0; e < count; ++e) {
-    const uint64_t name_len = read_u64(is);
-    std::string name(name_len, '\0');
-    is.read(name.data(), static_cast<std::streamsize>(name_len));
-    const uint64_t rank = read_u64(is);
-    std::vector<int64_t> shape(rank);
-    for (uint64_t d = 0; d < rank; ++d) {
-      shape[d] = static_cast<int64_t>(read_u64(is));
-    }
-    Tensor t(shape);
-    is.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(t.numel() * sizeof(float)));
-    NB_CHECK(is.good(), "truncated checkpoint: " + path);
-    sd[name] = std::move(t);
-  }
-  load_state_dict(m, sd);
 }
 
 }  // namespace nb::nn

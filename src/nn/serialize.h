@@ -1,6 +1,7 @@
-// Binary checkpoint format for module state (parameters + buffers). Used to
-// carry ImageNet-pretrained deep giants into the downstream-task experiments
-// and to store the teacher route for RCO-KD.
+// In-memory module state (parameters + buffers) by name. Carries
+// ImageNet-pretrained deep giants into the downstream-task experiments
+// (Table II), snapshots the teacher route for RCO-KD, and restores weights
+// in Fig. 1b and NetAug.
 #pragma once
 
 #include <map>
@@ -16,12 +17,5 @@ std::map<std::string, Tensor> state_dict(Module& m);
 /// Loads values by name; every entry in the module must be present in `sd`
 /// with a matching shape (strict load).
 void load_state_dict(Module& m, const std::map<std::string, Tensor>& sd);
-
-/// Serializes the state dict to a file (format: NBCK1 header, then
-/// length-prefixed name / rank / dims / float32 payload per tensor).
-void save_checkpoint(Module& m, const std::string& path);
-
-/// Restores a checkpoint written by save_checkpoint (strict).
-void load_checkpoint(Module& m, const std::string& path);
 
 }  // namespace nb::nn

@@ -117,12 +117,24 @@ LoadResult& LoadResult::operator+=(const LoadResult& other) {
   dropped_deadline += other.dropped_deadline;
   dropped_shutdown += other.dropped_shutdown;
   faulted += other.faulted;
+  unresolved += other.unresolved;
   wall_s += other.wall_s;
   max_lag_s = std::max(max_lag_s, other.max_lag_s);
   return *this;
 }
 
 namespace {
+
+/// A closed-loop client whose submit was rejected waits before it retries:
+/// kRetryWaitMin, doubling with each rejection in a row up to
+/// kRetryWaitMax, and back to kRetryWaitMin once a submit is admitted.
+constexpr std::chrono::microseconds kRetryWaitMin{50};
+constexpr std::chrono::microseconds kRetryWaitMax{1000};
+
+/// How long the loops wait on an admitted request's future before counting
+/// it unresolved: far beyond any deadline or queue the benches and tools
+/// set, so only a future that is never resolved reaches it.
+constexpr std::chrono::seconds kResolveCap{10};
 
 /// Submits one request and counts it as offered. A rejected submit lands
 /// in its admission bucket and returns an invalid future.
@@ -151,8 +163,14 @@ std::future<Tensor> submit_counted(Engine& engine, const std::string& name,
   return {};
 }
 
-/// Waits for an admitted request and counts its outcome.
-void resolve_counted(std::future<Tensor>& f, LoadResult& r) {
+/// Waits for an admitted request until `by` and counts its outcome, or
+/// counts it unresolved when it is still pending then.
+void resolve_counted(std::future<Tensor>& f, Clock::time_point by,
+                     LoadResult& r) {
+  if (f.wait_until(by) != std::future_status::ready) {
+    ++r.unresolved;
+    return;
+  }
   try {
     (void)f.get();
     ++r.completed;
@@ -214,7 +232,8 @@ LoadResult run_open_loop(Engine& engine, const std::vector<ModelTraffic>& mix,
         submit_counted(engine, traffic.name, image, opts, r);
     if (f.valid()) futures.push_back(std::move(f));
   }
-  for (std::future<Tensor>& f : futures) resolve_counted(f, r);
+  const auto harvest_by = Clock::now() + kResolveCap;
+  for (std::future<Tensor>& f : futures) resolve_counted(f, harvest_by, r);
   r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
   return r;
 }
@@ -238,13 +257,20 @@ LoadResult run_closed_loop(Engine& engine, const std::vector<ModelTraffic>& mix,
         const std::vector<Tensor>& geos = traffic.geo_images;
         LoadResult& r = per_client[c];
         size_t next_geo = c;
+        auto retry_wait = kRetryWaitMin;
         try {
           while (Clock::now() < stop) {
             const Tensor& image =
                 geos.empty() ? traffic.image : geos[next_geo++ % geos.size()];
             std::future<Tensor> f =
                 submit_counted(engine, traffic.name, image, {}, r);
-            if (f.valid()) resolve_counted(f, r);
+            if (f.valid()) {
+              resolve_counted(f, Clock::now() + kResolveCap, r);
+              retry_wait = kRetryWaitMin;
+            } else {
+              std::this_thread::sleep_for(retry_wait);
+              retry_wait = std::min(2 * retry_wait, kRetryWaitMax);
+            }
           }
         } catch (...) {
           // A malformed submit (a caller bug, not a rejection) ends this

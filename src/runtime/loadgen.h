@@ -21,8 +21,10 @@
 //     window closes.
 //
 // Both loops count every submit in exactly one outcome of the rejection
-// taxonomy and return a LoadResult: the goodput, shed rate and lag that
-// BENCH_serve.json and tools/flat_serve report.
+// taxonomy, or as unresolved when its future is still pending after a
+// fixed cap (seconds, far beyond any deadline), and return a LoadResult:
+// the goodput, shed rate and lag that BENCH_serve.json and tools/flat_serve
+// report. A future that never resolves shows as a count, not a hang.
 #pragma once
 
 #include <cstdint>
@@ -101,6 +103,7 @@ struct LoadResult {
   int64_t dropped_deadline = 0;  // RejectedError{Deadline} while queued
   int64_t dropped_shutdown = 0;  // RejectedError{ShuttingDown} (drop policy)
   int64_t faulted = 0;           // any non-rejection error
+  int64_t unresolved = 0;        // still pending at the harvest cap
   double wall_s = 0.0;     // run start -> last future resolved
   double max_lag_s = 0.0;  // worst open-loop generator lateness
                            // vs the schedule (0 for a closed loop)
@@ -132,8 +135,10 @@ LoadResult run_open_loop(Engine& engine, const std::vector<ModelTraffic>& mix,
 /// Runs `clients` client threads against `engine` for `seconds`. Client c
 /// drives mix[c % mix.size()] (normal lane, no deadline), walking its
 /// geo_images round-robin from index c: submit, wait, submit again. A
-/// rejected submit is counted and retried at once, so a queue too shallow
-/// for the clients shows as shed load. Returns once every future resolved.
+/// rejected submit is counted and retried after a wait of 50 us that
+/// doubles with each rejection in a row up to 1 ms, so a queue too shallow
+/// for the clients shows as shed load without a client spinning on it.
+/// Returns once every future resolved or reached the harvest cap.
 LoadResult run_closed_loop(Engine& engine, const std::vector<ModelTraffic>& mix,
                            int64_t clients, double seconds);
 

@@ -58,6 +58,10 @@ struct ConvCase {
   bool bias;
 };
 
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << ::nb::testing::conv_case_name(c);
+}
+
 class ConvParam : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvParam, ForwardMatchesReference) {

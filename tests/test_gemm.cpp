@@ -42,6 +42,14 @@ struct GemmCase {
   float alpha, beta;
 };
 
+// Prints a case by its fields, e.g. "m5_n6_k4_ta_alpha1_beta0", which
+// gtest_discover_tests makes its ctest name; gtest's default prints the
+// struct's bytes, padding included, which differ between builds.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << "m" << c.m << "_n" << c.n << "_k" << c.k << (c.ta ? "_ta" : "")
+      << (c.tb ? "_tb" : "") << "_alpha" << c.alpha << "_beta" << c.beta;
+}
+
 class GemmParam : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmParam, MatchesNaive) {

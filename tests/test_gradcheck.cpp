@@ -28,6 +28,10 @@ struct ConvGradCase {
   bool bias;
 };
 
+void PrintTo(const ConvGradCase& c, std::ostream* os) {
+  *os << ::nb::testing::conv_case_name(c);
+}
+
 class ConvGrad : public ::testing::TestWithParam<ConvGradCase> {};
 
 TEST_P(ConvGrad, FiniteDifference) {

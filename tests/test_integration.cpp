@@ -1,10 +1,7 @@
-// Cross-module integration tests: checkpointing mid-pipeline, NetAug
-// deployment export feeding the detector, KD over contracted models, and
-// determinism of the full NetBooster flow.
+// Cross-module integration tests: saving and restoring state mid-pipeline,
+// NetAug deployment export feeding the detector, KD over contracted models,
+// and determinism of the full NetBooster flow.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <filesystem>
 
 #include "baselines/kd.h"
 #include "baselines/netaug.h"
@@ -22,29 +19,22 @@ namespace {
 
 using ::nb::testing::ToyDataset;
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(Integration, ExpandedModelCheckpointRoundTrip) {
-  // A deep giant (including PLT alphas mid-ramp) must survive save/load.
+  // A deep giant (including PLT alphas mid-ramp) must survive save/restore.
   auto a = models::make_model("mbv2-tiny", 6, 11);
   core::ExpansionConfig config;
   Rng rng(900);
   core::ExpansionResult exp_a = core::expand_network(*a, config, rng);
   for (nn::PltActivation* act : exp_a.plt_activations) act->set_alpha(0.37f);
-
-  const std::string path = temp_path("nb_giant_ckpt.bin");
-  nn::save_checkpoint(*a, path);
+  const auto saved = nn::state_dict(*a);
 
   auto b = models::make_model("mbv2-tiny", 6, 12);
   Rng rng2(900);  // same seed -> same structure
   core::ExpansionResult exp_b = core::expand_network(*b, config, rng2);
-  nn::load_checkpoint(*b, path);
-  std::remove(path.c_str());
+  nn::load_state_dict(*b, saved);
 
   for (nn::PltActivation* act : exp_b.plt_activations) {
-    EXPECT_FLOAT_EQ(act->alpha(), 0.37f) << "alpha must ride the checkpoint";
+    EXPECT_FLOAT_EQ(act->alpha(), 0.37f) << "alpha must ride the state dict";
   }
   a->set_training(false);
   b->set_training(false);

@@ -1,8 +1,8 @@
 // Tests for the load generator (src/runtime/loadgen): seed determinism of
 // the Poisson schedule, burst-window rate shaping, model-mix and
 // lane-fraction statistics, spec validation, LoadResult summing, an
-// end-to-end run_open_loop smoke test against a live Engine, and a
-// run_closed_loop run whose rejections are forced by a pinned worker.
+// end-to-end run_open_loop smoke test against a live Engine, and
+// run_closed_loop runs whose rejections are forced by a pinned worker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -260,6 +260,7 @@ TEST(LoadGen, RunOpenLoopAccountsForEveryArrival) {
   EXPECT_GT(r.offered, 0);
   EXPECT_EQ(r.offered, r.completed + r.shed() + r.faulted);
   EXPECT_EQ(r.faulted, 0);
+  EXPECT_EQ(r.unresolved, 0);
   EXPECT_GT(r.goodput_per_s(), 0.0);
   engine.shutdown();
 }
@@ -296,6 +297,7 @@ TEST(LoadGen, MixedGeometryRunReplaysGeoImagesAndAccountsEveryArrival) {
   EXPECT_GT(r.offered, 0);
   EXPECT_EQ(r.offered, r.completed + r.shed() + r.faulted);
   EXPECT_EQ(r.faulted, 0);
+  EXPECT_EQ(r.unresolved, 0);
   engine.shutdown();
   // The mixed traffic really exercised the bucket path: every 10x10 and
   // 11x11 arrival was padded to the 12x12 rung.
@@ -330,20 +332,22 @@ TEST(LoadGen, GeoImagesMustMatchGeoWeights) {
 
 TEST(LoadGen, LoadResultSumsEveryCountAndWallAndKeepsTheWorstLag) {
   // Every count distinct, so a field summed into the wrong field shows.
-  const LoadResult a{.offered = 108, .rejected_queue_full = 1,
+  const LoadResult a{.offered = 116, .rejected_queue_full = 1,
                      .rejected_deadline = 2, .rejected_shutdown = 3,
                      .rejected_other = 4, .completed = 80,
                      .dropped_deadline = 5, .dropped_shutdown = 6,
-                     .faulted = 7, .wall_s = 1.5, .max_lag_s = 0.004};
-  LoadResult b{.offered = 1080, .rejected_queue_full = 10,
+                     .faulted = 7, .unresolved = 8, .wall_s = 1.5,
+                     .max_lag_s = 0.004};
+  LoadResult b{.offered = 1160, .rejected_queue_full = 10,
                .rejected_deadline = 20, .rejected_shutdown = 30,
                .rejected_other = 40, .completed = 800,
                .dropped_deadline = 50, .dropped_shutdown = 60,
-               .faulted = 70, .wall_s = 0.25, .max_lag_s = 0.001};
+               .faulted = 70, .unresolved = 80, .wall_s = 0.25,
+               .max_lag_s = 0.001};
 
   LoadResult sum = a;
   sum += b;
-  EXPECT_EQ(sum.offered, 1188);
+  EXPECT_EQ(sum.offered, 1276);
   EXPECT_EQ(sum.rejected_queue_full, 11);
   EXPECT_EQ(sum.rejected_deadline, 22);
   EXPECT_EQ(sum.rejected_shutdown, 33);
@@ -352,7 +356,9 @@ TEST(LoadGen, LoadResultSumsEveryCountAndWallAndKeepsTheWorstLag) {
   EXPECT_EQ(sum.dropped_deadline, 55);
   EXPECT_EQ(sum.dropped_shutdown, 66);
   EXPECT_EQ(sum.faulted, 77);
-  EXPECT_EQ(sum.offered, sum.completed + sum.shed() + sum.faulted);
+  EXPECT_EQ(sum.unresolved, 88);
+  EXPECT_EQ(sum.offered,
+            sum.completed + sum.shed() + sum.faulted + sum.unresolved);
   // Rounds run back to back: wall times add, the worst lag survives.
   EXPECT_DOUBLE_EQ(sum.wall_s, 1.75);
   EXPECT_DOUBLE_EQ(sum.max_lag_s, 0.004);
@@ -441,6 +447,7 @@ TEST(LoadGen, RunClosedLoopCountsRetriedRejectionsLikeTheEngine) {
   EXPECT_GT(r.offered, 0);
   EXPECT_EQ(r.offered, r.completed + r.shed() + r.faulted);
   EXPECT_EQ(r.faulted, 0);
+  EXPECT_EQ(r.unresolved, 0);
   EXPECT_GT(r.rejected_queue_full, 0);
   EXPECT_GT(r.completed, 0);
   EXPECT_GT(r.wall_s, 0.0);
@@ -453,6 +460,47 @@ TEST(LoadGen, RunClosedLoopCountsRetriedRejectionsLikeTheEngine) {
   EXPECT_EQ(st.completed, r.completed);
   EXPECT_EQ(st.rejected_queue_full, r.rejected_queue_full);
   EXPECT_EQ(st.submitted, r.offered);
+}
+
+TEST(LoadGen, RunClosedLoopWaitsBeforeRetryingARejectedSubmit) {
+  Rng mrng(43, 7);
+  FlatModel m;
+  m.set_input(0, 3);
+  m.push(synth::make_conv(mrng, 3, 8, 3, 2, 1, FlatAct::relu, true,
+                          synth::pow2_act_scale(mrng)));
+  m.push(synth::make_marker(OpKind::gap));
+  m.push(synth::make_linear(mrng, 8, 4, synth::pow2_act_scale(mrng)));
+  // One worker, batches of one, one queue slot. The pinned batch holds the
+  // worker past the window, one request waits in the slot, and the third
+  // client's submits are rejected for the whole window.
+  auto pin = std::make_shared<PinInjector>("m");
+  EngineOptions opts;
+  opts.workers = 1;
+  opts.batching.max_batch = 1;
+  opts.batching.max_wait_us = 0;
+  opts.default_qos.max_queue_depth = 1;
+  opts.fault_injector = pin;
+  Engine engine(opts);
+  engine.register_model("m", CompiledModel::compile(m));
+  Rng irng(44, 1);
+  Tensor image({3, 8, 8});
+  fill_uniform(image, irng, -1.0f, 1.0f);
+
+  std::jthread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    pin->release();
+  });
+  const LoadResult r = run_closed_loop(engine, {{"m", image, {}}},
+                                       /*clients=*/3, /*seconds=*/0.3);
+  releaser.join();
+  engine.shutdown();
+
+  EXPECT_EQ(r.offered, r.completed + r.shed() + r.faulted + r.unresolved);
+  EXPECT_EQ(r.unresolved, 0);
+  EXPECT_GT(r.rejected_queue_full, 0);
+  // The wait doubles from 50 us to 1 ms, so 0.3 s of rejections retry
+  // about 300 times; retrying at once would make tens of thousands.
+  EXPECT_LT(r.rejected_queue_full, 600);
 }
 
 TEST(LoadGen, RunClosedLoopRejectsAnEmptyMixAndNoClients) {

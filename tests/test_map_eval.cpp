@@ -1,5 +1,5 @@
-// Tests for the multi-IoU mAP evaluation (extension of the AP50 metric used
-// by Table III).
+// Tests for average precision across IoU thresholds, and for ap50 (the
+// metric Table III reports) as its class mean at IoU 0.5.
 #include <gtest/gtest.h>
 
 #include "detect/ap_eval.h"
@@ -18,17 +18,27 @@ Box pred(float cx, float cy, float w, float h, int64_t cls, float score) {
   return b;
 }
 
+// The COCO threshold ladder 0.50:0.05:0.95.
+std::vector<float> iou_ladder() {
+  std::vector<float> out;
+  for (int i = 0; i <= 9; ++i) {
+    out.push_back(0.5f + 0.05f * static_cast<float>(i));
+  }
+  return out;
+}
+
 TEST(MeanAp, PerfectPredictionsScoreOneAtEveryThreshold) {
   std::vector<std::vector<data::GtBox>> gts = {
       {gt(0.3f, 0.3f, 0.2f, 0.2f, 0)}, {gt(0.7f, 0.7f, 0.25f, 0.25f, 1)}};
   std::vector<std::vector<Box>> preds = {
       {pred(0.3f, 0.3f, 0.2f, 0.2f, 0, 0.9f)},
       {pred(0.7f, 0.7f, 0.25f, 0.25f, 1, 0.8f)}};
-  const MapReport report = evaluate_map(preds, gts, 2, coco_iou_ladder());
-  for (float v : report.per_threshold) {
-    EXPECT_NEAR(v, 1.0f, 1e-5f);
+  for (float t : iou_ladder()) {
+    for (int64_t cls = 0; cls < 2; ++cls) {
+      EXPECT_NEAR(average_precision(preds, gts, cls, t), 1.0f, 1e-5f);
+    }
   }
-  EXPECT_NEAR(report.mean, 1.0f, 1e-5f);
+  EXPECT_NEAR(ap50(preds, gts, 2), 1.0f, 1e-5f);
 }
 
 TEST(MeanAp, LooseBoxPassesLowThresholdFailsHigh) {
@@ -37,8 +47,8 @@ TEST(MeanAp, LooseBoxPassesLowThresholdFailsHigh) {
       {gt(0.5f, 0.5f, 0.4f, 0.4f, 0)}};
   std::vector<std::vector<Box>> preds = {
       {pred(0.55f, 0.5f, 0.4f, 0.4f, 0, 0.9f)}};
-  const float ap_50 = mean_ap(preds, gts, 1, 0.5f);
-  const float ap_90 = mean_ap(preds, gts, 1, 0.9f);
+  const float ap_50 = average_precision(preds, gts, 0, 0.5f);
+  const float ap_90 = average_precision(preds, gts, 0, 0.9f);
   EXPECT_GT(ap_50, 0.9f);
   EXPECT_LT(ap_90, 0.1f);
 }
@@ -51,8 +61,8 @@ TEST(MeanAp, MonotoneNonIncreasingInThreshold) {
        pred(0.7f, 0.75f, 0.22f, 0.2f, 0, 0.7f),
        pred(0.1f, 0.1f, 0.2f, 0.2f, 0, 0.5f)}};
   float prev = 2.0f;
-  for (float t : coco_iou_ladder()) {
-    const float v = mean_ap(preds, gts, 1, t);
+  for (float t : iou_ladder()) {
+    const float v = average_precision(preds, gts, 0, t);
     EXPECT_LE(v, prev + 1e-6f) << "AP must not rise as IoU tightens";
     prev = v;
   }
@@ -63,32 +73,14 @@ TEST(MeanAp, Ap50IsAliasForHalfThreshold) {
       {gt(0.5f, 0.5f, 0.3f, 0.3f, 0)}};
   std::vector<std::vector<Box>> preds = {
       {pred(0.52f, 0.5f, 0.3f, 0.3f, 0, 0.9f)}};
-  EXPECT_FLOAT_EQ(ap50(preds, gts, 1), mean_ap(preds, gts, 1, 0.5f));
-}
-
-TEST(MeanAp, CocoLadderHasTenRungs) {
-  const std::vector<float> ladder = coco_iou_ladder();
-  ASSERT_EQ(ladder.size(), 10u);
-  EXPECT_FLOAT_EQ(ladder.front(), 0.5f);
-  EXPECT_FLOAT_EQ(ladder.back(), 0.95f);
+  EXPECT_FLOAT_EQ(ap50(preds, gts, 1), average_precision(preds, gts, 0, 0.5f));
 }
 
 TEST(MeanAp, InvalidArgumentsThrow) {
   std::vector<std::vector<data::GtBox>> gts = {{gt(0.5f, 0.5f, 0.3f, 0.3f, 0)}};
   std::vector<std::vector<Box>> preds = {{}};
-  EXPECT_THROW(mean_ap(preds, gts, 1, 0.0f), std::runtime_error);
-  EXPECT_THROW(mean_ap(preds, gts, 1, 1.5f), std::runtime_error);
-  EXPECT_THROW(evaluate_map(preds, gts, 1, {}), std::runtime_error);
-}
-
-TEST(MeanAp, ReportMeanAveragesThresholds) {
-  std::vector<std::vector<data::GtBox>> gts = {
-      {gt(0.5f, 0.5f, 0.4f, 0.4f, 0)}};
-  std::vector<std::vector<Box>> preds = {
-      {pred(0.55f, 0.5f, 0.4f, 0.4f, 0, 0.9f)}};
-  const MapReport r = evaluate_map(preds, gts, 1, {0.5f, 0.9f});
-  EXPECT_NEAR(r.mean, 0.5f * (r.per_threshold[0] + r.per_threshold[1]),
-              1e-6f);
+  EXPECT_THROW(average_precision(preds, gts, 0, 0.0f), std::runtime_error);
+  EXPECT_THROW(average_precision(preds, gts, 0, 1.5f), std::runtime_error);
 }
 
 }  // namespace

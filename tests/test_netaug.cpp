@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "baselines/netaug.h"
 #include "models/registry.h"
 #include "nn/conv2d.h"
@@ -93,6 +95,72 @@ TEST(SliceDepthwiseConv, FiniteDifference) {
   Tensor x({2, 4, 5, 5});
   fill_uniform(x, rng, -1.0f, 1.0f);
   nb::testing::check_gradients(dw, x);
+}
+
+// The naive loop SliceDepthwiseConv::forward ran before it moved onto
+// nb::depthwise_blocks, verbatim: one chain per output from +0.0 over the
+// in-bounds taps in ascending (ki, kj) order.
+Tensor naive_slice_depthwise(const Tensor& x, const float* weight, int64_t k,
+                             int64_t stride) {
+  const int64_t n = x.size(0), active = x.size(1), h = x.size(2),
+                w = x.size(3);
+  const int64_t pad = (k - 1) / 2;
+  const int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const int64_t ow = (w + 2 * pad - k) / stride + 1;
+  Tensor y({n, active, oh, ow});
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t c = 0; c < active; ++c) {
+      const float* img = x.data() + (i * active + c) * h * w;
+      const float* ker = weight + c * k * k;
+      float* out = y.data() + (i * active + c) * oh * ow;
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          float acc = 0.0f;
+          for (int64_t ki = 0; ki < k; ++ki) {
+            const int64_t iy = oy * stride + ki - pad;
+            if (iy < 0 || iy >= h) continue;
+            for (int64_t kj = 0; kj < k; ++kj) {
+              const int64_t ix = ox * stride + kj - pad;
+              if (ix < 0 || ix >= w) continue;
+              acc += ker[ki * k + kj] * img[iy * w + ix];
+            }
+          }
+          out[oy * ow + ox] = acc;
+        }
+      }
+    }
+  }
+  return y;
+}
+
+TEST(SliceDepthwiseConv, ForwardMatchesNaiveLoopBitwise) {
+  Rng rng(307);
+  // Planes of 5x3 run in blocks at both strides; 16x14 runs plane by plane
+  // at stride 1 and in blocks at stride 2; 26x24 runs plane by plane at
+  // both. Active widths 5-11 of 12 leave whole and partial blocks of eight.
+  for (const int64_t k : {3, 5}) {
+    for (const int64_t s : {1, 2}) {
+      for (const int64_t h : {5, 16, 26}) {
+        for (int64_t batch = 1; batch <= 4; ++batch) {
+          SliceDepthwiseConv dw(12, k, s);
+          nn::Parameter* weight = dw.local_params()[0].second;
+          fill_normal(weight->value, rng, 0.0f, 0.5f);
+          const int64_t active = 3 + 2 * batch;
+          dw.set_active(active);
+          Tensor x({batch, active, h, h - 2});
+          fill_normal(x, rng, 0.0f, 1.0f);
+          const Tensor y = dw.forward(x);
+          const Tensor want =
+              naive_slice_depthwise(x, weight->value.data(), k, s);
+          ASSERT_TRUE(y.same_shape(want));
+          EXPECT_EQ(std::memcmp(y.data(), want.data(),
+                                static_cast<size_t>(y.numel()) * sizeof(float)),
+                    0)
+              << "k" << k << " s" << s << " h" << h << " batch " << batch;
+        }
+      }
+    }
+  }
 }
 
 TEST(SliceBatchNorm, RecordGateFreezesRunningStats) {

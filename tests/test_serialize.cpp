@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-
 #include "models/registry.h"
 #include "nn/activations.h"
 #include "nn/serialize.h"
@@ -11,10 +7,6 @@
 
 namespace nb::nn {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(StateDict, ContainsParamsAndBuffers) {
   auto model = models::make_model("mbv2-tiny", 8);
@@ -51,41 +43,6 @@ TEST(StateDict, StrictLoadRejectsMissingEntry) {
   auto model = models::make_model("mbv2-tiny", 8);
   std::map<std::string, Tensor> empty;
   EXPECT_THROW(load_state_dict(*model, empty), std::runtime_error);
-}
-
-TEST(Checkpoint, FileRoundTrip) {
-  const std::string path = temp_path("nb_ckpt_test.bin");
-  auto a = models::make_model("mbv2-35", 12, 5);
-  save_checkpoint(*a, path);
-
-  auto b = models::make_model("mbv2-35", 12, 6);
-  load_checkpoint(*b, path);
-
-  // Outputs must match exactly after the round trip.
-  a->set_training(false);
-  b->set_training(false);
-  Tensor x({1, 3, 24, 24});
-  Rng rng(50);
-  fill_normal(x, rng, 0.0f, 1.0f);
-  EXPECT_LT(max_abs_diff(a->forward(x), b->forward(x)), 1e-6f);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsCorruptMagic) {
-  const std::string path = temp_path("nb_ckpt_bad.bin");
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "NOT A CHECKPOINT";
-  }
-  auto model = models::make_model("mbv2-tiny", 8);
-  EXPECT_THROW(load_checkpoint(*model, path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, RejectsMissingFile) {
-  auto model = models::make_model("mbv2-tiny", 8);
-  EXPECT_THROW(load_checkpoint(*model, "/nonexistent/dir/x.bin"),
-               std::runtime_error);
 }
 
 TEST(Checkpoint, PreservesPltAlphaMidRamp) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <string>
 
 #include "data/dataset.h"
 #include "nn/module.h"
@@ -52,6 +53,19 @@ class PoolOverride {
   PoolOverride(const PoolOverride&) = delete;
   PoolOverride& operator=(const PoolOverride&) = delete;
 };
+
+/// Name of a conv geometry case (cin, cout, k, stride, pad, groups, bias),
+/// e.g. "cin3_cout8_k3_s1_p1_g1" or "..._bias". A suite's PrintTo returns
+/// it, and gtest_discover_tests names each ctest case after that printed
+/// value. gtest's default printer dumps the case's bytes, padding included,
+/// which differ between builds and runs.
+template <typename ConvCase>
+std::string conv_case_name(const ConvCase& c) {
+  return "cin" + std::to_string(c.cin) + "_cout" + std::to_string(c.cout) +
+         "_k" + std::to_string(c.k) + "_s" + std::to_string(c.stride) +
+         "_p" + std::to_string(c.pad) + "_g" + std::to_string(c.groups) +
+         (c.bias ? "_bias" : "");
+}
 
 /// Scalar objective used to seed backward: sum of elementwise weighted
 /// outputs, J = sum(w .* y). dJ/dy = w, which exercises every output path.

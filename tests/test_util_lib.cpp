@@ -1,12 +1,10 @@
-// Tests for the util library: argument parsing, table/CSV rendering, logging
-// plumbing, stopwatch.
+// Tests for the util library: argument parsing, table/CSV rendering.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
 #include "util/argparse.h"
-#include "util/logging.h"
 #include "util/table.h"
 
 namespace nb::util {
@@ -156,28 +154,6 @@ TEST(Table, WriteCsvCreatesFile) {
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, "h");
   std::remove(path.c_str());
-}
-
-TEST(Logging, LevelFiltering) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::error);
-  EXPECT_EQ(log_level(), LogLevel::error);
-  // These must not crash and must be filtered (no observable assert here,
-  // but the calls exercise the filtered path).
-  log_debug("dropped");
-  log_info("dropped");
-  set_log_level(before);
-}
-
-TEST(Logging, StopwatchMeasuresForwardTime) {
-  Stopwatch sw;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
-  EXPECT_GE(sw.seconds(), 0.0);
-  EXPECT_GE(sw.milliseconds(), 0);
-  EXPECT_FALSE(sw.pretty().empty());
-  sw.reset();
-  EXPECT_LT(sw.seconds(), 1.0);
 }
 
 }  // namespace

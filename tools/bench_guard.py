@@ -4,8 +4,8 @@
 
 Checks bench_*_report outputs against the contracts CI holds them to. Each
 file must load as JSON and name the tree it measured in provenance.git_sha,
-and its "schema" picks its checks (substrate: well-formedness only); an
-unknown schema fails. Exits 1 when any file fails.
+and its "schema" picks its checks; an unknown or retired schema fails.
+Exits 1 when any file fails.
 
 --self-test proves the checks still fire: each file must pass, and then
 every mutation listed for its schema in MUTATIONS, applied to a copy, must
@@ -158,8 +158,36 @@ def guard_data(d):
           f"e2e {e2e['speedup']:.2f}x at w{e2e['workers']}")
 
 
+def guard_substrate(d):
+    # The depthwise routing table, which the depthwise crossovers are read
+    # off: each geometry names the route both depthwise entries take on it
+    # (float and int8), and each graph its rows name has a totals row.
+    dw = d['depthwise_routing']
+    rows = dw['rows']
+    assert rows, 'no depthwise routing rows'
+    for r in rows:
+        name = f"{r['graph']} {r['h']}x{r['w']} k{r['k']} s{r['s']}"
+        assert r.get('route'), f'{name}: no float route'
+        assert r.get('s8_route'), f'{name}: no int8 route'
+    totals = {t['graph'] for t in dw['totals']}
+    missing = sorted({r['graph'] for r in rows} - totals)
+    assert not missing, f'no depthwise totals row for {missing}'
+    print(f'depthwise routing: {len(rows)} geometries routed, totals for {sorted(totals)}')
+    # The training layer table: the pass kinds' shares of the step's layer
+    # time add up to the whole step (each share is written to 4 digits).
+    shares = sum(r['share'] for r in d['train_step']['rows'])
+    assert abs(shares - 1.0) <= 1e-3, f'train_step shares sum to {shares:.4f}, not 1'
+    print(f"train step: {len(d['train_step']['rows'])} pass kinds, shares sum to {shares:.4f}")
+    # The GEMM rows: every timed shape ran.
+    gemms = [r for r in d['results'] if r['name'].startswith('sgemm_')]
+    assert gemms, 'no sgemm rows'
+    for r in gemms:
+        assert r['gflops'] > 0, f"{r['name']}: gflops {r['gflops']}"
+    print(f'sgemm: {len(gemms)} rows, all with gflops > 0')
+
+
 GUARDS = {
-    'nb-bench-substrate-v1': lambda d: None,
+    'nb-bench-substrate-v2': guard_substrate,
     'nb-bench-infer-v2': guard_infer,
     'nb-bench-serve-v3': guard_serve,
     'nb-bench-data-v1': guard_data,
@@ -189,6 +217,18 @@ def drop_output_checks(row):
 
 # For each schema, named mutations that break one contract apiece.
 MUTATIONS = {
+    'nb-bench-substrate-v2': {
+        'depthwise row without a float route':
+            lambda d: d['depthwise_routing']['rows'][0].pop('route'),
+        'depthwise row with an empty int8 route':
+            lambda d: d['depthwise_routing']['rows'][-1].update(s8_route=''),
+        'last depthwise totals row removed':
+            lambda d: d['depthwise_routing']['totals'].pop(),
+        'train_step share 0.01 too high':
+            lambda d: d['train_step']['rows'][0].update(
+                share=d['train_step']['rows'][0]['share'] + 0.01),
+        'sgemm row gflops 0': lambda d: d['results'][-1].update(gflops=0),
+    },
     'nb-bench-infer-v2': {
         'headline exact_vs_qmodel false':
             lambda d: d['mbv2_b1_t1'].update(exact_vs_qmodel=False),
@@ -230,6 +270,8 @@ MUTATIONS = {
 COMMON_MUTATIONS = {
     'provenance removed': lambda d: d.pop('provenance'),
     'retired schema nb-bench-int8-v1': lambda d: d.update(schema='nb-bench-int8-v1'),
+    'retired schema nb-bench-substrate-v1':
+        lambda d: d.update(schema='nb-bench-substrate-v1'),
 }
 
 

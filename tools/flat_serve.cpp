@@ -4,8 +4,8 @@
 //   closed-loop (default) — N client threads each submit one image and
 //     wait for the future: measures capacity (offered rate collapses to
 //     whatever the engine sustains, queues stay short). A rejected submit
-//     is retried at once and counted, so a queue too shallow for the
-//     clients shows in the shed line.
+//     is counted and retried after a short doubling wait, so a queue too
+//     shallow for the clients shows in the shed line.
 //   open-loop (--open-loop) — seeded Poisson arrivals at a fixed offered
 //     rate with optional burst replay, per-request SLO deadlines and a
 //     priority-lane share: measures overload behavior. Same --seed, same
@@ -14,8 +14,8 @@
 //
 // Both modes print one report: offered load, goodput, the typed shed
 // breakdown, latency of ACCEPTED work, batching and buckets. Exits 1 when
-// any request faulted (a model or worker error, not a rejection), 2 on a
-// usage error.
+// any request faulted (a model or worker error, not a rejection) or was
+// never resolved, 2 on a usage error.
 //
 // Usage: flat_serve <model.nbfm> | --synth [--mix]
 //          [--clients N] [--seconds S] [--max-batch B] [--max-wait-us U]
@@ -354,7 +354,7 @@ int main(int argc, char** argv) {
     r = run_open_loop(engine, traffic, spec, slo_ms * 1000);
   } else {
     std::printf("closed loop:   %lld clients for %.1f s, a rejected submit "
-                "is retried at once\n",
+                "is retried after 50 us doubling to 1 ms\n",
                 static_cast<long long>(clients), seconds);
     r = run_closed_loop(engine, traffic, clients, seconds);
   }
@@ -370,14 +370,15 @@ int main(int argc, char** argv) {
               static_cast<long long>(st.completed_within_deadline));
   std::printf("shed:          %lld (%.1f%%) — queue-full %lld, "
               "deadline@admit %lld, deadline@launch %lld, shutdown %lld, "
-              "other %lld, faulted %lld\n",
+              "other %lld, faulted %lld, unresolved %lld\n",
               static_cast<long long>(r.shed()), r.shed_rate() * 100.0,
               static_cast<long long>(r.rejected_queue_full),
               static_cast<long long>(r.rejected_deadline),
               static_cast<long long>(r.dropped_deadline),
               static_cast<long long>(r.rejected_shutdown + r.dropped_shutdown),
               static_cast<long long>(r.rejected_other),
-              static_cast<long long>(r.faulted));
+              static_cast<long long>(r.faulted),
+              static_cast<long long>(r.unresolved));
   std::printf("latency:       accepted p50 %.3f ms  p99 %.3f ms  max %.3f ms "
               "(queue avg %.3f ms)\n",
               st.p50_ms, st.p99_ms, st.max_ms, st.avg_queue_ms);
@@ -389,9 +390,11 @@ int main(int argc, char** argv) {
                 static_cast<long long>(st.padded_accepted),
                 static_cast<long long>(st.mixed_geometry_batches));
   }
-  if (r.faulted > 0) {
-    std::fprintf(stderr, "flat_serve: %lld requests faulted\n",
-                 static_cast<long long>(r.faulted));
+  if (r.faulted > 0 || r.unresolved > 0) {
+    std::fprintf(stderr,
+                 "flat_serve: %lld requests faulted, %lld unresolved\n",
+                 static_cast<long long>(r.faulted),
+                 static_cast<long long>(r.unresolved));
     return 1;
   }
   return 0;
