@@ -73,13 +73,17 @@ core::NetBoosterConfig netbooster_config(const Scale& s, bool equal_budget) {
   return c;
 }
 
+int64_t netbooster_epochs(const Scale& s) {
+  const core::NetBoosterConfig c = netbooster_config(s);
+  return c.giant.epochs + c.tune.epochs;
+}
+
 float run_vanilla(const std::string& model_name,
                   const data::ClassificationTask& task, const Scale& s,
-                  float label_smoothing) {
+                  std::optional<int64_t> epochs) {
   auto model = models::make_model(model_name, task.num_classes, s.seed + 3);
   train::TrainConfig c = pretrain_config(s);
-  c.epochs = total_epochs(s);
-  c.label_smoothing = label_smoothing;
+  c.epochs = epochs.value_or(total_epochs(s));
   return train::train_classifier(*model, *task.train, *task.test, c)
       .final_test_acc;
 }
@@ -167,6 +171,10 @@ void print_row(const std::string& label, double paper, double measured,
 void check_ordering(const std::string& claim, bool holds) {
   std::printf("  [%s] %s\n", holds ? "PASS " : "CHECK", claim.c_str());
   std::fflush(stdout);
+}
+
+std::string epochs_label(int64_t epochs) {
+  return " (" + std::to_string(epochs) + " epochs)";
 }
 
 void print_footer() {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,10 +57,15 @@ core::NetBoosterConfig netbooster_config(const Scale& s,
 
 // ------------------------------------------------------------ method runs
 
-/// Vanilla training at equal total budget; returns final test accuracy.
+/// NetBooster's epochs over the data in total: the giant's plus the
+/// tuning stage's of netbooster_config(s) (8 at fast scale, 13 at standard).
+int64_t netbooster_epochs(const Scale& s);
+
+/// Vanilla training for `epochs` (default: the single-stage budget,
+/// total_epochs); returns final test accuracy.
 float run_vanilla(const std::string& model_name,
                   const data::ClassificationTask& task, const Scale& s,
-                  float label_smoothing = 0.0f);
+                  std::optional<int64_t> epochs = std::nullopt);
 
 /// NetAug baseline at equal budget (base width evaluated).
 float run_netaug(const std::string& model_name,
@@ -93,6 +99,8 @@ void print_row(const std::string& label, double paper, double measured,
                const std::string& extra = "");
 /// Ordering verdict, e.g. check("NetBooster > Vanilla", a > b).
 void check_ordering(const std::string& claim, bool holds);
+/// " (N epochs)": check lines name the budgets they compare.
+std::string epochs_label(int64_t epochs);
 void print_footer();
 
 }  // namespace nb::bench

@@ -2,7 +2,10 @@
 // Four networks x {Vanilla, RocketLaunch, tf-KD, RCO-KD, NetAug, NetBooster}
 // (the KD family only for MobileNetV2-Tiny, as in the paper), with the
 // FLOPs / params columns showing that NetBooster's deployed model costs
-// exactly what vanilla costs.
+// exactly what vanilla costs. The baselines train for the single-stage
+// budget and NetBooster for ~1.6x its epochs, as in the paper's recipe, so
+// each network also gets a vanilla row trained for NetBooster's epochs,
+// and both NetBooster checks name the budgets they compare.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -36,6 +39,9 @@ int main() {
   scale.data_workers = 2;
   bench::print_header("Table I — benchmarking on the large-scale dataset",
                       "NetBooster (DAC'23), Table I", scale);
+  const int64_t booster_epochs = bench::netbooster_epochs(scale);
+  const std::string booster_beats_vanilla =
+      ": NetBooster" + bench::epochs_label(booster_epochs) + " > Vanilla";
 
   for (const PaperRow& row : kPaper) {
     const models::ModelConfig config = models::model_config(row.model, 1);
@@ -53,6 +59,10 @@ int main() {
 
     const float vanilla = bench::run_vanilla(row.model, task, scale);
     bench::print_row("  Vanilla", row.vanilla, 100.0 * vanilla);
+    const float vanilla_matched =
+        bench::run_vanilla(row.model, task, scale, booster_epochs);
+    bench::print_row("  Vanilla at NetBooster's epochs", 0.0,
+                     100.0 * vanilla_matched);
 
     float rocket = -1.0f, tfkd = -1.0f, rco = -1.0f;
     if (row.rocket > 0) {  // KD family rows exist only for mbv2-tiny
@@ -73,8 +83,12 @@ int main() {
                      "(giant " + std::to_string(100.0f * nb_result.expanded_acc)
                          .substr(0, 5) + "%)");
 
-    bench::check_ordering(std::string(row.model) + ": NetBooster > Vanilla",
+    bench::check_ordering(row.model + booster_beats_vanilla +
+                              bench::epochs_label(bench::total_epochs(scale)),
                           nb_result.final_acc > vanilla);
+    bench::check_ordering(
+        row.model + booster_beats_vanilla + bench::epochs_label(booster_epochs),
+        nb_result.final_acc > vanilla_matched);
     bench::check_ordering(
         std::string(row.model) + ": contracted cost == vanilla cost",
         nb_result.final_profile.flops == profile.flops &&

@@ -1,5 +1,6 @@
 #include "baselines/netaug.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -9,12 +10,21 @@
 #include "nn/serialize.h"
 #include "optim/lr_schedule.h"
 #include "optim/sgd.h"
-#include "tensor/depthwise.h"
-#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "train/metrics.h"
 
 namespace nb::baselines {
+
+namespace {
+
+// Copies the first n floats of src over those of dst: a channel prefix of a
+// depthwise weight or a BN vector, whose channels are its leading entries.
+void copy_head(const Tensor& src, Tensor& dst, int64_t n) {
+  NB_CHECK(n <= src.numel() && n <= dst.numel(), "NetAug prefix out of range");
+  std::copy_n(src.data(), n, dst.data());
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- conv 1x1
 
@@ -39,53 +49,36 @@ SlicePointwiseConv::local_params() {
   return {{"weight", &weight_}};
 }
 
+void SlicePointwiseConv::copy_prefix_to(nn::Conv2d& dst) {
+  const int64_t out = dst.options().out_channels;
+  const int64_t in = dst.options().in_channels;
+  NB_CHECK(dst.is_pointwise() && out <= max_out_ && in <= max_in_,
+           "SlicePointwiseConv::copy_prefix_to: shape mismatch");
+  for (int64_t o = 0; o < out; ++o) {
+    std::copy_n(weight_.value.data() + o * max_in_, in,
+                dst.weight().value.data() + o * in);
+  }
+}
+
 Tensor SlicePointwiseConv::forward(const Tensor& x) {
-  NB_CHECK(x.dim() == 4 && x.size(1) == active_in_,
-           "SlicePointwiseConv input mismatch: " + x.shape_str());
-  input_ = x;
-  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-  const int64_t plane = h * w;
-  Tensor y({n, active_out_, h, w});
-  // Row slice is contiguous only along out; gather the [act_out, act_in]
-  // block explicitly so GEMM runs on dense buffers.
-  Tensor wact({active_out_, active_in_});
-  for (int64_t o = 0; o < active_out_; ++o) {
-    const float* src = weight_.value.data() + o * max_in_;
-    std::copy(src, src + active_in_, wact.data() + o * active_in_);
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    gemm(false, false, active_out_, plane, active_in_, 1.0f, wact.data(),
-         x.data() + i * active_in_ * plane, 0.0f,
-         y.data() + i * active_out_ * plane);
-  }
-  return y;
+  conv_ = std::make_unique<nn::Conv2d>(
+      nn::Conv2dOptions(active_in_, active_out_, 1));
+  copy_prefix_to(*conv_);
+  return conv_->forward(x);
 }
 
 Tensor SlicePointwiseConv::backward(const Tensor& grad_out) {
-  NB_CHECK(input_.defined(), "SlicePointwiseConv::backward before forward");
-  const int64_t n = input_.size(0), h = input_.size(2), w = input_.size(3);
-  const int64_t plane = h * w;
-
-  Tensor wgrad_act({active_out_, active_in_});
-  Tensor wact({active_out_, active_in_});
-  for (int64_t o = 0; o < active_out_; ++o) {
-    const float* src = weight_.value.data() + o * max_in_;
-    std::copy(src, src + active_in_, wact.data() + o * active_in_);
-  }
-  Tensor grad_in({n, active_in_, h, w});
-  for (int64_t i = 0; i < n; ++i) {
-    const float* gout = grad_out.data() + i * active_out_ * plane;
-    // dW += dY * X^T
-    gemm(false, true, active_out_, active_in_, plane, 1.0f, gout,
-         input_.data() + i * active_in_ * plane, 1.0f, wgrad_act.data());
-    // dX = W^T * dY
-    gemm(true, false, active_in_, plane, active_out_, 1.0f, wact.data(), gout,
-         0.0f, grad_in.data() + i * active_in_ * plane);
-  }
-  for (int64_t o = 0; o < active_out_; ++o) {
+  NB_CHECK(conv_ != nullptr, "SlicePointwiseConv::backward before forward");
+  // The batch's dW is summed in the zeroed layer, then added to the slice's
+  // gradient as one term per pass.
+  conv_->zero_grad();
+  Tensor grad_in = conv_->backward(grad_out);
+  const int64_t out = conv_->options().out_channels;
+  const int64_t in = conv_->options().in_channels;
+  for (int64_t o = 0; o < out; ++o) {
     float* dst = weight_.grad.data() + o * max_in_;
-    const float* src = wgrad_act.data() + o * active_in_;
-    for (int64_t m = 0; m < active_in_; ++m) dst[m] += src[m];
+    const float* src = conv_->weight().grad.data() + o * in;
+    for (int64_t m = 0; m < in; ++m) dst[m] += src[m];
   }
   return grad_in;
 }
@@ -94,8 +87,7 @@ Tensor SlicePointwiseConv::backward(const Tensor& grad_out) {
 
 SliceDepthwiseConv::SliceDepthwiseConv(int64_t max_channels, int64_t kernel,
                                        int64_t stride)
-    : max_channels_(max_channels),
-      kernel_(kernel),
+    : kernel_(kernel),
       stride_(stride),
       active_(max_channels),
       weight_(Tensor({max_channels, 1, kernel, kernel}), /*decay_flag=*/true) {}
@@ -105,69 +97,37 @@ SliceDepthwiseConv::local_params() {
   return {{"weight", &weight_}};
 }
 
+void SliceDepthwiseConv::copy_prefix_to(nn::Conv2d& dst) {
+  NB_CHECK(dst.is_depthwise() && dst.options().kernel == kernel_,
+           "SliceDepthwiseConv::copy_prefix_to: shape mismatch");
+  copy_head(weight_.value, dst.weight().value, dst.weight().value.numel());
+}
+
 Tensor SliceDepthwiseConv::forward(const Tensor& x) {
-  NB_CHECK(x.size(1) == active_, "SliceDepthwiseConv input mismatch");
-  input_ = x;
-  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-  const int64_t k = kernel_, pad = (kernel_ - 1) / 2;
-  const int64_t oh = (h + 2 * pad - k) / stride_ + 1;
-  const int64_t ow = (w + 2 * pad - k) / stride_ + 1;
-  Tensor y({n, active_, oh, ow});
-  // The active channels are a prefix of the weight, so channel c's kernel
-  // sits at c*k*k as in a full-width depthwise conv.
-  DepthwisePlanes g;
-  g.count = n * active_;
-  g.channels = active_;
-  g.h = h;
-  g.w = w;
-  g.oh = oh;
-  g.ow = ow;
-  g.k = k;
-  g.s = stride_;
-  g.pad = pad;
-  depthwise_blocks(g, x.data(), weight_.value.data(), nullptr, y.data());
-  return y;
+  conv_ = std::make_unique<nn::Conv2d>(
+      nn::Conv2dOptions(active_, active_, kernel_)
+          .with_stride(stride_)
+          .same_padding()
+          .with_groups(active_));
+  copy_prefix_to(*conv_);
+  return conv_->forward(x);
 }
 
 Tensor SliceDepthwiseConv::backward(const Tensor& grad_out) {
-  NB_CHECK(input_.defined(), "SliceDepthwiseConv::backward before forward");
-  const int64_t n = input_.size(0), h = input_.size(2), w = input_.size(3);
-  const int64_t k = kernel_, pad = (kernel_ - 1) / 2;
-  const int64_t oh = grad_out.size(2), ow = grad_out.size(3);
-  Tensor grad_in(input_.shape());
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t c = 0; c < active_; ++c) {
-      const float* img = input_.data() + (i * active_ + c) * h * w;
-      const float* gout = grad_out.data() + (i * active_ + c) * oh * ow;
-      const float* ker = weight_.value.data() + c * k * k;
-      float* kgrad = weight_.grad.data() + c * k * k;
-      float* gin = grad_in.data() + (i * active_ + c) * h * w;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          const float gv = gout[oy * ow + ox];
-          if (gv == 0.0f) continue;
-          for (int64_t ki = 0; ki < k; ++ki) {
-            const int64_t iy = oy * stride_ + ki - pad;
-            if (iy < 0 || iy >= h) continue;
-            for (int64_t kj = 0; kj < k; ++kj) {
-              const int64_t ix = ox * stride_ + kj - pad;
-              if (ix < 0 || ix >= w) continue;
-              kgrad[ki * k + kj] += gv * img[iy * w + ix];
-              gin[iy * w + ix] += gv * ker[ki * k + kj];
-            }
-          }
-        }
-      }
-    }
-  }
+  NB_CHECK(conv_ != nullptr, "SliceDepthwiseConv::backward before forward");
+  // nn's pass continues each kernel's gradient from the value it holds, so
+  // the slice's gradient goes in before and comes back after.
+  Tensor& grad = conv_->weight().grad;
+  copy_head(weight_.grad, grad, grad.numel());
+  Tensor grad_in = conv_->backward(grad_out);
+  copy_head(grad, weight_.grad, grad.numel());
   return grad_in;
 }
 
 // --------------------------------------------------------------------- BN
 
 SliceBatchNorm::SliceBatchNorm(int64_t max_channels, float eps, float momentum)
-    : max_channels_(max_channels),
-      active_(max_channels),
+    : active_(max_channels),
       eps_(eps),
       momentum_(momentum),
       gamma_(Tensor::ones({max_channels}), /*decay_flag=*/false),
@@ -184,98 +144,34 @@ std::vector<std::pair<std::string, Tensor*>> SliceBatchNorm::local_buffers() {
   return {{"running_mean", &running_mean_}, {"running_var", &running_var_}};
 }
 
-Tensor SliceBatchNorm::forward(const Tensor& x) {
-  NB_CHECK(x.size(1) == active_, "SliceBatchNorm input mismatch");
-  const int64_t n = x.size(0), h = x.size(2), w = x.size(3);
-  const int64_t plane = h * w;
-  const int64_t count = n * plane;
-  Tensor y(x.shape());
-  forward_was_training_ = training();
+void SliceBatchNorm::copy_prefix_to(nn::BatchNorm2d& dst) {
+  const int64_t c = dst.channels();
+  copy_head(gamma_.value, dst.gamma().value, c);
+  copy_head(beta_.value, dst.beta().value, c);
+  copy_head(running_mean_, dst.running_mean(), c);
+  copy_head(running_var_, dst.running_var(), c);
+}
 
-  if (training()) {
-    xhat_ = Tensor(x.shape());
-    inv_std_ = Tensor({active_});
-    count_ = count;
-    for (int64_t c = 0; c < active_; ++c) {
-      double sum = 0.0, sq = 0.0;
-      for (int64_t i = 0; i < n; ++i) {
-        const float* p = x.data() + (i * active_ + c) * plane;
-        for (int64_t j = 0; j < plane; ++j) {
-          sum += p[j];
-          sq += static_cast<double>(p[j]) * p[j];
-        }
-      }
-      const float mean = static_cast<float>(sum / count);
-      const float var =
-          static_cast<float>(sq / count - static_cast<double>(mean) * mean);
-      const float istd = 1.0f / std::sqrt(std::max(var, 0.0f) + eps_);
-      inv_std_.at(c) = istd;
-      const float g = gamma_.value.at(c), b = beta_.value.at(c);
-      for (int64_t i = 0; i < n; ++i) {
-        const float* p = x.data() + (i * active_ + c) * plane;
-        float* xh = xhat_.data() + (i * active_ + c) * plane;
-        float* o = y.data() + (i * active_ + c) * plane;
-        for (int64_t j = 0; j < plane; ++j) {
-          xh[j] = (p[j] - mean) * istd;
-          o[j] = g * xh[j] + b;
-        }
-      }
-      if (record_stats_) {
-        const float unbiased =
-            count > 1 ? var * static_cast<float>(count) / (count - 1) : var;
-        running_mean_.at(c) =
-            (1.0f - momentum_) * running_mean_.at(c) + momentum_ * mean;
-        running_var_.at(c) =
-            (1.0f - momentum_) * running_var_.at(c) + momentum_ * unbiased;
-      }
-    }
-  } else {
-    for (int64_t c = 0; c < active_; ++c) {
-      const float istd = 1.0f / std::sqrt(running_var_.at(c) + eps_);
-      const float g = gamma_.value.at(c) * istd;
-      const float b = beta_.value.at(c) - running_mean_.at(c) * g;
-      for (int64_t i = 0; i < n; ++i) {
-        const float* p = x.data() + (i * active_ + c) * plane;
-        float* o = y.data() + (i * active_ + c) * plane;
-        for (int64_t j = 0; j < plane; ++j) o[j] = g * p[j] + b;
-      }
-    }
+Tensor SliceBatchNorm::forward(const Tensor& x) {
+  bn_ = std::make_unique<nn::BatchNorm2d>(active_, eps_, momentum_);
+  copy_prefix_to(*bn_);
+  bn_->set_training(training());
+  Tensor y = bn_->forward(x);
+  if (training() && record_stats_) {
+    copy_head(bn_->running_mean(), running_mean_, active_);
+    copy_head(bn_->running_var(), running_var_, active_);
   }
   return y;
 }
 
 Tensor SliceBatchNorm::backward(const Tensor& grad_out) {
-  NB_CHECK(forward_was_training_ && xhat_.defined(),
-           "SliceBatchNorm::backward requires training forward");
-  const int64_t n = grad_out.size(0);
-  const int64_t plane = grad_out.size(2) * grad_out.size(3);
-  Tensor grad_in(grad_out.shape());
-  const float inv_count = 1.0f / static_cast<float>(count_);
-  for (int64_t c = 0; c < active_; ++c) {
-    double sum_g = 0.0, sum_gx = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const float* g = grad_out.data() + (i * active_ + c) * plane;
-      const float* xh = xhat_.data() + (i * active_ + c) * plane;
-      for (int64_t j = 0; j < plane; ++j) {
-        sum_g += g[j];
-        sum_gx += static_cast<double>(g[j]) * xh[j];
-      }
-    }
-    gamma_.grad.at(c) += static_cast<float>(sum_gx);
-    beta_.grad.at(c) += static_cast<float>(sum_g);
-    const float gmma = gamma_.value.at(c);
-    const float istd = inv_std_.at(c);
-    const float mean_g = static_cast<float>(sum_g) * inv_count;
-    const float mean_gx = static_cast<float>(sum_gx) * inv_count;
-    for (int64_t i = 0; i < n; ++i) {
-      const float* g = grad_out.data() + (i * active_ + c) * plane;
-      const float* xh = xhat_.data() + (i * active_ + c) * plane;
-      float* gi = grad_in.data() + (i * active_ + c) * plane;
-      for (int64_t j = 0; j < plane; ++j) {
-        gi[j] = gmma * istd * (g[j] - mean_g - xh[j] * mean_gx);
-      }
-    }
-  }
+  NB_CHECK(bn_ != nullptr, "SliceBatchNorm::backward before forward");
+  const int64_t c = bn_->channels();
+  copy_head(gamma_.grad, bn_->gamma().grad, c);
+  copy_head(beta_.grad, bn_->beta().grad, c);
+  Tensor grad_in = bn_->backward(grad_out);
+  copy_head(bn_->gamma().grad, gamma_.grad, c);
+  copy_head(bn_->beta().grad, beta_.grad, c);
   return grad_in;
 }
 
@@ -375,34 +271,6 @@ AugInvertedResidual::named_children() {
   return out;
 }
 
-namespace {
-
-void copy_slice_bn(SliceBatchNorm& src, nn::BatchNorm2d& dst) {
-  const int64_t c = dst.channels();
-  auto src_params = src.local_params();
-  auto src_buffers = src.local_buffers();
-  for (int64_t i = 0; i < c; ++i) {
-    dst.gamma().value.at(i) = src_params[0].second->value.at(i);
-    dst.beta().value.at(i) = src_params[1].second->value.at(i);
-    dst.running_mean().at(i) = src_buffers[0].second->at(i);
-    dst.running_var().at(i) = src_buffers[1].second->at(i);
-  }
-}
-
-void copy_pointwise_slice(SlicePointwiseConv& src, nn::Conv2d& dst) {
-  const int64_t out_c = dst.options().out_channels;
-  const int64_t in_c = dst.options().in_channels;
-  const int64_t max_in = src.weight().value.size(1);
-  for (int64_t o = 0; o < out_c; ++o) {
-    for (int64_t m = 0; m < in_c; ++m) {
-      dst.weight().value.at(o * in_c + m) =
-          src.weight().value.at(o * max_in + m);
-    }
-  }
-}
-
-}  // namespace
-
 void AugInvertedResidual::export_base_to(nn::InvertedResidual& dst) {
   NB_CHECK(dst.cin() == cin_ && dst.cout() == cout_ &&
                dst.stride() == stride_,
@@ -410,22 +278,13 @@ void AugInvertedResidual::export_base_to(nn::InvertedResidual& dst) {
   NB_CHECK(dst.has_expand() == (expand_ != nullptr),
            "export_base_to: expand-stage mismatch");
   if (expand_) {
-    copy_pointwise_slice(*expand_, *dst.expand_unit().conv2d());
-    copy_slice_bn(*bn1_, *dst.expand_unit().bn());
+    expand_->copy_prefix_to(*dst.expand_unit().conv2d());
+    bn1_->copy_prefix_to(*dst.expand_unit().bn());
   }
-  // Depthwise slice: first base_hidden_ channels.
-  nn::Conv2d& dw_dst = *dst.dw_unit().conv2d();
-  const int64_t k = dw_dst.options().kernel;
-  auto dw_params = dw_->local_params();
-  for (int64_t c = 0; c < base_hidden_; ++c) {
-    for (int64_t j = 0; j < k * k; ++j) {
-      dw_dst.weight().value.at(c * k * k + j) =
-          dw_params[0].second->value.at(c * k * k + j);
-    }
-  }
-  copy_slice_bn(*bn2_, *dst.dw_unit().bn());
-  copy_pointwise_slice(*project_, *dst.project_unit().conv2d());
-  copy_slice_bn(*bn3_, *dst.project_unit().bn());
+  dw_->copy_prefix_to(*dst.dw_unit().conv2d());
+  bn2_->copy_prefix_to(*dst.dw_unit().bn());
+  project_->copy_prefix_to(*dst.project_unit().conv2d());
+  bn3_->copy_prefix_to(*dst.project_unit().bn());
 }
 
 // ------------------------------------------------------------------ model

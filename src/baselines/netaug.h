@@ -25,6 +25,11 @@
 
 namespace nb::baselines {
 
+// The slices keep weights and BN buffers at supernet width and own no
+// arithmetic: forward copies the active prefix into an nn layer of that
+// width (copy_prefix_to) and runs it; backward runs its backward and hands
+// the gradients back. Export copies the base prefix the same way.
+
 /// 1x1 convolution over a weight allocated at supernet width, running on a
 /// prefix slice [active_out x active_in].
 class SlicePointwiseConv : public nn::Module {
@@ -32,8 +37,6 @@ class SlicePointwiseConv : public nn::Module {
   SlicePointwiseConv(int64_t max_in, int64_t max_out);
 
   void set_active(int64_t active_in, int64_t active_out);
-  int64_t active_in() const { return active_in_; }
-  int64_t active_out() const { return active_out_; }
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -41,12 +44,14 @@ class SlicePointwiseConv : public nn::Module {
   std::vector<std::pair<std::string, nn::Parameter*>> local_params() override;
 
   nn::Parameter& weight() { return weight_; }
+  /// Copies the [out x in] weight prefix that dst's shape asks for.
+  void copy_prefix_to(nn::Conv2d& dst);
 
  private:
   int64_t max_in_, max_out_;
   int64_t active_in_, active_out_;
-  nn::Parameter weight_;  // [max_out, max_in]
-  Tensor input_;
+  nn::Parameter weight_;              // [max_out, max_in]
+  std::unique_ptr<nn::Conv2d> conv_;  // the last forward's active slice
 };
 
 /// Depthwise conv on the first `active` channels of a supernet-width weight.
@@ -61,10 +66,13 @@ class SliceDepthwiseConv : public nn::Module {
   std::string type_name() const override { return "SliceDepthwiseConv"; }
   std::vector<std::pair<std::string, nn::Parameter*>> local_params() override;
 
+  /// Copies the kernels of the channels dst has.
+  void copy_prefix_to(nn::Conv2d& dst);
+
  private:
-  int64_t max_channels_, kernel_, stride_, active_;
+  int64_t kernel_, stride_, active_;
   nn::Parameter weight_;  // [max_c, 1, k, k]
-  Tensor input_;
+  std::unique_ptr<nn::Conv2d> conv_;
 };
 
 /// BN over a prefix slice with gated running-stat updates.
@@ -76,7 +84,6 @@ class SliceBatchNorm : public nn::Module {
   void set_active(int64_t active) { active_ = active; }
   /// Running stats update only when enabled (base-width passes).
   void set_record_stats(bool record) { record_stats_ = record; }
-  float momentum() const { return momentum_; }
   void set_momentum(float momentum) { momentum_ = momentum; }
 
   Tensor forward(const Tensor& x) override;
@@ -85,15 +92,16 @@ class SliceBatchNorm : public nn::Module {
   std::vector<std::pair<std::string, nn::Parameter*>> local_params() override;
   std::vector<std::pair<std::string, Tensor*>> local_buffers() override;
 
+  /// Copies gamma, beta and the running stats of the channels dst has.
+  void copy_prefix_to(nn::BatchNorm2d& dst);
+
  private:
-  int64_t max_channels_, active_;
+  int64_t active_;
   float eps_, momentum_;
   bool record_stats_ = true;
   nn::Parameter gamma_, beta_;
   Tensor running_mean_, running_var_;
-  Tensor xhat_, inv_std_;
-  int64_t count_ = 0;
-  bool forward_was_training_ = false;
+  std::unique_ptr<nn::BatchNorm2d> bn_;
 };
 
 /// Inverted residual block whose hidden width can dilate up to
@@ -119,7 +127,8 @@ class AugInvertedResidual : public nn::Module {
   std::vector<std::pair<std::string, nn::Module*>> named_children() override;
 
   /// Copies the base-width slice of every weight/BN into a structurally
-  /// matching plain block (deployment export).
+  /// matching plain block (deployment export), through the slices'
+  /// copy_prefix_to.
   void export_base_to(nn::InvertedResidual& dst);
 
  private:

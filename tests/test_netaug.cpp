@@ -1,17 +1,35 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "baselines/netaug.h"
 #include "models/registry.h"
 #include "nn/conv2d.h"
+#include "nn/serialize.h"
 #include "test_util.h"
 #include "train/metrics.h"
 
 namespace nb::baselines {
 namespace {
 
+using ::nb::testing::bits_equal;
+using ::nb::testing::PoolOverride;
 using ::nb::testing::ToyDataset;
+
+// Every tensor of two state dicts, bit for bit.
+void expect_same_state(const std::map<std::string, Tensor>& got,
+                       const std::map<std::string, Tensor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, t] : want) {
+    const auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << name;
+    ASSERT_TRUE(it->second.same_shape(t)) << name;
+    EXPECT_TRUE(bits_equal(it->second.data(), t.data(), t.numel())) << name;
+  }
+}
 
 TEST(SlicePointwiseConv, FullWidthMatchesConv2d) {
   Rng rng(301);
@@ -230,7 +248,8 @@ TEST(NetAugModel, TrainingImprovesBaseAccuracy) {
 
 TEST(NetAugModel, ExportBaseMatchesSupernetBasePath) {
   // The deployed network ("directly remove the supernet") must compute
-  // exactly what the supernet computes at base width.
+  // bit for bit what the supernet computes at base width: both run nn
+  // layers holding the same copied prefix.
   Rng rng(311);
   models::ModelConfig config = models::model_config("mbv2-tiny", 5);
   NetAugModel supernet(config, 2.0f, rng);
@@ -248,7 +267,35 @@ TEST(NetAugModel, ExportBaseMatchesSupernetBasePath) {
 
   Tensor x({2, 3, 20, 20});
   fill_normal(x, rng, 0.0f, 1.0f);
-  EXPECT_LT(max_abs_diff(supernet.forward(x), base->forward(x)), 1e-4f);
+  const Tensor want = supernet.forward(x);
+  const Tensor got = base->forward(x);
+  ASSERT_TRUE(got.same_shape(want));
+  EXPECT_TRUE(bits_equal(got.data(), want.data(), want.numel()));
+}
+
+TEST(NetAugModel, TrainingIsThreadInvariant) {
+  // The slices run nn's passes, whose GEMMs and depthwise backward fork
+  // over the pool; a short run must train the same bits at one and four
+  // threads, in the supernet and in the network it deploys.
+  ToyDataset train(8, 3, 12, 43);
+  ToyDataset test(4, 3, 12, 44);
+  train::TrainConfig tc;
+  tc.epochs = 2;
+  tc.batch_size = 8;
+  tc.lr = 0.05f;
+  ThreadPool one(0);
+  ThreadPool four(3);
+  std::vector<std::map<std::string, Tensor>> supernets, exported;
+  for (ThreadPool* pool : {&one, &four}) {
+    PoolOverride po(*pool);
+    Rng rng(312);
+    NetAugModel model(models::model_config("mbv2-tiny", 3), 2.0f, rng);
+    (void)train_netaug(model, train, test, tc, NetAugConfig{});
+    supernets.push_back(nn::state_dict(model));
+    exported.push_back(nn::state_dict(*model.export_base()));
+  }
+  expect_same_state(supernets[1], supernets[0]);
+  expect_same_state(exported[1], exported[0]);
 }
 
 TEST(NetAugModel, EvaluationRunsAtBaseWidth) {

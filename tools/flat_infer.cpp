@@ -30,10 +30,16 @@
 //   --threads  shared-pool size for the process (default: NB_THREADS
 //              semantics). Multi-session runs execute serially per stream
 //              regardless, so streams scale without pool contention.
+//
+// Exits 1 on a failed proof, a batched-vs-sequential divergence or an error
+// during the run; 2 on a usage error: an unknown flag, a numeric flag that
+// is not a whole number token, or a value the loader or the planner
+// rejects while the tool sets up (their message is printed).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,6 +48,7 @@
 #include "export/flat_model.h"
 #include "export/infer_plan.h"
 #include "export/plan_verify.h"
+#include "parse_number.h"
 #include "runtime/compiled_model.h"
 #include "runtime/percentile.h"
 #include "runtime/session.h"
@@ -56,8 +63,11 @@
 using namespace nb;
 using namespace nb::exporter;
 using nb::runtime::percentile_sorted;
+using nb::tools::parse_number;
 
-int main(int argc, char** argv) {
+namespace {
+
+int infer(int argc, char** argv, bool& set_up) {
   std::string path;
   int64_t batch = 1;
   int64_t res = 0;
@@ -66,20 +76,28 @@ int main(int argc, char** argv) {
   int64_t threads = 0;  // 0 = leave the global pool as NB_THREADS sized it
   bool verify = false;
   Backend backend = Backend::fast;
-  for (int i = 1; i < argc; ++i) {
+  int i = 1;
+  // Parses the value after flag i as a whole number token into `out`.
+  const auto value = [&](auto& out) {
+    if (parse_number(argv[++i], out)) return true;
+    std::fprintf(stderr, "flat_infer: bad %s '%s' (want a number)\n",
+                 argv[i - 1], argv[i]);
+    return false;
+  };
+  for (; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--batch" && i + 1 < argc) {
-      batch = std::atoll(argv[++i]);
+      if (!value(batch)) return 2;
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--res" && i + 1 < argc) {
-      res = std::atoll(argv[++i]);
+      if (!value(res)) return 2;
     } else if (arg == "--repeat" && i + 1 < argc) {
-      repeat = std::atoi(argv[++i]);
+      if (!value(repeat)) return 2;
     } else if (arg == "--sessions" && i + 1 < argc) {
-      sessions = std::atoll(argv[++i]);
+      if (!value(sessions)) return 2;
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoll(argv[++i]);
+      if (!value(threads)) return 2;
     } else if (arg == "--backend" && i + 1 < argc) {
       const std::string b = argv[++i];
       if (b == "fast") {
@@ -175,6 +193,8 @@ int main(int argc, char** argv) {
     std::printf("kernels:      gemm %s, depthwise %s\n", gemm_kernel_name(),
                 depthwise_kernel_name());
   }
+
+  set_up = true;
 
   if (verify) {
     // Static proof over the built plan's tables, plus the exact-batch-
@@ -328,4 +348,19 @@ int main(int argc, char** argv) {
   }
   ThreadPool::set_global_override(nullptr);
   return diverged ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Past setup, a throw is a fault of the run (exit 1); before it, a value
+  // the libraries reject is a usage error (exit 2).
+  bool set_up = false;
+  try {
+    return infer(argc, argv, set_up);
+  } catch (const std::exception& e) {
+    ThreadPool::set_global_override(nullptr);
+    std::fprintf(stderr, "flat_infer: %s\n", e.what());
+    return set_up ? 1 : 2;
+  }
 }

@@ -15,7 +15,10 @@
 // Both modes print one report: offered load, goodput, the typed shed
 // breakdown, latency of ACCEPTED work, batching and buckets. Exits 1 when
 // any request faulted (a model or worker error, not a rejection) or was
-// never resolved, 2 on a usage error.
+// never resolved, or on an error during the run; 2 on a usage error: an
+// unknown flag, a numeric flag that is not a whole number token, or a
+// value the model loader, the Engine or the load generator rejects while
+// the tool sets up (their message is printed).
 //
 // Usage: flat_serve <model.nbfm> | --synth [--mix]
 //          [--clients N] [--seconds S] [--max-batch B] [--max-wait-us U]
@@ -57,13 +60,15 @@
 //   --mix             with --synth: serve TWO models (r32 tiny-serving +
 //                     r96) with a 3:1 open-loop traffic mix
 //   --save <path>     with --synth: also write the artifact as NBFM
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
 #include "export/flat_model.h"
 #include "export/flat_synth.h"
+#include "parse_number.h"
 #include "runtime/compiled_model.h"
 #include "runtime/engine.h"
 #include "runtime/loadgen.h"
@@ -73,6 +78,7 @@
 
 using namespace nb;
 using namespace nb::runtime;
+using nb::tools::parse_number;
 
 namespace {
 
@@ -94,10 +100,11 @@ int usage() {
 bool parse_geometry(const std::string& s, int64_t& h, int64_t& w) {
   const size_t x = s.find('x');
   if (x == std::string::npos) {
-    h = w = std::atoll(s.c_str());
-  } else {
-    h = std::atoll(s.substr(0, x).c_str());
-    w = std::atoll(s.substr(x + 1).c_str());
+    if (!parse_number(s.c_str(), h)) return false;
+    w = h;
+  } else if (!parse_number(s.substr(0, x).c_str(), h) ||
+             !parse_number(s.substr(x + 1).c_str(), w)) {
+    return false;
   }
   return h > 0 && w > 0;
 }
@@ -115,8 +122,10 @@ bool parse_geo_mix(const std::string& s,
     if (colon == std::string::npos) return false;
     int64_t h = 0, w = 0;
     if (!parse_geometry(item.substr(0, colon), h, w)) return false;
-    const double weight = std::atof(item.substr(colon + 1).c_str());
-    if (weight <= 0) return false;
+    double weight = 0.0;
+    if (!parse_number(item.substr(colon + 1).c_str(), weight) || weight <= 0) {
+      return false;
+    }
     geos.emplace_back(h, w);
     weights.push_back(weight);
     pos = comma + 1;
@@ -142,15 +151,13 @@ bool parse_burst(const std::string& s, BurstSpec& out) {
   const size_t a = s.find(':');
   const size_t b = s.find(':', a + 1);
   if (a == std::string::npos || b == std::string::npos) return false;
-  out.start_s = std::atof(s.substr(0, a).c_str());
-  out.duration_s = std::atof(s.substr(a + 1, b - a - 1).c_str());
-  out.multiplier = std::atof(s.substr(b + 1).c_str());
-  return out.duration_s > 0 && out.multiplier > 0;
+  return parse_number(s.substr(0, a).c_str(), out.start_s) &&
+         parse_number(s.substr(a + 1, b - a - 1).c_str(), out.duration_s) &&
+         parse_number(s.substr(b + 1).c_str(), out.multiplier) &&
+         out.duration_s > 0 && out.multiplier > 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int serve(int argc, char** argv, bool& set_up) {
   std::string path;
   std::string save_path;
   bool synth = false;
@@ -162,7 +169,8 @@ int main(int argc, char** argv) {
   int64_t res = 0;
   double rate = 200.0;
   uint64_t seed = 1;
-  int64_t slo_ms = 0;
+  int32_t deadline_ms = 0;  // 32 bits: in microseconds they fit int64_t
+  int32_t slo_ms = 0;
   double high_lane_frac = 0.0;
   std::vector<BurstSpec> bursts;
   std::vector<std::pair<int64_t, int64_t>> geo_mix;
@@ -170,34 +178,42 @@ int main(int argc, char** argv) {
   EngineOptions opts;
   opts.batching.max_batch = 8;
   opts.batching.max_wait_us = 1000;
-  for (int i = 1; i < argc; ++i) {
+  int i = 1;
+  // Parses the value after flag i as a whole number token into `out`.
+  const auto value = [&](auto& out) {
+    if (parse_number(argv[++i], out)) return true;
+    std::fprintf(stderr, "flat_serve: bad %s '%s' (want a number)\n",
+                 argv[i - 1], argv[i]);
+    return false;
+  };
+  for (; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--clients" && i + 1 < argc) {
-      clients = std::atoll(argv[++i]);
+      if (!value(clients)) return 2;
     } else if (arg == "--seconds" && i + 1 < argc) {
-      seconds = std::atof(argv[++i]);
+      if (!value(seconds)) return 2;
     } else if (arg == "--max-batch" && i + 1 < argc) {
-      opts.batching.max_batch = std::atoll(argv[++i]);
+      if (!value(opts.batching.max_batch)) return 2;
     } else if (arg == "--max-wait-us" && i + 1 < argc) {
-      opts.batching.max_wait_us = std::atoll(argv[++i]);
+      if (!value(opts.batching.max_wait_us)) return 2;
     } else if (arg == "--workers" && i + 1 < argc) {
-      opts.workers = std::atoll(argv[++i]);
+      if (!value(opts.workers)) return 2;
     } else if (arg == "--res" && i + 1 < argc) {
-      res = std::atoll(argv[++i]);
+      if (!value(res)) return 2;
     } else if (arg == "--queue-depth" && i + 1 < argc) {
-      opts.default_qos.max_queue_depth = std::atoll(argv[++i]);
+      if (!value(opts.default_qos.max_queue_depth)) return 2;
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      opts.default_qos.default_deadline_us = std::atoll(argv[++i]) * 1000;
+      if (!value(deadline_ms)) return 2;
     } else if (arg == "--open-loop") {
       open_loop = true;
     } else if (arg == "--rate" && i + 1 < argc) {
-      rate = std::atof(argv[++i]);
+      if (!value(rate)) return 2;
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+      if (!value(seed)) return 2;
     } else if (arg == "--slo-ms" && i + 1 < argc) {
-      slo_ms = std::atoll(argv[++i]);
+      if (!value(slo_ms)) return 2;
     } else if (arg == "--high-lane-frac" && i + 1 < argc) {
-      high_lane_frac = std::atof(argv[++i]);
+      if (!value(high_lane_frac)) return 2;
     } else if (arg == "--burst" && i + 1 < argc) {
       BurstSpec b;
       if (!parse_burst(argv[++i], b)) {
@@ -220,7 +236,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--bucket-waste" && i + 1 < argc) {
-      opts.default_qos.bucketing.max_pad_ratio = std::atof(argv[++i]);
+      if (!value(opts.default_qos.bucketing.max_pad_ratio)) return 2;
     } else if (arg == "--drop-on-shutdown") {
       drop_on_shutdown = true;
     } else if (arg == "--synth") {
@@ -247,6 +263,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "flat_serve: --clients must be >= 1\n");
     return 2;
   }
+  opts.default_qos.default_deadline_us = int64_t{deadline_ms} * 1000;
   if (drop_on_shutdown) opts.on_shutdown = DrainPolicy::drop;
 
   // Resolve the model (or the --mix pair) into registry entries.
@@ -307,6 +324,23 @@ int main(int argc, char** argv) {
                 static_cast<long long>(s.model->op_count()),
                 static_cast<long long>(s.model->weight_panel_bytes()));
   }
+  OpenLoopSpec spec;
+  if (open_loop) {
+    spec.rate_per_s = rate;
+    spec.duration_s = seconds;
+    spec.seed = seed;
+    spec.bursts = bursts;
+    spec.high_lane_fraction = high_lane_frac;
+    spec.geo_weights = geo_weights;
+    if (served.size() > 1) {
+      for (const Served& s : served) spec.mix_weights.push_back(s.weight);
+    }
+    // The schedule is a pure function of the spec: building it here
+    // reports a spec the load generator rejects before the run starts.
+    (void)make_open_loop_schedule(spec);
+  }
+  set_up = true;
+
   std::printf("policy:        max_batch %lld, max_wait %lld us, %lld "
               "worker%s, queue depth %lld%s\n",
               static_cast<long long>(opts.batching.max_batch),
@@ -336,22 +370,12 @@ int main(int argc, char** argv) {
 
   LoadResult r;
   if (open_loop) {
-    OpenLoopSpec spec;
-    spec.rate_per_s = rate;
-    spec.duration_s = seconds;
-    spec.seed = seed;
-    spec.bursts = bursts;
-    spec.high_lane_fraction = high_lane_frac;
-    spec.geo_weights = geo_weights;
-    if (served.size() > 1) {
-      for (const Served& s : served) spec.mix_weights.push_back(s.weight);
-    }
     std::printf("open loop:     %.1f images/s offered for %.1f s, seed "
                 "%llu, %zu burst%s, slo %lld ms, high-lane %.0f%%\n",
                 rate, seconds, static_cast<unsigned long long>(seed),
                 bursts.size(), bursts.size() == 1 ? "" : "s",
                 static_cast<long long>(slo_ms), high_lane_frac * 100.0);
-    r = run_open_loop(engine, traffic, spec, slo_ms * 1000);
+    r = run_open_loop(engine, traffic, spec, int64_t{slo_ms} * 1000);
   } else {
     std::printf("closed loop:   %lld clients for %.1f s, a rejected submit "
                 "is retried after 50 us doubling to 1 ms\n",
@@ -398,4 +422,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Past setup, a throw is a fault of the run (exit 1); before it, a value
+  // the libraries reject is a usage error (exit 2).
+  bool set_up = false;
+  try {
+    return serve(argc, argv, set_up);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "flat_serve: %s\n", e.what());
+    return set_up ? 1 : 2;
+  }
 }
